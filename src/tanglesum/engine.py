@@ -6,15 +6,26 @@ At a positive crossing with overstrand X, under-colours Z (in) and Y (out)
 are linked by Z = bd(psi(X, Y))^-1 X Y X^-1, and the crossing carries
 psi(X, Y); at a negative crossing Z = X^-1 bd(phi(X, Y))^-1 Y X and the
 crossing carries phi(X, Y).  Cups and caps force equal colours on their two
-legs.  Going downwards both constraints solve uniquely for Y, so colourings
-are enumerated by branching only where a new piece of strand is born.
+legs.
+
+Going downwards both constraints solve uniquely for Y, so a diagram
+compiles once into an integer event program: a branch event for each arc
+whose first read finds it uncoloured (the arc born at a cup), and a
+crossing event that computes the outgoing under-colour, or checks it when
+a closure coloured that arc earlier.  The program runs as one numpy sweep
+over a frontier of partial colourings, one row each: a branch repeats
+every row once per colour of G, a crossing indexes the pair's tables with
+whole columns and drops the rows it contradicts.  The frontier is
+processed depth-first in slices of at most SWEEP_CHUNK_ROWS rows, so
+memory stays bounded however many branches the program has.
 
 A coloured diagram evaluates to a morphism of the categorical group of the
 crossed module: a slice whose crossing sits at position p with colour e
 contributes u |> e, where u is the product of the colours left of p on the
 level above (upward strands inverted), and slices compose downwards, the
-composite of (U, e) with a following (V, f) being (U, f e).  The source is
-the evaluation of the top enhancement; the boundary identity
+composite of (U, e) with a following (V, f) being (U, f e).  The sweep
+folds this E-element at each crossing event.  The source is the evaluation
+of the top enhancement; the boundary identity
 
     bd(elt) * e(top colours) = e(bottom colours)
 
@@ -39,6 +50,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .algebra import GroupAlgebraElement
 from .crossed_modules import (
     CGMorphism,
@@ -60,10 +73,191 @@ from .racks import conjugation_quandle, _enumerate_colourings as _rack_colouring
 from .validation import SAMPLE_SEED
 
 STATE_SUM_BRANCH_CAP = 5_000_000
+SWEEP_CHUNK_ROWS = 2 ** 16
 
 
 # ----------------------------------------------------------------------
-# colourings
+# compiled event programs
+# ----------------------------------------------------------------------
+
+
+class CrossingEvent(NamedTuple):
+    """One crossing of a compiled program, in arc indices.
+
+    out_known: the outgoing under-arc was coloured by an earlier event, so
+    the crossing checks its colour instead of assigning it.  prefix: the
+    arcs left of the crossing on the level above, each with True where the
+    strand runs upwards.
+    """
+
+    sign: int
+    over: int
+    under_in: int
+    under_out: int
+    out_known: bool
+    prefix: tuple[tuple[int, bool], ...]
+
+
+class EventProgram(NamedTuple):
+    """A diagram compiled for the sweep.
+
+    events holds, in top-down order, an arc index for each branch event and
+    a CrossingEvent for each crossing.
+    """
+
+    n_arcs: int
+    top_arcs: tuple[int, ...]
+    bottom_arcs: tuple[int, ...]
+    events: tuple
+
+    @property
+    def branch_arcs(self) -> tuple[int, ...]:
+        return tuple(ev for ev in self.events if isinstance(ev, int))
+
+
+def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
+    """Compile d, given colours on its top arcs and on the arcs in coloured.
+
+    Every arc a crossing reads (over, incoming under, prefix) or a cup
+    creates gets a branch event the first time it is met uncoloured.
+    """
+    top_arcs, bottom_arcs = d.boundary_arcs()
+    known = set(top_arcs) | set(coloured)
+    events: list = []
+
+    def read(a: int) -> None:
+        if a not in known:
+            known.add(a)
+            events.append(a)
+
+    crossings = iter(d.crossings)
+    for r, s in enumerate(d.slices):
+        if s.gen in ("cupR", "cupL"):
+            read(d.arc_of[(r + 1, s.pos)])
+        elif s.gen in ("X+", "X-"):
+            c = next(crossings)
+            w = d.words[r]
+            prefix = tuple((d.arc_of[(r, q)], w[q] != DOWN)
+                           for q in range(s.pos))
+            for a in (c.over_arc, c.under_in_arc, *(a for a, _ in prefix)):
+                read(a)
+            events.append(CrossingEvent(c.sign, c.over_arc, c.under_in_arc,
+                                        c.under_out_arc,
+                                        c.under_out_arc in known, prefix))
+            known.add(c.under_out_arc)
+    return EventProgram(len(d.arcs), top_arcs, bottom_arcs, tuple(events))
+
+
+def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
+    """Frontier rows for the top colour tuples in tops (one per row).
+
+    A row whose colours differ on an arc met twice along the top violates
+    the arc identification and is dropped.
+    """
+    rows = np.zeros((len(tops), prog.n_arcs), dtype=np.int32)
+    keep = np.ones(len(tops), dtype=bool)
+    first: dict[int, int] = {}
+    for i, a in enumerate(prog.top_arcs):
+        if a in first:
+            keep &= tops[:, i] == tops[:, first[a]]
+        else:
+            first[a] = i
+            rows[:, a] = tops[:, i]
+    return rows[keep]
+
+
+def _sweep(prog: EventProgram, transfer: CrossingTransfer,
+           rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Run prog over the frontier rows; return the finished chunks.
+
+    Each chunk is (colours, elt): an int32 array of complete arc colourings,
+    one per row, and the E-element each one folds to.  The branch cap and
+    the dense tables are checked here, before any work.
+    """
+    pair = transfer.pair
+    n = pair.g.order
+    branches = prog.branch_arcs
+    if n ** len(branches) > STATE_SUM_BRANCH_CAP:
+        raise SizeLimitError(
+            f"{n}^{len(branches)} branches (on arcs {list(branches)}) exceed "
+            f"the state-sum cap of {STATE_SUM_BRANCH_CAP}")
+    tables = (pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
+              transfer.fplus, transfer.fminus, pair.psi, pair.phi)
+    elt = np.full(len(rows), pair.e.identity, dtype=np.int32)
+    return _run(prog.events, tables, n, rows, elt)
+
+
+def _run(events, tables, n: int, rows, elt):
+    # depth-first over tasks (event, rows, elt, colours): colours, if set,
+    # are the values that the branch event k gives each row
+    g_mul, g_inv, e_mul, act, fplus, fminus, psi, phi = tables
+    colours = np.arange(n, dtype=np.int32)
+    step = SWEEP_CHUNK_ROWS
+    stack = [(0, rows[lo:lo + step], elt[lo:lo + step], None)
+             for lo in reversed(range(0, len(elt), step))]
+    while stack:
+        k, rows, elt, branch = stack.pop()
+        if branch is not None:
+            # rows are shared with sibling tasks: repeat copies them
+            rows = np.repeat(rows, len(branch), axis=0)
+            rows[:, events[k]] = np.tile(branch, len(elt))
+            elt = np.repeat(elt, len(branch))
+            k += 1
+        while k < len(events) and len(elt) and not isinstance(events[k], int):
+            ev = events[k]
+            x, z = rows[:, ev.over], rows[:, ev.under_in]
+            if ev.sign > 0:
+                y = fminus[x, z]
+                e = psi[x, y]
+            else:
+                y = fplus[x, z]
+                e = phi[x, y]
+            if ev.out_known:
+                keep = rows[:, ev.under_out] == y
+                rows, elt, e = rows[keep], elt[keep], e[keep]
+            else:
+                rows[:, ev.under_out] = y
+            prefix = None
+            for a, up in ev.prefix:
+                c = g_inv[rows[:, a]] if up else rows[:, a]
+                prefix = c if prefix is None else g_mul[prefix, c]
+            if prefix is not None:
+                e = act[prefix, e]
+            elt = e_mul[e, elt]
+            k += 1
+        if not len(elt):
+            continue
+        if k == len(events):
+            yield rows, elt
+            continue
+        # a branch event: split the colours so no chunk exceeds step rows
+        per = max(1, step // len(elt))
+        for lo in reversed(range(0, n, per)):
+            stack.append((k, rows, elt, colours[lo:lo + per]))
+
+
+def _state_sum(d: SlicedTangleDiagram, pair: ReidemeisterPair,
+               tops: np.ndarray) -> dict:
+    """{(top, bottom): {E element: count}} over the colourings of d whose
+    top colours are a row of tops, sorted by key."""
+    prog = compile_program(d)
+    k = len(prog.top_arcs)
+    keys = list(prog.top_arcs + prog.bottom_arcs)
+    out: dict[tuple, dict[int, int]] = {}
+    for rows, elt in _sweep(prog, pair.transfer(), _seed(prog, tops)):
+        key = np.ascontiguousarray(np.column_stack([rows[:, keys], elt]))
+        # one opaque scalar per row: far faster than np.unique(axis=0)
+        flat = key.view(np.dtype((np.void, key.strides[0]))).ravel()
+        _, first, counts = np.unique(flat, return_index=True,
+                                     return_counts=True)
+        for row, count in zip(key[first].tolist(), counts.tolist()):
+            terms = out.setdefault((tuple(row[:k]), tuple(row[k:-1])), {})
+            terms[row[-1]] = terms.get(row[-1], 0) + count
+    return dict(sorted(out.items()))
+
+
+# ----------------------------------------------------------------------
+# single colourings
 # ----------------------------------------------------------------------
 
 
@@ -120,120 +314,43 @@ def _normalise_enhancement(group, orientations, value, which: str):
     return out
 
 
+def _one_top(top_cols) -> np.ndarray:
+    return np.array([top_cols], dtype=np.int32).reshape(1, len(top_cols))
+
+
 def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
                          top=None) -> Iterator[Colouring]:
     """Stream every colouring of d whose top arcs match the given colours.
 
-    Depth-first over the slices: a cup whose arc is still blank branches
-    over all of G, a crossing propagates deterministically downwards and
-    prunes when it meets an arc that was already coloured through a closure.
-    An arc read before its birth event (possible when a strand winds back
-    upwards) is branched over as well, so the stream is always complete.
+    A view of the sweep for callers that inspect single colourings; the
+    crossing colours are read back off the arc colours.
     """
     pair = transfer.pair
-    group = pair.g
-    n = group.order
-    top_cols = _normalise_enhancement(group, d.top, top, "top")
-
-    n_cups = sum(1 for s in d.slices if s.gen in ("cupR", "cupL"))
-    if n ** n_cups > STATE_SUM_BRANCH_CAP:
-        raise SizeLimitError(
-            f"{n}^{n_cups} cup branches exceed the state-sum cap")
-
-    arc_col = [-1] * len(d.arcs)
-    for i, c in enumerate(top_cols):
-        a = d.arc_of[(0, i)]
-        if arc_col[a] >= 0 and arc_col[a] != c:
-            return  # the top word itself violates an arc identification
-        arc_col[a] = c
-
-    # one event per slice that can touch colours, in top-down order
-    events: list[tuple[str, object]] = []
-    xrows = {c.row: k for k, c in enumerate(d.crossings)}
-    for r, s in enumerate(d.slices):
-        if s.gen in ("X+", "X-"):
-            events.append(("x", d.crossings[xrows[r]]))
-        elif s.gen in ("cupR", "cupL"):
-            events.append(("cup", d.arc_of[(r + 1, s.pos)]))
-
-    xcols = [0] * len(d.crossings)
-
-    def descend(k: int) -> Iterator[Colouring]:
-        if k == len(events):
-            yield Colouring(d, pair, tuple(arc_col), tuple(xcols))
-            return
-        kind, data = events[k]
-        if kind == "cup":
-            a = data
-            if arc_col[a] >= 0:
-                yield from descend(k + 1)
-            else:
-                for c in range(n):
-                    arc_col[a] = c
-                    yield from descend(k + 1)
-                arc_col[a] = -1
-            return
-        c = data
-        over_free = arc_col[c.over_arc] < 0
-        for x in (range(n) if over_free else (arc_col[c.over_arc],)):
-            if over_free:
-                arc_col[c.over_arc] = x
-            in_free = arc_col[c.under_in_arc] < 0
-            for z in (range(n) if in_free else (arc_col[c.under_in_arc],)):
-                if in_free:
-                    arc_col[c.under_in_arc] = z
-                if c.sign > 0:
-                    y = transfer.under_out_plus(x, z)
-                    e = pair.psi_at(x, y)
-                else:
-                    y = transfer.under_out_minus(x, z)
-                    e = pair.phi_at(x, y)
-                out_free = arc_col[c.under_out_arc] < 0
-                if out_free:
-                    arc_col[c.under_out_arc] = y
-                if arc_col[c.under_out_arc] == y:
-                    xcols[xrows[c.row]] = e
-                    yield from descend(k + 1)
-                if out_free:
-                    arc_col[c.under_out_arc] = -1
-                if in_free:
-                    arc_col[c.under_in_arc] = -1
-            if over_free:
-                arc_col[c.over_arc] = -1
-
-    yield from descend(0)
-
-
-# ----------------------------------------------------------------------
-# evaluation
-# ----------------------------------------------------------------------
+    top_cols = _normalise_enhancement(pair.g, d.top, top, "top")
+    prog = compile_program(d)
+    for rows, _ in _sweep(prog, transfer, _seed(prog, _one_top(top_cols))):
+        for arcs in rows.tolist():
+            xs = ((pair.psi_at if c.sign > 0 else pair.phi_at)(
+                      arcs[c.over_arc], arcs[c.under_out_arc])
+                  for c in d.crossings)
+            yield Colouring(d, pair, tuple(arcs), tuple(xs))
 
 
 def evaluate(col: Colouring) -> CGMorphism:
     """Composite categorical-group morphism of a coloured diagram."""
     d, pair = col.diagram, col.pair
-    xmod = pair.xmod
-    group, egrp = xmod.g, xmod.e
-    arc = col.arc_colours
+    prog = compile_program(d, coloured=range(len(d.arcs)))
+    rows = np.array([col.arc_colours], dtype=np.int32)
+    chunks = list(_sweep(prog, pair.transfer(), rows))
+    if not chunks:
+        raise TangleSumError(f"{col!r} violates a crossing constraint")
+    src = Enhancement(d.top, col.top_colours()).evaluation(pair.g)
+    return CGMorphism(pair.xmod, src, int(chunks[0][1][0]))
 
-    src = group.identity
-    for i, o in enumerate(d.top):
-        c = arc[d.arc_of[(0, i)]]
-        src = group.mul(src, c if o == DOWN else group.inv(c))
 
-    xrows = {c.row: k for k, c in enumerate(d.crossings)}
-    elt = egrp.identity
-    for r, s in enumerate(d.slices):
-        if s.gen not in ("X+", "X-"):
-            continue
-        w = d.words[r]
-        prefix = group.identity
-        for q in range(s.pos):
-            cq = arc[d.arc_of[(r, q)]]
-            prefix = group.mul(prefix, cq if w[q] == DOWN else group.inv(cq))
-        e = xmod.act(prefix, col.crossing_colours[xrows[r]])
-        elt = egrp.mul(e, elt)
-    return CGMorphism(xmod, src, elt)
+# ----------------------------------------------------------------------
+# the invariant
+# ----------------------------------------------------------------------
 
 
 @dataclass
@@ -289,17 +406,12 @@ class InvariantValue:
         return f"InvariantValue({self.display()})"
 
 
+
 def _bucketed(d: SlicedTangleDiagram, pair: ReidemeisterPair,
               top_cols) -> dict:
     """Bottom colour tuple -> {E element: count} over all colourings."""
-    _, bot_arcs = d.boundary_arcs()
-    buckets: dict[tuple[int, ...], dict[int, int]] = {}
-    for col in enumerate_colourings(d, pair.transfer(), top_cols):
-        m = evaluate(col)
-        bot = tuple(col.arc_colours[a] for a in bot_arcs)
-        terms = buckets.setdefault(bot, {})
-        terms[m.elt] = terms.get(m.elt, 0) + 1
-    return buckets
+    return {bot: terms for (_, bot), terms
+            in _state_sum(d, pair, _one_top(top_cols)).items()}
 
 
 def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
@@ -335,18 +447,17 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
     """Full matrix {(top, bottom): terms} over every top enhancement.
 
     Intended for small boundaries, e.g. to compare diagrams related by a
-    move; keys with no colourings are omitted.
+    move; keys with no colourings are omitted.  Every top enhancement
+    seeds one row of a single sweep.
     """
     k = len(d.top)
     n = pair.g.order
     if n ** k > top_cap:
         raise SizeLimitError(f"{n}^{k} top enhancements exceed {top_cap}")
-    out: dict[tuple, dict[int, int]] = {}
-    for top in itertools.product(range(n), repeat=k):
-        for bot, terms in _bucketed(d, pair, top).items():
-            if terms:
-                out[(top, bot)] = terms
-    return out
+    tops = np.array(list(itertools.product(range(n), repeat=k)),
+                    dtype=np.int32).reshape(n ** k, k)
+    return _state_sum(d, pair, tops)
+
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ classical reductions (rack counting, cocycle state sums, abelianisation)."""
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from tanglesum.diagrams import (
 )
 from tanglesum.engine import (
     abelianisation_framed_invariant,
+    compile_program,
     enumerate_colourings,
     evaluate,
     invariant,
@@ -383,3 +385,37 @@ def test_branch_cap_raises_size_limit():
     circles = SlicedTangleDiagram((), [("cupR", 0), ("capR", 0)] * 15)
     with pytest.raises(SizeLimitError):
         invariant(circles, p)
+
+
+def test_branch_cap_error_names_the_branch_arcs():
+    circles = SlicedTangleDiagram((), [("cupR", 0), ("capR", 0)] * 15)
+    with pytest.raises(SizeLimitError,
+                       match=r"3\^15 branches \(on arcs \[0, 1, 2, "):
+        invariant(circles, rack_pair(3))
+
+
+def test_branch_cap_counts_branch_events_not_cups():
+    # the third cup's arc is already coloured through a closure, so only
+    # two arcs branch: 200^2 branches pass the cap where 200^3 would not
+    d = load_catalog("sigma1_sigma1inv_closed")
+    assert sum(1 for s in d.slices if s.gen in ("cupR", "cupL")) == 3
+    assert len(compile_program(d).branch_arcs) == 2
+    r = dihedral_quandle(200)
+    p = pair_from_rack(r, cyclic_group(200))
+    assert invariant(d, p).total == rack_colouring_count(d, r)
+
+
+def test_frontier_memory_stays_bounded():
+    # unchunked, the 120^3-row frontier alone would need about 27 MB
+    s5 = symmetric_group(5)
+    p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
+    p.transfer()
+    d = load_catalog("figure_eight_closed")
+    tracemalloc.start()
+    try:
+        value = invariant(d, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.total == 120
+    assert peak < 16 * 2**20

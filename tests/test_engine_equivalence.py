@@ -1,0 +1,123 @@
+"""The numpy sweep against the depth-first reference on random diagrams.
+
+Diagrams are braid words on 2-3 strands, open or closed by trace_closure,
+followed by a short chain of move neighbours.  For every pair family the
+sweep's invariant_matrix must equal the reference exactly, and each move
+must leave it unchanged.  A catalog sweep over S4 covers what those small
+groups cannot.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_dfs import reference_matrix
+from tanglesum.crossed_modules import (
+    abelianisation_tensor_2xmod,
+    braided_from_central_extension,
+)
+from tanglesum.diagrams import (
+    braid_word_to_tangle,
+    catalog_names,
+    load_catalog,
+    move_neighbours,
+    trace_closure,
+)
+from tanglesum.engine import invariant_matrix
+from tanglesum.groups import (
+    central_quotient,
+    cyclic_group,
+    subgroup,
+    subgroup_closure,
+    symmetric_group,
+)
+from tanglesum.pairs import (
+    pair_eisermann,
+    pair_eisermann_lift_framed,
+    pair_eisermann_lift_unframed,
+    pair_from_2xmod,
+    pair_from_rack,
+    pair_from_rack_cocycle,
+)
+from tanglesum.racks import cocycle_from_json, dihedral_quandle
+
+R3_COCYCLE = {"v_moduli": [3], "table": [[0, 0, 1], [2, 0, 2], [1, 0, 0]]}
+
+# keeps the reference's work per example small: cups, crossings
+MAX_CUPS = 3
+MAX_CROSSINGS = 8
+
+
+def _d4_extension():
+    s4 = symmetric_group(4)
+    gens = [s4.element_by_label("(1 2 3 4)"), s4.element_by_label("(1 3)")]
+    d4, _ = subgroup(s4, subgroup_closure(s4, gens), name="D4")
+    _, proj = central_quotient(d4)
+    return braided_from_central_extension(proj)
+
+
+@functools.cache
+def pairs() -> dict:
+    s3, z3, r3 = symmetric_group(3), cyclic_group(3), dihedral_quandle(3)
+    d4 = _d4_extension()
+    return {
+        "rack R3": pair_from_rack(r3, z3),
+        "cocycle R3/Z3": pair_from_rack_cocycle(
+            cocycle_from_json(r3, R3_COCYCLE), z3),
+        "eisermann S3 (1 2 3)": pair_eisermann(
+            s3, s3.element_by_label("(1 2 3)"), carrier="group"),
+        "eisermann S3 (1 2)": pair_eisermann(
+            s3, s3.element_by_label("(1 2)"), carrier="group"),
+        "tensor-square S3": pair_from_2xmod(abelianisation_tensor_2xmod(s3)),
+        "lift unframed D4": pair_eisermann_lift_unframed(d4, 1),
+        "lift framed D4": pair_eisermann_lift_framed(d4, 1),
+    }
+
+
+def _small(d) -> bool:
+    cups = sum(1 for s in d.slices if s.gen in ("cupR", "cupL"))
+    return cups <= MAX_CUPS and len(d.crossings) <= MAX_CROSSINGS
+
+
+@st.composite
+def braid_closures(draw):
+    strands = draw(st.integers(2, 3))
+    letters = [i for i in range(1 - strands, strands) if i]
+    word = draw(st.lists(st.sampled_from(letters), max_size=6))
+    d = braid_word_to_tangle(word, strands)
+    keep = draw(st.sampled_from([None, 0, 1]))
+    return d if keep is None else trace_closure(d, keep=keep)
+
+
+@pytest.mark.parametrize("tag", sorted(pairs()))
+@settings(max_examples=30)
+@given(d=braid_closures(), data=st.data())
+def test_sweep_equals_reference_along_move_chains(tag, d, data):
+    pair = pairs()[tag]
+    expected = reference_matrix(d, pair)
+    assert invariant_matrix(d, pair) == expected
+    for _ in range(data.draw(st.integers(0, 2), label="moves")):
+        nexts = [mp.after for mp in move_neighbours(d, pair.mode)
+                 if _small(mp.after)]
+        if not nexts:
+            break
+        d = data.draw(st.sampled_from(nexts), label="neighbour")
+        matrix = invariant_matrix(d, pair)
+        assert matrix == reference_matrix(d, pair)
+        assert matrix == expected
+
+
+def test_sweep_equals_reference_on_the_catalog_over_s4():
+    # over S3 and the D4 quotient, g and g^-1 act alike on every psi/phi
+    # value, so only a larger group checks that upward strands left of a
+    # crossing enter its prefix inverted
+    s4 = symmetric_group(4)
+    pair = pair_eisermann(s4, s4.element_by_label("(1 2 3 4)"), carrier="group")
+    for name in catalog_names():
+        d = load_catalog(name)
+        if len(d.top) <= 2:
+            assert invariant_matrix(d, pair) == reference_matrix(d, pair), name
