@@ -56,7 +56,7 @@ from .errors import (
     TangleSumError,
     XmodMismatchError,
 )
-from .groups import FiniteGroup
+from .groups import FiniteGroup, commutator_subgroup
 from .racks import Rack, RackCocycle
 from .validation import (
     CheckResult,
@@ -161,13 +161,19 @@ def framed_maps(p: ReidemeisterPair):
 
 def validate_pair(p: ReidemeisterPair, mode: str | None = None,
                   thorough: bool = False) -> ValidationReport:
-    """Check the pair axioms in the pair's mode (or an explicit one)."""
+    """Check the pair axioms in the pair's mode (or an explicit one).
+
+    Every incoming under-colour the axioms need is a lookup into the
+    Fplus/Fminus tables, tabulated once by the same helper build_transfer
+    uses and shared by R2 and both R3 forms; they are not checked for
+    bijectivity here, so a pair that breaks R2 still gets a report.
+    """
     mode = mode or p.mode
     report = ValidationReport(f"{mode} pair {p.name}")
     g, e = p.g, p.e
     n = g.order
-    bnd = _boundary_table(p)
     psi, phi = p.psi, p.phi
+    fplus, fminus = _transfer_tables(p)
     act = p.xmod.action
     one = e.identity
 
@@ -178,22 +184,15 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
             thorough))
 
     def r2(X, Y):
-        z = g.mul_arr(g.mul_arr(g.inv_arr(X), g.inv_arr(bnd[phi[X, Y]])),
-                      g.mul_arr(Y, X))
-        return (e.mul_arr(phi[X, Y], psi[X, z]),
+        return (e.mul_arr(phi[X, Y], psi[X, fminus[X, Y]]),
                 np.full(len(X), one, dtype=np.int64))
 
     report.add(grid_check("R2: phi(X,Y) psi(X,Z) = 1", (n, n), r2, thorough))
 
-    def under_in_neg(X, Y):
-        # Z with d(phi(X,Y)) = Y X Z^{-1} X^{-1}
-        return g.mul_arr(g.mul_arr(g.inv_arr(X), g.inv_arr(bnd[phi[X, Y]])),
-                         g.mul_arr(Y, X))
-
     def r3(X, Y, T):
-        z = under_in_neg(Y, X)
-        v = under_in_neg(T, Y)
-        w = under_in_neg(T, X)
+        z = fminus[Y, X]
+        v = fminus[T, Y]
+        w = fminus[T, X]
         lhs = e.mul_arr(e.mul_arr(phi[Y, X], act[Y, phi[T, z]]), phi[T, Y])
         rhs = e.mul_arr(e.mul_arr(act[X, phi[T, Y]], phi[T, X]),
                         act[T, phi[v, w]])
@@ -201,16 +200,11 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
 
     report.add(grid_check("R3 (phi form)", (n, n, n), r3, thorough))
 
-    def under_in_pos(X, Y):
-        # A with d(psi(X,Y)) = X Y X^{-1} A^{-1}
-        return g.mul_arr(g.inv_arr(bnd[psi[X, Y]]),
-                         g.mul_arr(g.mul_arr(X, Y), g.inv_arr(X)))
-
     def r3p(X, Y, Z):
-        a = under_in_pos(X, Y)
-        b = under_in_pos(X, Z)
-        c = under_in_pos(Y, Z)
-        d_ = under_in_pos(X, c)
+        a = fplus[X, Y]
+        b = fplus[X, Z]
+        c = fplus[Y, Z]
+        d_ = fplus[X, c]
         lhs = e.mul_arr(e.mul_arr(psi[X, Y], act[a, psi[X, Z]]), psi[a, b])
         rhs = e.mul_arr(e.mul_arr(act[X, psi[Y, Z]], psi[X, c]),
                         act[d_, psi[X, Y]])
@@ -271,29 +265,50 @@ class CrossingTransfer:
         return f"<crossing transfer for {self.pair.name}>"
 
 
-def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
-    """Tabulate Fplus/Fminus and verify they are mutually inverse bijections."""
+def _transfer_tables(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:
+    """(Fplus, Fminus) as n x n tables, unchecked.
+
+    fplus[X, Y] = A with d(psi(X,Y)) = X Y X^{-1} A^{-1};
+    fminus[X, Y] = Z with d(phi(X,Y)) = Y X Z^{-1} X^{-1}.
+    """
     g = p.g
     n = g.order
     bnd = _boundary_table(p)
     X = np.arange(n, dtype=np.int64)[:, None]
     Y = np.arange(n, dtype=np.int64)[None, :]
-    Xb = np.broadcast_to(X, (n, n))
-    Yb = np.broadcast_to(Y, (n, n))
-    fplus = g.mul_arr(g.inv_arr(bnd[p.psi[Xb, Yb]]),
-                      g.mul_arr(g.mul_arr(Xb, Yb), g.inv_arr(Xb)))
-    fminus = g.mul_arr(g.mul_arr(g.inv_arr(Xb), g.inv_arr(bnd[p.phi[Xb, Yb]])),
-                       g.mul_arr(Yb, Xb))
-    for x in range(n):
-        for tbl, tag in ((fplus, "Fplus"), (fminus, "Fminus")):
-            if len(np.unique(tbl[x])) != n:
-                raise NotBijectiveError(
-                    f"{tag}_{g.label(x)} is not a bijection of G; "
-                    "the pair cannot satisfy R2")
-        if not np.array_equal(fminus[x, fplus[x]], np.arange(n)):
-            raise NotBijectiveError(
-                f"Fminus_{g.label(x)} is not the inverse of Fplus_{g.label(x)}; "
-                "the pair cannot satisfy R2")
+    fplus = g.mul_arr(g.inv_arr(bnd[p.psi]), g.conj_arr(X, Y))
+    fminus = g.mul_arr(g.mul_arr(g.inv_arr(X), g.inv_arr(bnd[p.phi])),
+                       g.mul_arr(Y, X))
+    return fplus, fminus
+
+
+def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
+    """Fplus/Fminus, verified to be mutually inverse bijections.
+
+    The tables are tabulated once by _transfer_tables, the helper that
+    validate_pair shares, and ReidemeisterPair.transfer caches the result.
+    The check runs over the whole table at once; the error names the first
+    overstrand X whose Fplus_X or Fminus_X is not a bijection, or whose
+    Fminus_X is not the inverse of Fplus_X.
+    """
+    g = p.g
+    fplus, fminus = _transfer_tables(p)
+    idx = np.arange(g.order)
+    # failing[check, X]: the three checks, in the order they are reported
+    failing = np.stack([
+        (np.sort(fplus, axis=1) != idx).any(axis=1),
+        (np.sort(fminus, axis=1) != idx).any(axis=1),
+        (np.take_along_axis(fminus, fplus, axis=1) != idx).any(axis=1),
+    ])
+    bad = np.nonzero(failing.any(axis=0))[0]
+    if len(bad):
+        x = int(bad[0])
+        label = g.label(x)
+        reason = (f"Fplus_{label} is not a bijection of G",
+                  f"Fminus_{label} is not a bijection of G",
+                  f"Fminus_{label} is not the inverse of Fplus_{label}",
+                  )[int(np.argmax(failing[:, x]))]
+        raise NotBijectiveError(f"{reason}; the pair cannot satisfy R2")
     return CrossingTransfer(p, fplus, fminus)
 
 
@@ -372,28 +387,27 @@ def pair_eisermann(g: FiniteGroup, x, carrier: str = "commutator",
     (where both tables land even when x does not) or the whole group; the
     crossed module is the identity with the adjoint action.  Unframed.
     """
-    from .groups import commutator_subgroup
     xi = g.element_by_label(x) if isinstance(x, str) else int(x)
     if carrier == "commutator":
         base, _ = commutator_subgroup(g)
-        elems = base.parent_indices
+        elems = np.asarray(base.parent_indices, dtype=np.int64)
     elif carrier == "group":
         base = g
-        elems = tuple(range(g.order))
+        elems = np.arange(g.order, dtype=np.int64)
     else:
         raise TangleSumError(
             f"carrier must be 'commutator' or 'group', got {carrier!r}")
-    pos = {gi: k for k, gi in enumerate(elems)}
-    n = len(elems)
+    L, M = elems[:, None], elems[None, :]
     xinv = g.inv(xi)
-    psi = np.empty((n, n), dtype=np.int64)
-    phi = np.empty((n, n), dtype=np.int64)
-    for i, l in enumerate(elems):
-        for j, m in enumerate(elems):
-            phi_val = g.comm(g.mul(m, xinv), g.mul(l, xinv))
-            psi_val = g.mul(g.comm(l, m), g.comm(g.mul(m, g.inv(l)), xi))
-            phi[i, j] = pos[phi_val]
-            psi[i, j] = pos[psi_val]
+    phi_g = g.comm_arr(g.mul_arr(M, xinv), g.mul_arr(L, xinv))
+    psi_g = g.mul_arr(g.comm_arr(L, M), g.comm_arr(g.mul_arr(M, g.inv_arr(L)), xi))
+    # parent index -> carrier index, -1 off the carrier
+    pos = np.full(g.order, -1, dtype=np.int64)
+    pos[elems] = np.arange(len(elems))
+    phi, psi = pos[phi_g], pos[psi_g]
+    if (phi < 0).any() or (psi < 0).any():
+        raise TangleSumError(
+            f"commutator pair values leave the {carrier} carrier of {g.name}")
     return ReidemeisterPair(xm_identity(base), psi, phi, "unframed",
                             name=name or
                             f"eisermann({g.name}, {g.label(xi)}, {carrier})",

@@ -15,6 +15,9 @@ Every cell is the invariant of the string trefoil with identity colour on
 the fixed boundary, summed over the free one.  Both readings are computed:
 "ket" fixes the top and sums over bottoms, "bra" fixes the bottom and sums
 over tops; on all of these cells the two agree, and the diff checks both.
+The ket reading is one state sum seeded with the identity top; the bra
+reading is one state sum with every top colour seeded (invariant_matrix),
+so the two still reach the engine through different seeding paths.
 
 The frozen values below reproduce the recomputation in 26 of 28 cells.
 The other two carry a corrected value next to the transcribed one: the
@@ -40,7 +43,7 @@ from functools import lru_cache
 from .algebra import GroupAlgebraElement, parse_algebra
 from .crossed_modules import braided_from_central_extension
 from .diagrams import load_catalog
-from .engine import invariant
+from .engine import invariant, invariant_matrix
 from .errors import TangleSumError
 from .groups import pgl2, symmetric_group
 from .pairs import pair_eisermann, pair_eisermann_lift_unframed
@@ -150,9 +153,10 @@ def compute_cell(name: str, knot: str, column: int,
         for iv in invariant(d, pair, top=(pair.g.identity,)).values():
             total = total + iv.algebra()
     elif direction == "bra":
-        for a in range(pair.g.order):
-            iv = invariant(d, pair, top=(a,), bottom=(pair.g.identity,))
-            total = total + iv.algebra()
+        bottom = (pair.g.identity,)
+        for (_, bot), terms in invariant_matrix(d, pair).items():
+            if bot == bottom:
+                total = total + GroupAlgebraElement(pair.e, terms)
     else:
         raise TangleSumError(f"direction must be 'ket' or 'bra', not {direction!r}")
     return total

@@ -73,28 +73,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def sweep_indices(shape: tuple[int, ...], thorough: bool = False,
-                  budget: int | None = None) -> tuple[list[np.ndarray], str, int]:
-    """Index arrays covering a product domain, exhaustively or sampled.
-
-    Returns (axes, mode, checked): `axes` is a list of flat index arrays, one
-    per factor, all the same length; evaluating an axiom on them covers either
-    the whole grid or SAMPLE_SIZE fixed-seed tuples.
-    """
-    total = 1
-    for n in shape:
-        total *= n
-    if budget is None:
-        budget = EXHAUSTIVE_TRIPLE_BUDGET if len(shape) >= 3 else EXHAUSTIVE_PAIR_BUDGET
-    if thorough or total <= budget:
-        grids = np.meshgrid(*[np.arange(n, dtype=np.int64) for n in shape],
-                            indexing="ij", copy=False)
-        return [g.reshape(-1) for g in grids], "exhaustive", total
-    rng = np.random.default_rng(SAMPLE_SEED)
-    axes = [rng.integers(0, n, size=SAMPLE_SIZE, dtype=np.int64) for n in shape]
-    return axes, "sampled", SAMPLE_SIZE
-
-
 def check_equal(axiom: str, lhs: np.ndarray, rhs: np.ndarray,
                 axes: list[np.ndarray], mode: str, domain_size: int) -> CheckResult:
     """Package an elementwise comparison into a CheckResult with witnesses."""

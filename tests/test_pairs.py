@@ -18,6 +18,7 @@ from tanglesum.errors import (
 )
 from tanglesum.groups import (
     central_quotient,
+    commutator_subgroup,
     cyclic_group,
     GroupHom,
     subgroup,
@@ -233,7 +234,7 @@ def test_broken_pair_fails_r2_via_transfer():
     psi = np.array([[0, 1], [0, 0]])  # collapses Fplus_0
     phi = np.zeros((2, 2), dtype=np.int64)
     p = ReidemeisterPair(xm_identity(z2), psi, phi, "unframed")
-    with pytest.raises(NotBijectiveError):
+    with pytest.raises(NotBijectiveError, match=r"^Fplus_0 is not a bijection"):
         p.transfer()
     assert not validate_pair(p).ok
 
@@ -246,3 +247,167 @@ def test_validation_reports_witnesses_on_perturbed_pair():
     report = validate_pair(p)
     assert not report.ok
     assert any("fails at" in str(v) for v in report.violations)
+
+
+def test_transfer_error_names_the_first_failing_overstrand():
+    z3 = cyclic_group(3)
+    zero = np.zeros((3, 3), dtype=np.int64)
+    psi = zero.copy()
+    psi[2, 1] = 2  # collapses Fplus_2 only
+    p = ReidemeisterPair(xm_identity(z3), psi, zero, "unframed")
+    with pytest.raises(NotBijectiveError, match=r"^Fplus_2 is not a bijection"):
+        p.transfer()
+    phi = zero.copy()
+    phi[1, 0] = 2  # collapses Fminus_1 only
+    p = ReidemeisterPair(xm_identity(z3), zero, phi, "unframed")
+    with pytest.raises(NotBijectiveError, match=r"^Fminus_1 is not a bijection"):
+        p.transfer()
+
+
+def test_transfer_rejects_bijective_but_not_inverse_tables():
+    # over Z3, psi = 0 makes Fplus_X the identity and a constant phi = 1
+    # makes Fminus_X the shift Y -> Y - 1: both bijective, never inverse
+    z3 = cyclic_group(3)
+    psi = np.zeros((3, 3), dtype=np.int64)
+    phi = np.ones((3, 3), dtype=np.int64)
+    p = ReidemeisterPair(xm_identity(z3), psi, phi, "unframed")
+    with pytest.raises(
+        NotBijectiveError, match=r"^Fminus_0 is not the inverse of Fplus_0"
+    ):
+        p.transfer()
+    report = validate_pair(p)
+    assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# frozen validation reports: every CheckResult field (axiom, domain, count,
+# mode, witnesses, details), computed with each axiom's own under-colour formula
+# ---------------------------------------------------------------------------
+
+
+def _as_tuples(report):
+    return [
+        (c.axiom, c.domain_size, c.checked, c.mode,
+         tuple((v.witness, v.detail) for v in c.violations))
+        for c in report.checks
+    ]
+
+
+PERTURBED_PHI_01 = [
+    ("R1: psi(X,X) = 1", 3, 3, "exhaustive", ()),
+    ("R2: phi(X,Y) psi(X,Z) = 1", 9, 9, "exhaustive", (
+        ((0, 1), "lhs=2 rhs=0"),
+    )),
+    ("R3 (phi form)", 27, 27, "exhaustive", (
+        ((0, 1, 0), "lhs=2 rhs=1"),
+        ((0, 1, 2), "lhs=2 rhs=0"),
+        ((0, 2, 0), "lhs=0 rhs=2"),
+        ((1, 0, 1), "lhs=1 rhs=2"),
+        ((1, 0, 2), "lhs=0 rhs=1"),
+    )),
+    ("R3 (psi form)", 27, 27, "exhaustive", ()),
+]
+
+PERTURBED_PSI_10 = [
+    ("R1: psi(X,X) = 1", 3, 3, "exhaustive", ()),
+    ("R2: phi(X,Y) psi(X,Z) = 1", 9, 9, "exhaustive", (
+        ((1, 2), "lhs=1 rhs=0"),
+    )),
+    ("R3 (phi form)", 27, 27, "exhaustive", ()),
+    ("R3 (psi form)", 27, 27, "exhaustive", (
+        ((0, 1, 0), "lhs=1 rhs=0"),
+        ((0, 2, 0), "lhs=0 rhs=2"),
+        ((1, 0, 1), "lhs=2 rhs=0"),
+        ((1, 2, 0), "lhs=0 rhs=1"),
+        ((1, 2, 1), "lhs=1 rhs=2"),
+    )),
+]
+
+# Eisermann S5, x = (1 2 3), phi[3, 7] shifted by one index: the triple
+# sweeps run sampled, so this pins the sampled path too
+PERTURBED_S5_PHI_37 = [
+    ("R1: psi(X,X) = 1", 120, 120, "exhaustive", ()),
+    ("R2: phi(X,Y) psi(X,Z) = 1", 14400, 14400, "exhaustive", (
+        ((3, 7), "lhs=74 rhs=0"),
+    )),
+    ("R3 (phi form)", 1728000, 100000, "sampled", (
+        ((108, 59, 3), "lhs=15 rhs=0"),
+        ((7, 93, 3), "lhs=111 rhs=99"),
+        ((7, 3, 21), "lhs=89 rhs=34"),
+        ((60, 90, 116), "lhs=116 rhs=12"),
+        ((46, 7, 3), "lhs=115 rhs=93"),
+    )),
+    ("R3 (psi form)", 1728000, 100000, "sampled", ()),
+]
+
+
+@pytest.mark.parametrize(
+    "which, cell, expected",
+    [("phi", (0, 1), PERTURBED_PHI_01), ("psi", (1, 0), PERTURBED_PSI_10)],
+)
+def test_validation_report_of_perturbed_rack_pair_is_frozen(which, cell, expected):
+    base = pair_from_rack(dihedral_quandle(3), cyclic_group(3))
+    tables = {"psi": base.psi.copy(), "phi": base.phi.copy()}
+    tables[which][cell] = (tables[which][cell] + 1) % 3
+    p = ReidemeisterPair(base.xmod, tables["psi"], tables["phi"], "unframed")
+    assert _as_tuples(validate_pair(p)) == expected
+
+
+def test_validation_report_of_perturbed_eisermann_pair_is_frozen():
+    base = pair_eisermann(symmetric_group(5), "(1 2 3)", carrier="group")
+    phi = base.phi.copy()
+    phi[3, 7] = (phi[3, 7] + 1) % 120
+    p = ReidemeisterPair(base.xmod, base.psi, phi, "unframed")
+    assert _as_tuples(validate_pair(p)) == PERTURBED_S5_PHI_37
+
+
+# ---------------------------------------------------------------------------
+# the scalar commutator-pair oracle
+# ---------------------------------------------------------------------------
+
+
+def eisermann_oracle(g, x, carrier):
+    """psi/phi of pair_eisermann, one cell at a time with scalar group ops."""
+    xi = g.element_by_label(x) if isinstance(x, str) else int(x)
+    if carrier == "commutator":
+        elems = commutator_subgroup(g)[0].parent_indices
+    else:
+        elems = tuple(range(g.order))
+    pos = {gi: k for k, gi in enumerate(elems)}
+    n = len(elems)
+    xinv = g.inv(xi)
+    psi = np.empty((n, n), dtype=np.int64)
+    phi = np.empty((n, n), dtype=np.int64)
+    for i, l in enumerate(elems):
+        for j, m in enumerate(elems):
+            phi[i, j] = pos[g.comm(g.mul(m, xinv), g.mul(l, xinv))]
+            psi[i, j] = pos[g.mul(g.comm(l, m), g.comm(g.mul(m, g.inv(l)), xi))]
+    return psi, phi
+
+
+def _assert_matches_oracle(g, x, carrier):
+    p = pair_eisermann(g, x, carrier=carrier)
+    psi, phi = eisermann_oracle(g, x, carrier)
+    assert np.array_equal(p.psi, psi), (g.name, x, carrier)
+    assert np.array_equal(p.phi, phi), (g.name, x, carrier)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("carrier", ["group", "commutator"])
+def test_eisermann_tables_match_scalar_oracle_small(degree, carrier):
+    g = symmetric_group(degree)
+    for x in range(g.order):
+        _assert_matches_oracle(g, x, carrier)
+
+
+def test_eisermann_tables_match_scalar_oracle_on_table_columns():
+    from tanglesum.tables import PGL_COLUMNS, S5_COLUMNS, _gl_pgl
+
+    s5 = symmetric_group(5)
+    for label in S5_COLUMNS:
+        _assert_matches_oracle(s5, label, "group")
+        _assert_matches_oracle(s5, label, "commutator")
+    gl, pgl, proj = _gl_pgl()
+    for label in PGL_COLUMNS:
+        x = int(proj.mapping[gl.element_by_label(label)])
+        _assert_matches_oracle(pgl, x, "group")

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from tanglesum import engine
 from tanglesum.algebra import GroupAlgebraElement
+from tanglesum.engine import invariant
 from tanglesum.errors import TangleSumError
 from tanglesum.tables import (
     compute_cell,
@@ -52,6 +54,36 @@ def test_bra_and_ket_directions_agree_spot_check():
     assert compute_cell("table3", "K-", 5, "ket") == compute_cell(
         "table3", "K-", 5, "bra"
     )
+
+
+@pytest.mark.parametrize("name, column", [("table1", 6), ("table3", 5)])
+@pytest.mark.parametrize("knot", KNOTS)
+def test_bra_reading_equals_the_per_top_sum(name, column, knot):
+    # the bra reading is one all-tops sweep; the oracle runs one state sum
+    # per top colour with the identity bottom fixed
+    from tanglesum.tables import _diagram, _pair
+
+    pair = _pair(name, column)
+    d = _diagram(knot)
+    oracle = GroupAlgebraElement(pair.e)
+    for a in range(pair.g.order):
+        iv = invariant(d, pair, top=(a,), bottom=(pair.g.identity,))
+        oracle = oracle + iv.algebra()
+    assert compute_cell(name, knot, column, "bra") == oracle
+
+
+def test_table_diff_runs_one_state_sum_per_reading(monkeypatch):
+    calls = []
+    real = engine._state_sum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_state_sum", counting)
+    diff = diff_table("table1")
+    assert diff.ok
+    assert len(calls) == 14 * 2
 
 
 def test_mirror_cells_are_inverses_in_table2():
