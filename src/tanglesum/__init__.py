@@ -11,9 +11,6 @@ a command line front end (cli).
 
 from .algebra import (
     GroupAlgebraElement,
-    algebra_add,
-    algebra_display,
-    algebra_scale,
     parse_algebra,
 )
 from .abelian import TensorSquare, cyclic_decomposition, product_of_cyclics
@@ -24,8 +21,6 @@ from .crossed_modules import (
     TwoCrossedModule,
     abelianisation_tensor_2xmod,
     braided_from_central_extension,
-    cg_compose,
-    cg_tensor,
     validate_2xmod,
     validate_crossed_module,
     xm_identity,
@@ -107,4 +102,44 @@ from .validation import CheckResult, ValidationReport, Violation
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # algebra
+    "GroupAlgebraElement", "parse_algebra",
+    # abelian
+    "TensorSquare", "cyclic_decomposition", "product_of_cyclics",
+    # crossed_modules
+    "BraidedCrossedModule", "CGMorphism", "CrossedModule", "TwoCrossedModule",
+    "abelianisation_tensor_2xmod", "braided_from_central_extension",
+    "validate_2xmod", "validate_crossed_module", "xm_identity",
+    "xm_pair_with_module", "xm_trivial_boundary",
+    # diagrams
+    "Enhancement", "MovePair", "SlicedTangleDiagram", "braid_word_to_tangle",
+    "catalog_names", "load_catalog", "move_neighbours", "parse_tangle",
+    "serialize_tangle", "single_strand", "trace_closure",
+    "trefoil_minus_string", "trefoil_plus_string",
+    # engine
+    "AbelianisationComparison", "Colouring", "InvariantValue",
+    "abelianisation_framed_invariant", "enumerate_colourings", "evaluate",
+    "invariant", "invariant_matrix", "longitude_value", "longitude_word",
+    "tqft_compose_check", "wirtinger_count",
+    # errors
+    "TangleSumError",
+    # groups
+    "FiniteGroup", "GroupHom", "abelianization", "commutator_subgroup",
+    "cyclic_group", "direct_product", "from_cayley_csv", "gl2", "pgl2",
+    "symmetric_group", "trivial_group",
+    # pairs
+    "CrossingTransfer", "ReidemeisterPair", "build_transfer",
+    "lifting_shadow_check", "pair_eisermann", "pair_eisermann_lift_framed",
+    "pair_eisermann_lift_unframed", "pair_from_2xmod", "pair_from_rack",
+    "pair_from_rack_cocycle", "validate_pair",
+    # racks
+    "Rack", "RackCocycle", "cjkls_state_sum", "cocycle_from_function",
+    "cocycle_from_json", "conjugation_quandle", "dihedral_quandle",
+    "eisermann_quandle", "rack_colouring_count", "rack_from_csv",
+    "validate_cocycle", "validate_rack",
+    # tables
+    "compute_cell", "diff_all", "diff_table", "expected_cell",
+    # validation
+    "CheckResult", "ValidationReport", "Violation",
+]

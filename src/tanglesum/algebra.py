@@ -108,18 +108,6 @@ class GroupAlgebraElement:
         }
 
 
-def algebra_add(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
-    return a + b
-
-
-def algebra_scale(a: GroupAlgebraElement, k: int) -> GroupAlgebraElement:
-    return a.scale(k)
-
-
-def algebra_display(a: GroupAlgebraElement) -> str:
-    return a.display()
-
-
 def parse_algebra(group: FiniteGroup, text: str) -> GroupAlgebraElement:
     """Inverse of display(): "id + 5*(1 2 3 4 5)" -> element of N[G]."""
     text = text.strip()

@@ -230,7 +230,7 @@ def cmd_validate(args) -> int:
         d = load_diagram(args.diagram)
         print(f"diagram {args.diagram}: {len(d.top)}->{len(d.bottom)} "
               f"strands, {len(d.crossings)} crossings, writhe {d.writhe}, "
-              f"{len(d.arcs)} arcs, {d.component_count()} component(s)")
+              f"{d.n_arcs} arcs, {d.component_count()} component(s)")
     if not reports and not (args.group or args.diagram):
         raise UsageError("nothing to validate: give --group, --rack, "
                          "--pair and/or --diagram")

@@ -25,6 +25,14 @@ convention.
 
 Arcs are maximal strand segments that never pass under a crossing: the over
 strand of a crossing keeps its arc, the under strand is broken into two arcs.
+A diagram finds them in one sweep down its levels, carrying an integer label
+per strand position and merging labels only at caps.  The result is
+`levels`, the per-port arc table: levels[r][i] is the arc at position i of
+level r (level 0 is the top edge), arcs are numbered in order of their
+first port, and `n_arcs` counts them.  The state-sum engine reads only this
+table; the port dictionary `arc_of` and the `arcs` list are built on first
+use.
+
 Two sliced diagrams present the same (framed) oriented tangle exactly when
 they are related by the local moves generated here: trivial-slice insertion
 (identity move), far-away slice commutation (interchange move), the cup/cap
@@ -35,6 +43,7 @@ unframed tangles or the kink-pair cancellation R1' for framed ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -101,21 +110,10 @@ class Arc:
     ports: tuple[tuple[int, int], ...]
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent[p]
-            x, p = p, self.parent[p]
-        return x
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -182,78 +180,80 @@ class SlicedTangleDiagram:
     # -- arc structure ---------------------------------------------------
 
     def _build_arcs(self) -> None:
-        uf = _UnionFind()
-        full = _UnionFind()  # also merges under-passages: whole strands
-        crossings = []
+        # One sweep down the levels.  Each port holds an integer label, born
+        # fresh on the top edge, at a cup (both legs) and at a crossing's
+        # under-out port; a cap merges its two labels, keeping the smaller.
+        # Labels are born in port order, so numbering the merged classes by
+        # their least label numbers the arcs by their first port.
+        labels = list(range(len(self.top)))
+        parent = list(labels)
+        rows = [labels]
+        raw = []  # per crossing: row, pos, sign, its three ports, their labels
         for r, s in enumerate(self.slices):
-            w = self.words[r]
             g, p = s.gen, s.pos
-            a, b = _TOP_ARITY[g], _BOT_ARITY[g]
-            for i in range(len(w)):
-                if i < p:
-                    uf.union((r, i), (r + 1, i))
-                    full.union((r, i), (r + 1, i))
-                elif i >= p + a:
-                    uf.union((r, i), (r + 1, i - a + b))
-                    full.union((r, i), (r + 1, i - a + b))
-            if g == "X+":
-                uf.union((r, p + 1), (r + 1, p))
-                full.union((r, p + 1), (r + 1, p))
-                full.union((r, p), (r + 1, p + 1))
-                crossings.append(
-                    Crossing(r, p, +1, (r, p + 1), (r, p), (r + 1, p + 1))
-                )
-            elif g == "X-":
-                uf.union((r, p), (r + 1, p + 1))
-                full.union((r, p), (r + 1, p + 1))
-                full.union((r, p + 1), (r + 1, p))
-                crossings.append(
-                    Crossing(r, p, -1, (r, p), (r, p + 1), (r + 1, p))
-                )
+            if g == "X+" or g == "X-":
+                fresh = len(parent)
+                parent.append(fresh)
+                if g == "X+":
+                    over, under = labels[p + 1], labels[p]
+                    labels = labels[:p] + [over, fresh] + labels[p + 2:]
+                    raw.append((r, p, +1, (r, p + 1), (r, p), (r + 1, p + 1),
+                                over, under, fresh))
+                else:
+                    over, under = labels[p], labels[p + 1]
+                    labels = labels[:p] + [fresh, over] + labels[p + 2:]
+                    raw.append((r, p, -1, (r, p), (r, p + 1), (r + 1, p),
+                                over, under, fresh))
             elif g in _CUP_MAKES:
-                uf.union((r + 1, p), (r + 1, p + 1))
-                full.union((r + 1, p), (r + 1, p + 1))
+                fresh = len(parent)
+                parent.append(fresh)
+                labels = labels[:p] + [fresh, fresh] + labels[p:]
             elif g in _CAP_WANTS:
-                uf.union((r, p), (r, p + 1))
-                full.union((r, p), (r, p + 1))
-
-        ports = [
-            (r, i) for r, w in enumerate(self.words) for i in range(len(w))
-        ]
-        roots: dict = {}
-        arcs: list[list[tuple[int, int]]] = []
-        for port in ports:
-            root = uf.find(port)
-            if root not in roots:
-                roots[root] = len(arcs)
-                arcs.append([])
-            arcs[roots[root]].append(port)
-        self.arcs = tuple(
-            Arc(k, tuple(sorted(ps))) for k, ps in enumerate(arcs)
-        )
-        self.arc_of = {p: roots[uf.find(p)] for p in ports}
+                x, y = _find(parent, labels[p]), _find(parent, labels[p + 1])
+                parent[max(x, y)] = min(x, y)
+                labels = labels[:p] + labels[p + 2:]
+            rows.append(labels)
+        arc: list[int] = []  # label -> arc; a parent precedes its children
+        n = 0
+        for label, up in enumerate(parent):
+            if up == label:
+                arc.append(n)
+                n += 1
+            else:
+                arc.append(arc[up])
+        self.n_arcs = n
+        self.levels = tuple(tuple(map(arc.__getitem__, row)) for row in rows)
         self.crossings = tuple(
-            Crossing(
-                c.row,
-                c.pos,
-                c.sign,
-                c.over_port,
-                c.under_in_port,
-                c.under_out_port,
-                self.arc_of[c.over_port],
-                self.arc_of[c.under_in_port],
-                self.arc_of[c.under_out_port],
-            )
-            for c in crossings
-        )
-        comp_roots = {full.find(p) for p in ports}
-        self._component_count = len(comp_roots)
+            Crossing(*c[:6], arc[c[6]], arc[c[7]], arc[c[8]]) for c in raw)
+
+    @cached_property
+    def arc_of(self) -> dict[tuple[int, int], int]:
+        """Arc index of each (level, position) port."""
+        return {(r, i): a for r, row in enumerate(self.levels)
+                for i, a in enumerate(row)}
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        ports: list[list[tuple[int, int]]] = [[] for _ in range(self.n_arcs)]
+        for r, row in enumerate(self.levels):
+            for i, a in enumerate(row):
+                ports[a].append((r, i))
+        return tuple(Arc(k, tuple(ps)) for k, ps in enumerate(ports))
+
+    @cached_property
+    def _component_count(self) -> int:
+        # whole strands: arcs joined through their under-passages
+        parent = list(range(self.n_arcs))
+        count = self.n_arcs
+        for c in self.crossings:
+            x = _find(parent, c.under_in_arc)
+            y = _find(parent, c.under_out_arc)
+            if x != y:
+                parent[max(x, y)] = min(x, y)
+                count -= 1
+        return count
 
     # -- basic queries ---------------------------------------------------
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.words)
 
     @property
     def is_closed(self) -> bool:
@@ -268,10 +268,7 @@ class SlicedTangleDiagram:
 
     def boundary_arcs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Arc indices met along the top and the bottom boundary."""
-        last = len(self.words) - 1
-        top = tuple(self.arc_of[(0, i)] for i in range(len(self.top)))
-        bot = tuple(self.arc_of[(last, i)] for i in range(len(self.bottom)))
-        return top, bot
+        return self.levels[0], self.levels[-1]
 
     # -- structural edits -------------------------------------------------
 

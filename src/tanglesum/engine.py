@@ -133,19 +133,18 @@ def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
     crossings = iter(d.crossings)
     for r, s in enumerate(d.slices):
         if s.gen in ("cupR", "cupL"):
-            read(d.arc_of[(r + 1, s.pos)])
+            read(d.levels[r + 1][s.pos])
         elif s.gen in ("X+", "X-"):
             c = next(crossings)
-            w = d.words[r]
-            prefix = tuple((d.arc_of[(r, q)], w[q] != DOWN)
-                           for q in range(s.pos))
+            prefix = tuple(zip(d.levels[r][:s.pos],
+                               (o != DOWN for o in d.words[r])))
             for a in (c.over_arc, c.under_in_arc, *(a for a, _ in prefix)):
                 read(a)
             events.append(CrossingEvent(c.sign, c.over_arc, c.under_in_arc,
                                         c.under_out_arc,
                                         c.under_out_arc in known, prefix))
             known.add(c.under_out_arc)
-    return EventProgram(len(d.arcs), top_arcs, bottom_arcs, tuple(events))
+    return EventProgram(d.n_arcs, top_arcs, bottom_arcs, tuple(events))
 
 
 def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
@@ -339,7 +338,7 @@ def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
 def evaluate(col: Colouring) -> CGMorphism:
     """Composite categorical-group morphism of a coloured diagram."""
     d, pair = col.diagram, col.pair
-    prog = compile_program(d, coloured=range(len(d.arcs)))
+    prog = compile_program(d, coloured=range(d.n_arcs))
     rows = np.array([col.arc_colours], dtype=np.int32)
     chunks = list(_sweep(prog, pair.transfer(), rows))
     if not chunks:
@@ -478,7 +477,7 @@ def wirtinger_count(d: SlicedTangleDiagram, xmod: CrossedModule) -> Fraction:
         raise NotClosedError("the counting invariant needs a closed diagram")
     group = xmod.g
     n = group.order
-    n_arcs = len(d.arcs)
+    n_arcs = d.n_arcs
     if n ** n_arcs > STATE_SUM_BRANCH_CAP:
         raise SizeLimitError(
             f"{n}^{n_arcs} arc colourings exceed the state-sum cap")

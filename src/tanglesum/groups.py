@@ -100,24 +100,6 @@ def mat_label(m: tuple[int, int, int, int]) -> str:
     return f"({a} {b}; {c} {d})"
 
 
-def parse_matrix(text: str, p: int) -> tuple[int, int, int, int]:
-    """Parse "(a b; c d)" (or "a b; c d", "I") into residues mod p."""
-    text = text.strip()
-    if text in {"I", "id", "1"}:
-        return (1, 0, 0, 1)
-    text = text.strip("()")
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise InvalidModulusError(f"cannot parse matrix {text!r}")
-    entries = []
-    for row in rows:
-        parts = [t for t in re.split(r"[\s,]+", row.strip()) if t]
-        if len(parts) != 2:
-            raise InvalidModulusError(f"cannot parse matrix row {row!r}")
-        entries.extend(int(t) % p for t in parts)
-    return tuple(entries)  # type: ignore[return-value]
-
-
 # ---------------------------------------------------------------------------
 # FiniteGroup
 # ---------------------------------------------------------------------------
@@ -211,10 +193,6 @@ class FiniteGroup:
                     f"associativity fails at indices ({a[i]}, {b[i]}, {c[i]})")
 
     # -- basic operations ----------------------------------------------------
-
-    @property
-    def has_table(self) -> bool:
-        return self._table is not None
 
     @property
     def table(self) -> np.ndarray:
@@ -358,11 +336,13 @@ def symmetric_group(n: int) -> FiniteGroup:
         return FiniteGroup(name, labels, elems=elems,
                            mul_fn=perm_compose, inv_fn=perm_inverse,
                            identity=0)
-    index = {p: i for i, p in enumerate(elems)}
-    table = np.empty((len(elems), len(elems)), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            table[i, j] = index[perm_compose(p, q)]
+    # all products at once: (p*q)(k) = q(p(k)), i.e. row i, column j holds
+    # E[j][E[i]]; read each product back in base n, where the lexicographic
+    # order of permutations is numeric order, so searchsorted finds its index
+    perms = np.array(elems, dtype=np.int32).reshape(len(elems), n)
+    products = perms[np.arange(len(elems))[None, :, None], perms[:, None, :]]
+    digits = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(perms @ digits, products @ digits).astype(np.int32)
     g = FiniteGroup(name, labels, table=table, identity=0)
     g.permutations = elems
     return g

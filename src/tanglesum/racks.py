@@ -409,7 +409,7 @@ def _enumerate_colourings(d: SlicedTangleDiagram, r: Rack):
     Plain product enumeration over all arcs; this is deliberately naive so it
     can serve as an oracle for the state-sum engine.
     """
-    n_arcs = len(d.arcs)
+    n_arcs = d.n_arcs
     total = r.size ** n_arcs
     if total > COLOURING_ENUMERATION_CAP:
         raise SizeLimitError(

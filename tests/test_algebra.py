@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tanglesum.algebra import (
-    algebra_add,
-    algebra_display,
-    algebra_scale,
-    GroupAlgebraElement,
-    parse_algebra,
-)
+from tanglesum.algebra import GroupAlgebraElement, parse_algebra
 from tanglesum.errors import GroupMismatchError
 from tanglesum.groups import cyclic_group, symmetric_group
 
@@ -21,7 +15,7 @@ def test_addition_merges_counts():
     one = GroupAlgebraElement.single(s5, e)
     four = GroupAlgebraElement.single(s5, e, 4)
     assert (one + four).terms == {e: 5}
-    assert algebra_add(one, four).display() == "5*id"
+    assert (one + four).display() == "5*id"
 
 
 def test_display_identity_first_and_singleton_counts():
@@ -29,7 +23,7 @@ def test_display_identity_first_and_singleton_counts():
     x = s5.element_by_label("(1 2 3 4 5)")
     v = GroupAlgebraElement(s5, {x: 5, s5.identity: 1})
     assert v.display() == "id + 5*(1 2 3 4 5)"
-    assert algebra_display(GroupAlgebraElement.zero(s5)) == "0"
+    assert GroupAlgebraElement.zero(s5).display() == "0"
 
 
 def test_parse_round_trip():
@@ -54,7 +48,7 @@ def test_scale_and_total():
     v = GroupAlgebraElement(z4, {0: 1, 3: 2})
     assert v.total == 3
     assert v.scale(3).terms == {0: 3, 3: 6}
-    assert algebra_scale(v, 0) == GroupAlgebraElement.zero(z4)
+    assert v.scale(0) == GroupAlgebraElement.zero(z4)
     with pytest.raises(ValueError):
         v.scale(-1)
 

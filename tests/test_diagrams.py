@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from tanglesum.diagrams import (
     braid_word_to_tangle,
     catalog_names,
+    diagram_from_json,
     Enhancement,
     evaluate_word,
     load_catalog,
@@ -100,6 +103,17 @@ def test_parse_serialize_round_trip():
         d = load_catalog(name)
         again = parse_tangle(serialize_tangle(d))
         assert again.top == d.top and again.slices == d.slices
+
+
+def test_json_round_trip():
+    for name in CATALOG:
+        d = load_catalog(name)
+        again = diagram_from_json(json.loads(json.dumps(d.to_json())))
+        assert again == d
+        assert again.top == d.top and again.slices == d.slices
+        assert again.levels == d.levels
+    empty = SlicedTangleDiagram(())
+    assert diagram_from_json(empty.to_json()) == empty
 
 
 def test_parse_errors():

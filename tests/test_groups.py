@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,29 @@ def test_symmetric_group_basics():
     # label round trip for every element
     for i in range(s5.order):
         assert s5.element_by_label(s5.label(i)) == i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetric_group_table_equals_the_scalar_fill(n):
+    elems = tuple(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(elems)}
+    scalar = np.empty((len(elems), len(elems)), dtype=np.int32)
+    for i, p in enumerate(elems):
+        for j, q in enumerate(elems):
+            scalar[i, j] = index[perm_compose(p, q)]
+    g = symmetric_group(n)
+    assert g.permutations == elems
+    assert g.table.dtype == scalar.dtype and g.table.shape == scalar.shape
+    assert g.table.tobytes() == scalar.tobytes()
+
+
+def test_symmetric_group_table_of_s6_composes_left_factor_first():
+    s6 = symmetric_group(6)
+    perms = s6.permutations
+    index = {p: i for i, p in enumerate(perms)}
+    rng = np.random.default_rng(6)
+    for i, j in rng.integers(0, s6.order, size=(500, 2)):
+        assert s6.table[i, j] == index[perm_compose(perms[i], perms[j])]
 
 
 def test_conjugation_and_commutator_conventions():
