@@ -26,7 +26,8 @@ convention.
 Arcs are maximal strand segments that never pass under a crossing: the over
 strand of a crossing keeps its arc, the under strand is broken into two arcs.
 A diagram finds them in one sweep down its levels, carrying an integer label
-per strand position and merging labels only at caps.  The result is
+per strand position and merging labels only at caps; the same sweep checks
+each slice against the orientation word above it and records the words.  The result is
 `levels`, the per-port arc table: levels[r][i] is the arc at position i of
 level r (level 0 is the top edge), arcs are numbered in order of their
 first port, and `n_arcs` counts them.  The state-sum engine reads only this
@@ -138,81 +139,70 @@ class SlicedTangleDiagram:
             norm.append(s)
         self.top = top
         self.slices = tuple(norm)
-        self.words = self._compute_words()
-        self.bottom = self.words[-1]
-        self._build_arcs()
+        self._sweep_levels()
 
-    # -- word propagation ------------------------------------------------
+    # -- words and arcs ----------------------------------------------------
 
-    def _compute_words(self) -> tuple[tuple[str, ...], ...]:
-        words = [self.top]
+    def _sweep_levels(self) -> None:
+        # One sweep down the levels checks each slice against the word above
+        # it and carries two things per strand position: its orientation and
+        # an integer label.  Labels are born fresh on the top edge, at a cup
+        # (both legs) and at a crossing's under-out port; a cap merges its
+        # two labels, keeping the smaller.  Labels are born in port order, so
+        # numbering the merged classes by their least label numbers the arcs
+        # by their first port.
         w = self.top
-        for r, s in enumerate(self.slices):
-            w = self._apply_slice(w, s, r)
-            words.append(w)
-        return tuple(words)
-
-    @staticmethod
-    def _apply_slice(w: tuple[str, ...], s: Slice, r: int) -> tuple[str, ...]:
-        g, p = s.gen, s.pos
-        if g == "id":
-            return w
-        if g in _CUP_MAKES:
-            if p > len(w):
-                raise WidthMismatchError(f"slice {r}: cup at {p} beyond width {len(w)}")
-            return w[:p] + _CUP_MAKES[g] + w[p:]
-        if p + 2 > len(w):
-            raise WidthMismatchError(f"slice {r}: {g} at {p} beyond width {len(w)}")
-        pair = (w[p], w[p + 1])
-        if g in ("X+", "X-"):
-            if pair != (DOWN, DOWN):
-                raise OrientationMismatchError(
-                    f"slice {r}: {g} needs two downward strands at {p}, found {pair}"
-                )
-            return w
-        want = _CAP_WANTS[g]
-        if pair != want:
-            raise OrientationMismatchError(
-                f"slice {r}: {g} expects {want} at {p}, found {pair}"
-            )
-        return w[:p] + w[p + 2 :]
-
-    # -- arc structure ---------------------------------------------------
-
-    def _build_arcs(self) -> None:
-        # One sweep down the levels.  Each port holds an integer label, born
-        # fresh on the top edge, at a cup (both legs) and at a crossing's
-        # under-out port; a cap merges its two labels, keeping the smaller.
-        # Labels are born in port order, so numbering the merged classes by
-        # their least label numbers the arcs by their first port.
-        labels = list(range(len(self.top)))
+        words = [w]
+        labels = list(range(len(w)))
         parent = list(labels)
         rows = [labels]
         raw = []  # per crossing: row, pos, sign, its three ports, their labels
         for r, s in enumerate(self.slices):
             g, p = s.gen, s.pos
-            if g == "X+" or g == "X-":
-                fresh = len(parent)
-                parent.append(fresh)
-                if g == "X+":
-                    over, under = labels[p + 1], labels[p]
-                    labels = labels[:p] + [over, fresh] + labels[p + 2:]
-                    raw.append((r, p, +1, (r, p + 1), (r, p), (r + 1, p + 1),
-                                over, under, fresh))
-                else:
-                    over, under = labels[p], labels[p + 1]
-                    labels = labels[:p] + [fresh, over] + labels[p + 2:]
-                    raw.append((r, p, -1, (r, p), (r, p + 1), (r + 1, p),
-                                over, under, fresh))
-            elif g in _CUP_MAKES:
+            if g in _CUP_MAKES:
+                if p > len(w):
+                    raise WidthMismatchError(
+                        f"slice {r}: cup at {p} beyond width {len(w)}")
+                w = w[:p] + _CUP_MAKES[g] + w[p:]
                 fresh = len(parent)
                 parent.append(fresh)
                 labels = labels[:p] + [fresh, fresh] + labels[p:]
-            elif g in _CAP_WANTS:
-                x, y = _find(parent, labels[p]), _find(parent, labels[p + 1])
-                parent[max(x, y)] = min(x, y)
-                labels = labels[:p] + labels[p + 2:]
+            elif g != "id":
+                if p + 2 > len(w):
+                    raise WidthMismatchError(
+                        f"slice {r}: {g} at {p} beyond width {len(w)}")
+                pair = (w[p], w[p + 1])
+                if g in _CAP_WANTS:
+                    if pair != _CAP_WANTS[g]:
+                        raise OrientationMismatchError(
+                            f"slice {r}: {g} expects {_CAP_WANTS[g]} at {p}, "
+                            f"found {pair}")
+                    w = w[:p] + w[p + 2:]
+                    x = _find(parent, labels[p])
+                    y = _find(parent, labels[p + 1])
+                    parent[max(x, y)] = min(x, y)
+                    labels = labels[:p] + labels[p + 2:]
+                elif pair != (DOWN, DOWN):
+                    raise OrientationMismatchError(
+                        f"slice {r}: {g} needs two downward strands at {p}, "
+                        f"found {pair}")
+                else:
+                    fresh = len(parent)
+                    parent.append(fresh)
+                    if g == "X+":
+                        over, under = labels[p + 1], labels[p]
+                        labels = labels[:p] + [over, fresh] + labels[p + 2:]
+                        raw.append((r, p, +1, (r, p + 1), (r, p),
+                                    (r + 1, p + 1), over, under, fresh))
+                    else:
+                        over, under = labels[p], labels[p + 1]
+                        labels = labels[:p] + [fresh, over] + labels[p + 2:]
+                        raw.append((r, p, -1, (r, p), (r, p + 1), (r + 1, p),
+                                    over, under, fresh))
+            words.append(w)
             rows.append(labels)
+        self.words = tuple(words)
+        self.bottom = w
         arc: list[int] = []  # label -> arc; a parent precedes its children
         n = 0
         for label, up in enumerate(parent):

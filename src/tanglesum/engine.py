@@ -14,10 +14,14 @@ whose first read finds it uncoloured (the arc born at a cup), and a
 crossing event that computes the outgoing under-colour, or checks it when
 a closure coloured that arc earlier.  The program runs as one numpy sweep
 over a frontier of partial colourings, one row each: a branch repeats
-every row once per colour of G, a crossing indexes the pair's tables with
-whole columns and drops the rows it contradicts.  The frontier is
-processed depth-first in slices of at most SWEEP_CHUNK_ROWS rows, so
-memory stays bounded however many branches the program has.
+every row once per colour of G, a crossing reads the outgoing under-colour
+and its E-colour together, with one gather of whole columns from the
+pair's packed crossing table for its sign, and drops the rows it
+contradicts.  The frontier is processed depth-first in slices of at most
+SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches the
+program has.  Finished rows are bucketed by their boundary colours and
+E-element in one collections.Counter, which costs far less than numpy
+set-up on the few rows a small diagram yields.
 
 A coloured diagram evaluates to a morphism of the categorical group of the
 crossed module: a slice whose crossing sits at position p with colour e
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -180,8 +185,11 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
         raise SizeLimitError(
             f"{n}^{len(branches)} branches (on arcs {list(branches)}) exceed "
             f"the state-sum cap of {STATE_SUM_BRANCH_CAP}")
+    # each packed (y, e) pair gathered as one 8-byte item: several times
+    # faster than indexing the n x n x 2 table on large frontiers
     tables = (pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
-              transfer.fplus, transfer.fminus, pair.psi, pair.phi)
+              transfer.packed_plus.view(np.int64),
+              transfer.packed_minus.view(np.int64))
     elt = np.full(len(rows), pair.e.identity, dtype=np.int32)
     return _run(prog.events, tables, n, rows, elt)
 
@@ -189,28 +197,27 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
 def _run(events, tables, n: int, rows, elt):
     # depth-first over tasks (event, rows, elt, colours): colours, if set,
     # are the values that the branch event k gives each row
-    g_mul, g_inv, e_mul, act, fplus, fminus, psi, phi = tables
+    g_mul, g_inv, e_mul, act, packed_plus, packed_minus = tables
     colours = np.arange(n, dtype=np.int32)
     step = SWEEP_CHUNK_ROWS
+    width = rows.shape[1]
     stack = [(0, rows[lo:lo + step], elt[lo:lo + step], None)
              for lo in reversed(range(0, len(elt), step))]
     while stack:
         k, rows, elt, branch = stack.pop()
         if branch is not None:
-            # rows are shared with sibling tasks: repeat copies them
-            rows = np.repeat(rows, len(branch), axis=0)
-            rows[:, events[k]] = np.tile(branch, len(elt))
-            elt = np.repeat(elt, len(branch))
+            # rows are shared with sibling tasks: repeat copies them, and
+            # the colours broadcast over the (rows, colours, arcs) view
+            m, b = len(elt), len(branch)
+            rows = np.repeat(rows, b, axis=0)
+            rows.reshape(m, b, width)[:, :, events[k]] = branch
+            elt = np.repeat(elt, b)
             k += 1
         while k < len(events) and len(elt) and not isinstance(events[k], int):
             ev = events[k]
-            x, z = rows[:, ev.over], rows[:, ev.under_in]
-            if ev.sign > 0:
-                y = fminus[x, z]
-                e = psi[x, y]
-            else:
-                y = fplus[x, z]
-                e = phi[x, y]
+            packed = packed_plus if ev.sign > 0 else packed_minus
+            ye = packed[rows[:, ev.over], rows[:, ev.under_in]].view(np.int32)
+            y, e = ye[:, 0], ye[:, 1]
             if ev.out_known:
                 keep = rows[:, ev.under_out] == y
                 rows, elt, e = rows[keep], elt[keep], e[keep]
@@ -242,17 +249,15 @@ def _state_sum(d: SlicedTangleDiagram, pair: ReidemeisterPair,
     prog = compile_program(d)
     k = len(prog.top_arcs)
     keys = list(prog.top_arcs + prog.bottom_arcs)
-    out: dict[tuple, dict[int, int]] = {}
+    counts: Counter = Counter()
     for rows, elt in _sweep(prog, pair.transfer(), _seed(prog, tops)):
-        key = np.ascontiguousarray(np.column_stack([rows[:, keys], elt]))
-        # one opaque scalar per row: far faster than np.unique(axis=0)
-        flat = key.view(np.dtype((np.void, key.strides[0]))).ravel()
-        _, first, counts = np.unique(flat, return_index=True,
-                                     return_counts=True)
-        for row, count in zip(key[first].tolist(), counts.tolist()):
-            terms = out.setdefault((tuple(row[:k]), tuple(row[k:-1])), {})
-            terms[row[-1]] = terms.get(row[-1], 0) + count
-    return dict(sorted(out.items()))
+        counts.update(zip(map(tuple, rows.take(keys, axis=1).tolist()),
+                          elt.tolist()))
+    # sorting (boundary colours, elt) sorts the keys and each key's terms
+    out: dict[tuple, dict[int, int]] = {}
+    for (cols, e), count in sorted(counts.items()):
+        out.setdefault((cols[:k], cols[k:]), {})[e] = count
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +277,6 @@ class Colouring:
     pair: ReidemeisterPair = field(compare=False)
     arc_colours: tuple[int, ...] = ()
     crossing_colours: tuple[int, ...] = ()
-
-    def top_colours(self) -> tuple[int, ...]:
-        tops, _ = self.diagram.boundary_arcs()
-        return tuple(self.arc_colours[a] for a in tops)
-
-    def bottom_colours(self) -> tuple[int, ...]:
-        _, bots = self.diagram.boundary_arcs()
-        return tuple(self.arc_colours[a] for a in bots)
 
     def __repr__(self) -> str:
         g = self.pair.g
@@ -343,7 +340,8 @@ def evaluate(col: Colouring) -> CGMorphism:
     chunks = list(_sweep(prog, pair.transfer(), rows))
     if not chunks:
         raise TangleSumError(f"{col!r} violates a crossing constraint")
-    src = Enhancement(d.top, col.top_colours()).evaluation(pair.g)
+    top_cols = tuple(col.arc_colours[a] for a in d.levels[0])
+    src = Enhancement(d.top, top_cols).evaluation(pair.g)
     return CGMorphism(pair.xmod, src, int(chunks[0][1][0]))
 
 
@@ -453,8 +451,9 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
     n = pair.g.order
     if n ** k > top_cap:
         raise SizeLimitError(f"{n}^{k} top enhancements exceed {top_cap}")
-    tops = np.array(list(itertools.product(range(n), repeat=k)),
-                    dtype=np.int32).reshape(n ** k, k)
+    # row j is the j-th tuple of itertools.product(range(n), repeat=k);
+    # no -1 in the reshape, so k = 0 gives the one empty top
+    tops = np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k).T
     return _state_sum(d, pair, tops)
 
 

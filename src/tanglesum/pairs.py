@@ -239,6 +239,12 @@ class CrossingTransfer:
 
     fplus[X, Y] and fminus[X, Y] map the outgoing under-colour Y to the
     incoming one at positive resp. negative crossings with overstrand X.
+
+    packed_plus[X, Z] and packed_minus[X, Z] are the downward steps the
+    state-sum sweep takes, packed so one gather reads both: the outgoing
+    under-colour Y and the crossing's E-colour, (fminus[X, Z],
+    psi(X, Y)) at positive crossings and (fplus[X, Z], phi(X, Y)) at
+    negative ones, as int32 n x n x 2 tables.
     """
 
     def __init__(self, pair: ReidemeisterPair, fplus: np.ndarray,
@@ -246,6 +252,11 @@ class CrossingTransfer:
         self.pair = pair
         self.fplus = fplus
         self.fminus = fminus
+        x = np.arange(pair.g.order)[:, None]
+        self.packed_plus = np.stack(
+            [fminus, pair.psi[x, fminus]], axis=-1).astype(np.int32)
+        self.packed_minus = np.stack(
+            [fplus, pair.phi[x, fplus]], axis=-1).astype(np.int32)
 
     def under_in_plus(self, over: int, under_out: int) -> int:
         return int(self.fplus[over, under_out])

@@ -89,6 +89,57 @@ def test_orientation_checking():
         SlicedTangleDiagram(("x",))
 
 
+SLICE_ERRORS = [
+    (("v",), [("cupR", 2)], WidthMismatchError,
+     "slice 0: cup at 2 beyond width 1"),
+    (("v",), [("X+", 0)], WidthMismatchError,
+     "slice 0: X+ at 0 beyond width 1"),
+    (("v", "^"), [("capL", 1)], WidthMismatchError,
+     "slice 0: capL at 1 beyond width 2"),
+    (("v", "^"), [("X+", 0)], OrientationMismatchError,
+     "slice 0: X+ needs two downward strands at 0, found ('v', '^')"),
+    (("v", "v"), [("capR", 0)], OrientationMismatchError,
+     "slice 0: capR expects ('v', '^') at 0, found ('v', 'v')"),
+    (("v", "^"), [("id", 0), ("capR", 0), ("X-", 0)], WidthMismatchError,
+     "slice 2: X- at 0 beyond width 0"),
+    (("v", "v"), [("cupL", 1), ("capL", 0), ("X+", 5)],
+     OrientationMismatchError,
+     "slice 1: capL expects ('^', 'v') at 0, found ('v', '^')"),
+]
+
+
+@pytest.mark.parametrize("top, slices, error, message", SLICE_ERRORS)
+def test_slice_errors_name_the_first_bad_slice(top, slices, error, message):
+    with pytest.raises(error) as info:
+        SlicedTangleDiagram(top, slices)
+    assert str(info.value) == message
+
+
+def propagate_words(d: SlicedTangleDiagram) -> tuple:
+    """The orientation word of every level, slice by slice."""
+    words = [d.top]
+    for s in d.slices:
+        w = words[-1]
+        if s.gen in ("cupR", "cupL"):
+            made = ("v", "^") if s.gen == "cupR" else ("^", "v")
+            w = w[:s.pos] + made + w[s.pos:]
+        elif s.gen in ("capR", "capL"):
+            w = w[:s.pos] + w[s.pos + 2:]
+        words.append(w)
+    return tuple(words)
+
+
+def test_words_match_a_slice_by_slice_propagation():
+    for name in catalog_names():
+        base = load_catalog(name)
+        for moves in ("unframed", "framed"):
+            for d in [base] + [mp.after for mp in move_neighbours(base, moves)]:
+                assert d.words == propagate_words(d), (name, d.slices)
+                assert d.bottom == d.words[-1]
+                assert len(d.levels) == len(d.words)
+                assert [len(r) for r in d.levels] == [len(w) for w in d.words]
+
+
 def test_arc_structure_of_string_trefoil():
     d = load_catalog("trefoil_plus_string")
     # one arc per undercrossing passage plus the unbroken boundary runs

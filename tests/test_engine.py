@@ -80,7 +80,7 @@ def test_unknot_string_propagates_each_colour():
     for c in range(3):
         cols = list(enumerate_colourings(d, p.transfer(), top=(c,)))
         assert len(cols) == 1
-        assert cols[0].bottom_colours() == (c,)
+        assert tuple(cols[0].arc_colours[a] for a in d.levels[-1]) == (c,)
         m = evaluate(cols[0])
         assert m.elt == p.e.identity  # no crossings, trivial morphism
         assert m.src == c
@@ -98,7 +98,8 @@ def test_single_positive_crossing_morphism():
             assert len(cols) == 1
             col = cols[0]
             under_out = t.under_out_plus(over, under_in)
-            assert col.bottom_colours() == (over, under_out)
+            bottom = tuple(col.arc_colours[a] for a in d.levels[-1])
+            assert bottom == (over, under_out)
             m = evaluate(col)
             assert m.elt == p.psi_at(over, under_out)
             assert m.src == g.mul(under_in, over)

@@ -21,6 +21,7 @@ from tanglesum.crossed_modules import (
     braided_from_central_extension,
 )
 from tanglesum.diagrams import (
+    SlicedTangleDiagram,
     braid_word_to_tangle,
     catalog_names,
     load_catalog,
@@ -121,3 +122,32 @@ def test_sweep_equals_reference_on_the_catalog_over_s4():
         d = load_catalog(name)
         if len(d.top) <= 2:
             assert invariant_matrix(d, pair) == reference_matrix(d, pair), name
+
+
+# open diagrams whose top edge meets one arc more than once, some with a
+# crossing whose outgoing under-arc is that top arc
+REPEATED_TOP_ARCS = [
+    (("v", "^"), [("capR", 0)]),
+    (("v", "^", "v"), [("capR", 0)]),
+    (("^", "v", "v", "v"), [("capL", 0), ("X+", 0)]),
+    (("v", "v", "^", "^"), [("X+", 0), ("capR", 1), ("capR", 0)]),
+    (("v", "v", "^", "^"), [("X-", 0), ("capR", 1), ("capR", 0)]),
+    (("v", "^", "v", "^"), [("capR", 2), ("capR", 0)]),
+]
+
+
+@pytest.mark.parametrize("tag", ["rack R3", "eisermann S3 (1 2 3)",
+                                 "lift unframed D4", "lift framed D4"])
+@pytest.mark.parametrize("top, slices", REPEATED_TOP_ARCS)
+def test_sweep_drops_tops_that_split_a_repeated_top_arc(tag, top, slices):
+    pair = pairs()[tag]
+    d = SlicedTangleDiagram(top, slices)
+    tops = d.levels[0]
+    assert len(set(tops)) < len(tops)
+    matrix = invariant_matrix(d, pair)
+    assert matrix == reference_matrix(d, pair)
+    assert matrix
+    for top_cols, _ in matrix:
+        seen = {}
+        for a, c in zip(tops, top_cols):
+            assert seen.setdefault(a, c) == c

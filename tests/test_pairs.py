@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,45 @@ def test_transfer_tables_are_mutually_inverse_for_all_families():
             assert sorted(t.fplus[x]) == list(range(n))
             assert np.array_equal(t.fminus[x, t.fplus[x]], np.arange(n))
             assert np.array_equal(t.fplus[x, t.fminus[x]], np.arange(n))
+
+
+@functools.cache
+def moves_set_pairs() -> dict:
+    """The pair families of the move-invariance sweep, plus Eisermann S5."""
+    s3, s5, z3, r3 = (symmetric_group(3), symmetric_group(5), cyclic_group(3),
+                      dihedral_quandle(3))
+    b = d4_extension()
+    return {
+        "rack R3": pair_from_rack(r3, z3),
+        "rack shift3": pair_from_rack(shift_rack(3), z3),
+        "cocycle R3/Z3": pair_from_rack_cocycle(
+            cocycle_from_json(r3, R3_COCYCLE), z3),
+        "eisermann S3": pair_eisermann(
+            s3, s3.element_by_label("(1 2 3)"), carrier="group"),
+        "peiffer S3": pair_from_2xmod(abelianisation_tensor_2xmod(s3)),
+        "lift unframed D4": pair_eisermann_lift_unframed(b, 1),
+        "lift framed D4": pair_eisermann_lift_framed(b, 1),
+        "eisermann S5": pair_eisermann(
+            s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group"),
+    }
+
+
+@pytest.mark.parametrize("tag", sorted(moves_set_pairs()))
+def test_packed_crossing_tables_match_the_scalar_lookups(tag):
+    # packed_plus[x, z] = (y, psi(x, y)) with y the under-out colour at a
+    # positive crossing; packed_minus[x, z] likewise with phi at a negative one
+    p = moves_set_pairs()[tag]
+    t = p.transfer()
+    n = p.g.order
+    for packed in (t.packed_plus, t.packed_minus):
+        assert packed.dtype == np.int32
+        assert packed.shape == (n, n, 2)
+    for x in range(n):
+        for z in range(n):
+            y = t.under_out_plus(x, z)
+            assert t.packed_plus[x, z].tolist() == [y, p.psi_at(x, y)]
+            y = t.under_out_minus(x, z)
+            assert t.packed_minus[x, z].tolist() == [y, p.phi_at(x, y)]
 
 
 def test_broken_pair_fails_r2_via_transfer():
