@@ -39,8 +39,14 @@ from .crossed_modules import (
     validate_2xmod,
     validate_crossed_module,
 )
-from .diagrams import catalog_names, load_catalog, move_neighbours, parse_tangle
-from .engine import invariant, invariant_matrix
+from .diagrams import (
+    Enhancement,
+    catalog_names,
+    load_catalog,
+    move_neighbours,
+    parse_tangle,
+)
+from .engine import InvariantValue, invariant, invariant_matrix
 from .errors import SizeLimitError, TangleSumError
 from .groups import (
     FiniteGroup,
@@ -255,16 +261,16 @@ def cmd_invariant(args) -> int:
                            bottom=bottom if bottom is not None else "all")
     else:  # bra: fix the bottom, sum over tops
         bottom = _parse_enhancement(g, args.bottom, len(d.bottom), True)
-        tops = ([_parse_enhancement(g, args.top, len(d.top), False)]
-                if args.top is not None else None)
-        if tops is None:
-            import itertools
-            if g.order ** len(d.top) > 100_000:
-                raise UsageError("bra direction over this boundary is too "
-                                 "large; give --top")
-            tops = itertools.product(range(g.order), repeat=len(d.top))
-        result = {t: invariant(d, pair, top=t, bottom=bottom) for t in tops}
-        result = {t: iv for t, iv in result.items() if iv.terms}
+        if args.top is None:
+            matrix = invariant_matrix(d, pair, top_cap=100_000)
+        else:
+            top = _parse_enhancement(g, args.top, len(d.top), False)
+            matrix = {(top, bottom):
+                      invariant(d, pair, top=top, bottom=bottom).terms}
+        result = {top: InvariantValue(pair, Enhancement(d.top, top),
+                                      Enhancement(d.bottom, bot), terms)
+                  for (top, bot), terms in matrix.items()
+                  if bot == bottom and terms}
 
     if isinstance(result, dict):
         total = GroupAlgebraElement(pair.e)

@@ -30,9 +30,9 @@ per strand position and merging labels only at caps; the same sweep checks
 each slice against the orientation word above it and records the words.  The result is
 `levels`, the per-port arc table: levels[r][i] is the arc at position i of
 level r (level 0 is the top edge), arcs are numbered in order of their
-first port, and `n_arcs` counts them.  The state-sum engine reads only this
-table; the port dictionary `arc_of` and the `arcs` list are built on first
-use.
+first port, and `n_arcs` counts them.  Each crossing records its row,
+position, sign and the arcs of its overstrand and of its under strand
+coming in and going out.
 
 Two sliced diagrams present the same (framed) oriented tangle exactly when
 they are related by the local moves generated here: trivial-slice insertion
@@ -43,7 +43,7 @@ unframed tangles or the kink-pair cancellation R1' for framed ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -86,29 +86,18 @@ class Slice:
 
 @dataclass(frozen=True)
 class Crossing:
-    """A crossing site with its arc and port bookkeeping.
+    """A crossing site: its slice row and position, sign and arcs.
 
-    Ports are (level, position) pairs; under_in is the broken strand's port
-    on the top edge, under_out its continuation on the bottom edge.
+    under_in_arc is the broken strand's arc on the top edge, under_out_arc
+    its continuation on the bottom edge.
     """
 
     row: int
     pos: int
     sign: int
-    over_port: tuple[int, int]
-    under_in_port: tuple[int, int]
-    under_out_port: tuple[int, int]
-    over_arc: int = field(default=-1, compare=False)
-    under_in_arc: int = field(default=-1, compare=False)
-    under_out_arc: int = field(default=-1, compare=False)
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A maximal strand segment between under-passages and boundary."""
-
-    index: int
-    ports: tuple[tuple[int, int], ...]
+    over_arc: int
+    under_in_arc: int
+    under_out_arc: int
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -156,7 +145,7 @@ class SlicedTangleDiagram:
         labels = list(range(len(w)))
         parent = list(labels)
         rows = [labels]
-        raw = []  # per crossing: row, pos, sign, its three ports, their labels
+        raw = []  # per crossing: row, pos, sign, over, under-in, under-out
         for r, s in enumerate(self.slices):
             g, p = s.gen, s.pos
             if g in _CUP_MAKES:
@@ -192,13 +181,11 @@ class SlicedTangleDiagram:
                     if g == "X+":
                         over, under = labels[p + 1], labels[p]
                         labels = labels[:p] + [over, fresh] + labels[p + 2:]
-                        raw.append((r, p, +1, (r, p + 1), (r, p),
-                                    (r + 1, p + 1), over, under, fresh))
+                        raw.append((r, p, +1, over, under, fresh))
                     else:
                         over, under = labels[p], labels[p + 1]
                         labels = labels[:p] + [fresh, over] + labels[p + 2:]
-                        raw.append((r, p, -1, (r, p), (r, p + 1), (r + 1, p),
-                                    over, under, fresh))
+                        raw.append((r, p, -1, over, under, fresh))
             words.append(w)
             rows.append(labels)
         self.words = tuple(words)
@@ -214,21 +201,8 @@ class SlicedTangleDiagram:
         self.n_arcs = n
         self.levels = tuple(tuple(map(arc.__getitem__, row)) for row in rows)
         self.crossings = tuple(
-            Crossing(*c[:6], arc[c[6]], arc[c[7]], arc[c[8]]) for c in raw)
-
-    @cached_property
-    def arc_of(self) -> dict[tuple[int, int], int]:
-        """Arc index of each (level, position) port."""
-        return {(r, i): a for r, row in enumerate(self.levels)
-                for i, a in enumerate(row)}
-
-    @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        ports: list[list[tuple[int, int]]] = [[] for _ in range(self.n_arcs)]
-        for r, row in enumerate(self.levels):
-            for i, a in enumerate(row):
-                ports[a].append((r, i))
-        return tuple(Arc(k, tuple(ps)) for k, ps in enumerate(ports))
+            Crossing(r, p, sign, arc[over], arc[under], arc[fresh])
+            for r, p, sign, over, under, fresh in raw)
 
     @cached_property
     def _component_count(self) -> int:
@@ -564,14 +538,6 @@ def load_catalog(name: str) -> SlicedTangleDiagram:
             f"no catalog diagram {name!r}; available: {', '.join(catalog_names())}"
         ) from None
     return parse_tangle(text)
-
-
-def writhe(d: SlicedTangleDiagram) -> int:
-    return d.writhe
-
-
-def arcs(d: SlicedTangleDiagram) -> tuple[Arc, ...]:
-    return d.arcs
 
 
 # ----------------------------------------------------------------------

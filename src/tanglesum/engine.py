@@ -175,8 +175,8 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
     """Run prog over the frontier rows; return the finished chunks.
 
     Each chunk is (colours, elt): an int32 array of complete arc colourings,
-    one per row, and the E-element each one folds to.  The branch cap and
-    the dense tables are checked here, before any work.
+    one per row, and the E-element each one folds to.  The branch cap is
+    checked here, before any work.
     """
     pair = transfer.pair
     n = pair.g.order

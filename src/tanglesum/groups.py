@@ -1,9 +1,9 @@
 """Finite groups as dense index tables.
 
 Elements of a finite group are plain integers 0..n-1 indexing a tuple of
-display labels; multiplication is a dense n x n Cayley table (numpy int32)
-for order <= TABLE_LIMIT and an on-the-fly callable with memoized inverses
-above that.  Every higher layer (crossed modules, racks, Reidemeister pairs,
+display labels; multiplication is a dense n x n Cayley table (numpy int32).
+Factories refuse groups of order above TABLE_LIMIT before they build any
+elements.  Every higher layer (crossed modules, racks, Reidemeister pairs,
 the state-sum engine) speaks this index language only, so all exact
 arithmetic reduces to integer table lookups.
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import re
 
 import numpy as np
@@ -41,13 +42,6 @@ ASSOC_EXHAUSTIVE_LIMIT = 200
 def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Left factor first: (p*q)(i) = q(p(i))."""
     return tuple(q[p[i]] for i in range(len(p)))
-
-
-def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 def cycle_label(p: tuple[int, ...]) -> str:
@@ -105,64 +99,46 @@ def mat_label(m: tuple[int, int, int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 class FiniteGroup:
-    """A finite group on indices 0..order-1.
+    """A finite group on indices 0..order-1, given by its Cayley table.
 
-    Either table-backed (order <= TABLE_LIMIT) or lazy with a multiplication
-    callable on opaque element objects.  Instances are immutable.
+    table[a, b] is the index of a*b and inv_table[a] that of a^-1; both are
+    read-only int32 arrays.  Instances are immutable.
     """
 
-    def __init__(self, name: str, labels: tuple[str, ...],
-                 table: np.ndarray | None = None,
-                 elems: tuple | None = None, mul_fn=None, inv_fn=None,
+    def __init__(self, name: str, labels: tuple[str, ...], table,
                  identity: int | None = None, validate: bool = False):
         self.name = name
         self.labels = tuple(labels)
         self.order = len(self.labels)
-        if table is not None:
-            table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-            if table.shape != (self.order, self.order):
-                raise NotAGroupError(
-                    f"table shape {table.shape} does not match {self.order} labels")
-            table.setflags(write=False)
-        self._table = table
-        self._elems = elems
-        self._mul_fn = mul_fn
-        self._inv_fn = inv_fn
-        self._elem_index = {e: i for i, e in enumerate(elems)} if elems else None
-        self._inv_memo: dict[int, int] = {}
+        table = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
+        if table.shape != (self.order, self.order):
+            raise NotAGroupError(
+                f"table shape {table.shape} does not match {self.order} labels")
+        table.setflags(write=False)
+        self.table = table
         self._order_memo: dict[int, int] = {}
         if identity is None:
             identity = self._find_identity()
         self.identity = identity
-        self._inv_table: np.ndarray | None = None
-        if table is not None:
-            inv = np.empty(self.order, dtype=np.int32)
-            rows, cols = np.nonzero(table == self.identity)
-            inv[rows] = cols
-            inv.setflags(write=False)
-            self._inv_table = inv
+        inv = np.empty(self.order, dtype=np.int32)
+        rows, cols = np.nonzero(table == self.identity)
+        inv[rows] = cols
+        inv.setflags(write=False)
+        self.inv_table = inv
         if validate:
             self._validate_axioms()
 
     # -- construction helpers ------------------------------------------------
 
     def _find_identity(self) -> int:
-        if self._table is not None:
-            idx = np.arange(self.order)
-            for e in range(self.order):
-                if np.array_equal(self._table[e], idx) and np.array_equal(self._table[:, e], idx):
-                    return e
-            raise NotAGroupError("no two-sided identity in table")
+        idx = np.arange(self.order)
         for e in range(self.order):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x
-                   for x in range(min(self.order, 50))):
+            if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx):
                 return e
-        raise NotAGroupError("no identity found")
+        raise NotAGroupError("no two-sided identity in table")
 
     def _validate_axioms(self) -> None:
-        if self._table is None:
-            return
-        t = self._table
+        t = self.table
         n = self.order
         if t.min() < 0 or t.max() >= n:
             raise NotAGroupError("table entries out of range")
@@ -194,34 +170,11 @@ class FiniteGroup:
 
     # -- basic operations ----------------------------------------------------
 
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            raise SizeLimitError(f"{self.name} (order {self.order}) has no dense table")
-        return self._table
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        if self._inv_table is None:
-            raise SizeLimitError(f"{self.name} (order {self.order}) has no dense table")
-        return self._inv_table
-
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return int(self._table[a, b])
-        return self._elem_index[self._mul_fn(self._elems[a], self._elems[b])]
+        return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
-        if self._inv_table is not None:
-            return int(self._inv_table[a])
-        if a in self._inv_memo:
-            return self._inv_memo[a]
-        if self._inv_fn is not None:
-            res = self._elem_index[self._inv_fn(self._elems[a])]
-        else:
-            res = next(b for b in range(self.order) if self.mul(a, b) == self.identity)
-        self._inv_memo[a] = res
-        return res
+        return int(self.inv_table[a])
 
     def conj(self, g: int, h: int) -> int:
         """g h g^{-1}."""
@@ -257,7 +210,7 @@ class FiniteGroup:
             res = self.mul(res, g)
         return res
 
-    # vectorized forms (table-backed groups only)
+    # vectorized forms
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.table[a, b]
@@ -277,10 +230,7 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self._table is not None:
-            return bool(np.array_equal(self._table, self._table.T))
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in range(self.order) for b in range(self.order))
+        return bool(np.array_equal(self.table, self.table.T))
 
     def center(self) -> tuple[int, ...]:
         t = self.table
@@ -327,15 +277,15 @@ def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    if not 1 <= n <= 8:
-        raise SizeLimitError(f"symmetric_group supports 1 <= n <= 8, got {n}")
+    if n < 1:
+        raise SizeLimitError(f"symmetric_group needs n >= 1, got {n}")
+    name = f"S{n}"
+    # exceeds the limit exactly when n! does, and stays cheap for a huge n
+    if math.factorial(min(n, TABLE_LIMIT)) > TABLE_LIMIT:
+        raise SizeLimitError(
+            f"{name} has order {n}!, above TABLE_LIMIT = {TABLE_LIMIT}")
     elems = tuple(itertools.permutations(range(n)))
     labels = tuple(cycle_label(p) for p in elems)
-    name = f"S{n}"
-    if len(elems) > TABLE_LIMIT:
-        return FiniteGroup(name, labels, elems=elems,
-                           mul_fn=perm_compose, inv_fn=perm_inverse,
-                           identity=0)
     # all products at once: (p*q)(k) = q(p(k)), i.e. row i, column j holds
     # E[j][E[i]]; read each product back in base n, where the lexicographic
     # order of permutations is numeric order, so searchsorted finds its index
@@ -343,9 +293,7 @@ def symmetric_group(n: int) -> FiniteGroup:
     products = perms[np.arange(len(elems))[None, :, None], perms[:, None, :]]
     digits = n ** np.arange(n - 1, -1, -1)
     table = np.searchsorted(perms @ digits, products @ digits).astype(np.int32)
-    g = FiniteGroup(name, labels, table=table, identity=0)
-    g.permutations = elems
-    return g
+    return FiniteGroup(name, labels, table=table, identity=0)
 
 
 def _is_prime(p: int) -> bool:
@@ -353,34 +301,19 @@ def _is_prime(p: int) -> bool:
 
 
 def gl2(p: int) -> FiniteGroup:
-    """GL(2, p) for prime p <= 7, elements in row-major scan order."""
-    if not _is_prime(p) or p > 7:
-        raise InvalidModulusError(f"gl2 needs a prime p <= 7, got {p}")
+    """GL(2, p) for prime p <= 5, elements in row-major scan order."""
+    name = f"GL(2,{p})"
+    order = (p * p - 1) * (p * p - p)
+    if order > TABLE_LIMIT:
+        raise SizeLimitError(
+            f"{name} has order {order}, above TABLE_LIMIT = {TABLE_LIMIT}")
+    if not _is_prime(p):
+        raise InvalidModulusError(f"gl2 needs a prime p, got {p}")
     mats = [(a, b, c, d)
             for a in range(p) for b in range(p) for c in range(p) for d in range(p)
             if (a * d - b * c) % p != 0]
     labels = tuple(mat_label(m) for m in mats)
     n = len(mats)
-    name = f"GL(2,{p})"
-
-    def mmul(m1, m2):
-        a, b, c, d = m1
-        e, f, g, h = m2
-        return ((a * e + b * g) % p, (a * f + b * h) % p,
-                (c * e + d * g) % p, (c * f + d * h) % p)
-
-    def minv(m):
-        a, b, c, d = m
-        det = (a * d - b * c) % p
-        di = pow(det, -1, p)
-        return ((d * di) % p, (-b * di) % p, (-c * di) % p, (a * di) % p)
-
-    if n > TABLE_LIMIT:
-        g = FiniteGroup(name, labels, elems=tuple(mats), mul_fn=mmul, inv_fn=minv,
-                        identity=mats.index((1, 0, 0, 1)))
-        g.matrices = tuple(mats)
-        g.modulus = p
-        return g
     arr = np.array(mats, dtype=np.int64)            # (n, 4)
     a, b, c, d = arr.T
     # all pairwise products in one broadcast round, then index lookup
@@ -394,11 +327,8 @@ def gl2(p: int) -> FiniteGroup:
     codes = ((a * p + b) * p + c) * p + d
     code_to_idx[codes] = np.arange(n)
     table = code_to_idx[enc]
-    g = FiniteGroup(name, labels, table=table,
-                    identity=mats.index((1, 0, 0, 1)))
-    g.matrices = tuple(mats)
-    g.modulus = p
-    return g
+    return FiniteGroup(name, labels, table=table,
+                       identity=mats.index((1, 0, 0, 1)))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -612,7 +542,6 @@ def pgl2(p: int) -> tuple[FiniteGroup, GroupHom]:
 
 def commutator_subgroup(g: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
     """The derived subgroup [G, G] with its embedding into G."""
-    t = g.table
     a = np.repeat(np.arange(g.order), g.order)
     b = np.tile(np.arange(g.order), g.order)
     gens = np.unique(g.comm_arr(a, b))

@@ -258,12 +258,6 @@ class CrossingTransfer:
         self.packed_minus = np.stack(
             [fplus, pair.phi[x, fplus]], axis=-1).astype(np.int32)
 
-    def under_in_plus(self, over: int, under_out: int) -> int:
-        return int(self.fplus[over, under_out])
-
-    def under_in_minus(self, over: int, under_out: int) -> int:
-        return int(self.fminus[over, under_out])
-
     def under_out_plus(self, over: int, under_in: int) -> int:
         """Downward propagation at a positive crossing (inverse of fplus)."""
         return int(self.fminus[over, under_in])
@@ -328,6 +322,17 @@ def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
 # ---------------------------------------------------------------------------
 
 
+def _rack_tables(r: Rack, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The G-valued psi(B,A) = B A B^{-1} (B|>A)^{-1} and
+    phi(B,A) = A B (A<|B)^{-1} B^{-1} of the rack pair."""
+    B, A = np.ogrid[:r.size, :r.size]
+    psi = g.mul_arr(g.mul_arr(B, A),
+                    g.mul_arr(g.inv_arr(B), g.inv_arr(r.left[B, A])))
+    phi = g.mul_arr(g.mul_arr(A, B),
+                    g.mul_arr(g.inv_arr(r.right[A, B]), g.inv_arr(B)))
+    return psi, phi
+
+
 def pair_from_rack(r: Rack, group: FiniteGroup, name: str | None = None) \
         -> ReidemeisterPair:
     """psi(B,A) = B A B^{-1} (B|>A)^{-1}, phi(B,A) = A B (A<|B)^{-1} B^{-1}.
@@ -339,14 +344,7 @@ def pair_from_rack(r: Rack, group: FiniteGroup, name: str | None = None) \
     if group.order != r.size:
         raise XmodMismatchError(
             f"group order {group.order} != rack size {r.size}")
-    n = r.size
-    B = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n))
-    A = np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n))
-    g = group
-    psi = g.mul_arr(g.mul_arr(B, A),
-                    g.mul_arr(g.inv_arr(B), g.inv_arr(r.left[B, A])))
-    phi = g.mul_arr(g.mul_arr(A, B),
-                    g.mul_arr(g.inv_arr(r.right[A, B]), g.inv_arr(B)))
+    psi, phi = _rack_tables(r, group)
     mode = "unframed" if r.is_quandle else "framed"
     return ReidemeisterPair(xm_identity(group), psi, phi, mode,
                             name=name or f"rack({r.name}; {group.name})",
@@ -366,17 +364,11 @@ def pair_from_rack_cocycle(c: RackCocycle, group: FiniteGroup,
             f"group order {group.order} != rack size {r.size}")
     xmod = xm_pair_with_module(group, c.v)
     m = c.v.order
-    n = r.size
-    B = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n))
-    A = np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n))
-    g = group
-    psi_g = g.mul_arr(g.mul_arr(B, A),
-                      g.mul_arr(g.inv_arr(B), g.inv_arr(r.left[B, A])))
-    phi_g = g.mul_arr(g.mul_arr(A, B),
-                      g.mul_arr(g.inv_arr(r.right[A, B]), g.inv_arr(B)))
+    B, A = np.ogrid[:r.size, :r.size]
+    psi_g, phi_g = _rack_tables(r, group)
     psi = psi_g * m + c.w[r.left[B, A], B]
     phi = phi_g * m + c.v.inv_arr(c.w[A, B])
-    diag = np.arange(n)
+    diag = np.arange(r.size)
     quandle_cocycle = bool(r.is_quandle
                            and (c.w[diag, diag] == c.v.identity).all())
     mode = "unframed" if quandle_cocycle else "framed"

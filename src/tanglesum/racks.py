@@ -183,7 +183,6 @@ def validate_rack(r: Rack, thorough: bool = False) -> ValidationReport:
         "(x <| y) <| z = (x <| z) <| (y <| z)", (n, n, n),
         lambda X, Y, Z: (R[R[X, Y], Z], R[R[X, Z], R[Y, Z]]), thorough))
     if r.is_quandle:
-        diag = np.arange(n, dtype=np.int64)
         report.add(grid_check(
             "x <| x = x = x |> x", (n,),
             lambda X: (R[X, X] * n + L[X, X], X * n + X), thorough))
@@ -371,7 +370,6 @@ def validate_cocycle(c: RackCocycle, thorough: bool = False) -> ValidationReport
                          v.mul_arr(w[X, Z], w[R[X, Z], R[Y, Z]])),
         thorough))
     if c.rack.is_quandle:
-        diag = np.arange(n, dtype=np.int64)
         report.add(grid_check(
             "w(x,x) = 0", (n,),
             lambda X: (w[X, X], np.full(len(X), v.identity, dtype=np.int64)),

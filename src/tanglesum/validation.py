@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default budgets.  Pair/triple sweeps switch to sampling above these sizes;
-# --thorough (or thorough=True) forces the exhaustive sweep regardless.
-EXHAUSTIVE_PAIR_BUDGET = 1_000_000
-EXHAUSTIVE_TRIPLE_BUDGET = 1_000_000
+# Sweeps over more tuples than this switch to sampling; --thorough (or
+# thorough=True) forces the exhaustive sweep regardless.
+EXHAUSTIVE_BUDGET = 1_000_000
 SAMPLE_SIZE = 100_000
 SAMPLE_SEED = 20_240_501
 WITNESS_CAP = 5
@@ -89,20 +88,19 @@ GRID_CHUNK = 2_000_000
 
 
 def grid_check(axiom: str, shape: tuple[int, ...], fn,
-               thorough: bool = False, budget: int | None = None) -> CheckResult:
+               thorough: bool = False) -> CheckResult:
     """Check fn(axes...) == (lhs, rhs) over a product domain.
 
     `fn` receives one flat int64 index array per factor and returns the two
     sides of the axiom as equal-length arrays.  Exhaustive sweeps are chunked
-    along the first axis so memory stays bounded; above the budget a fixed
-    seed sample of SAMPLE_SIZE tuples runs instead (unless thorough).
+    along the first axis so memory stays bounded; above EXHAUSTIVE_BUDGET
+    tuples a fixed-seed sample of SAMPLE_SIZE tuples runs instead (unless
+    thorough).
     """
     total = 1
     for n in shape:
         total *= n
-    if budget is None:
-        budget = EXHAUSTIVE_TRIPLE_BUDGET if len(shape) >= 3 else EXHAUSTIVE_PAIR_BUDGET
-    if not thorough and total > budget:
+    if not thorough and total > EXHAUSTIVE_BUDGET:
         rng = np.random.default_rng(SAMPLE_SEED)
         axes = [rng.integers(0, n, size=SAMPLE_SIZE, dtype=np.int64) for n in shape]
         lhs, rhs = fn(*axes)

@@ -303,7 +303,7 @@ def test_criterion_5_oracle_equivalences():
     ab, proj = abelianization(s3)
     ts = TensorSquare(ab)
     direct = GroupAlgebraElement.zero(ts.group)
-    n_arcs = len(d.arcs)
+    n_arcs = d.n_arcs
     for colours in itertools.product(range(6), repeat=n_arcs):
         ok = True
         for c in d.crossings:
@@ -394,7 +394,7 @@ def test_criterion_6_structural_checks():
     word = longitude_word(d)
     assert sum(s for _, s in word) == 0
     for c in range(5):
-        flat = {arc: c for arc in range(len(d.arcs))}
+        flat = {arc: c for arc in range(d.n_arcs)}
         assert longitude_value(d, flat, cyclic_group(5)) == 0
     _, bots = d.boundary_arcs()
     matched = 0

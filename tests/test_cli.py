@@ -58,6 +58,15 @@ def test_validate_nothing_given_is_a_usage_error(capsys):
     assert main(["validate"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "s7"], ["--group", "gl2_7"], ["--group", "pgl2_7"],
+    ["--rack", "conj:s7"],
+])
+def test_validate_group_above_the_table_limit_is_a_usage_error(capsys, argv):
+    assert main(["validate", *argv]) == 2
+    assert "TABLE_LIMIT" in capsys.readouterr().err
+
+
 def test_validate_unknown_group_spec(capsys):
     assert main(["validate", "--group", "e8"]) == 2
 
@@ -103,6 +112,32 @@ def test_invariant_bra_direction(capsys):
     rc = main(["invariant", "--diagram", "trefoil_plus_string",
                "--pair", EISERMANN_S3, "--direction", "bra"])
     assert rc == 0
+
+
+def _bra_bucket(top, bottom):
+    return {"source": {"orientations": ["v"] * len(top), "elements": top},
+            "target": {"orientations": ["v"] * len(bottom),
+                       "elements": bottom},
+            "terms": [{"element_label": "id", "count": 1}]}
+
+
+@pytest.mark.parametrize("diagram, bottom, buckets", [
+    ("trefoil_plus_string", [], [_bra_bucket(["id"], ["id"])]),
+    ("braid_sigma1_sigma2_sigma1", ["--bottom", "(1 2),(1 2 3),id"],
+     [_bra_bucket(["(1 3 2)", "id", "(1 2)"], ["(1 2)", "(1 2 3)", "id"])]),
+])
+def test_invariant_bra_direction_output_is_pinned(capsys, diagram, bottom,
+                                                  buckets):
+    argv = ["invariant", "--diagram", diagram, "--pair", EISERMANN_S3,
+            "--direction", "bra", *bottom]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "id\n"
+    assert main(argv + ["--json"]) == 0
+    expected = {"pair": "eisermann(S3, (1 2 3), group)", "direction": "bra",
+                "buckets": buckets,
+                "sum": {"group": "S3",
+                        "terms": [{"element": "id", "count": 1}]}}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 def test_invariant_missing_diagram(capsys):

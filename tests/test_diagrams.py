@@ -146,7 +146,7 @@ def test_arc_structure_of_string_trefoil():
     tops, bots = d.boundary_arcs()
     assert len(tops) == 1 and len(bots) == 1
     assert tops != bots
-    assert len(d.arcs) == 4
+    assert d.n_arcs == 4
 
 
 def test_parse_serialize_round_trip():

@@ -243,7 +243,7 @@ def test_wirtinger_count_trefoil_counts_conjugation_colourings():
     d = load_catalog("trefoil_plus_closed")
     homs = rack_colouring_count(d, conjugation_quandle(s3))
     assert homs == 12
-    assert wirtinger_count(d, xm) == Fraction(int(homs), 6 ** len(d.arcs))
+    assert wirtinger_count(d, xm) == Fraction(int(homs), 6 ** d.n_arcs)
 
 
 def test_wirtinger_count_requires_closed_diagram():
@@ -274,7 +274,7 @@ def test_longitude_value_in_abelian_quotient_is_trivial():
     d = load_catalog("trefoil_plus_string")
     # any colouring by a single abelian element kills the longitude
     for c in range(5):
-        colours = {arc: c for arc in range(len(d.arcs))}
+        colours = {arc: c for arc in range(d.n_arcs)}
         assert longitude_value(d, colours, z5) == z5.identity
 
 

@@ -7,7 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from tanglesum.errors import GroupMismatchError, NotAGroupError
+from tanglesum import groups
+from tanglesum.errors import GroupMismatchError, NotAGroupError, SizeLimitError
 from tanglesum.groups import (
     abelianization,
     cayley_to_csv,
@@ -23,7 +24,6 @@ from tanglesum.groups import (
     identity_hom,
     parse_cycles,
     perm_compose,
-    perm_inverse,
     pgl2,
     quotient_by_normal,
     subgroup,
@@ -43,7 +43,7 @@ def test_perm_compose_is_left_factor_first():
     p = parse_cycles("(1 2)", 3)
     q = parse_cycles("(2 3)", 3)
     assert cycle_label(perm_compose(p, q)) == "(1 3 2)"
-    assert perm_compose(p, perm_inverse(p)) == (0, 1, 2)
+    assert perm_compose(p, p) == (0, 1, 2)
 
 
 def test_symmetric_group_basics():
@@ -69,14 +69,15 @@ def test_symmetric_group_table_equals_the_scalar_fill(n):
         for j, q in enumerate(elems):
             scalar[i, j] = index[perm_compose(p, q)]
     g = symmetric_group(n)
-    assert g.permutations == elems
+    assert g.labels == tuple(map(cycle_label, elems))
     assert g.table.dtype == scalar.dtype and g.table.shape == scalar.shape
     assert g.table.tobytes() == scalar.tobytes()
 
 
 def test_symmetric_group_table_of_s6_composes_left_factor_first():
     s6 = symmetric_group(6)
-    perms = s6.permutations
+    perms = tuple(itertools.permutations(range(6)))
+    assert s6.labels == tuple(map(cycle_label, perms))
     index = {p: i for i, p in enumerate(perms)}
     rng = np.random.default_rng(6)
     for i, j in rng.integers(0, s6.order, size=(500, 2)):
@@ -139,6 +140,21 @@ def test_gl2_and_pgl2():
     assert proj.is_surjective
     # scalar matrices collapse: [diag(2, 1)] is represented least-index
     assert pgl.label(proj(m)) == "[(1 0; 0 3)]"
+
+
+@pytest.mark.parametrize("build, label", [
+    (lambda: symmetric_group(7), "cycle_label"),
+    (lambda: symmetric_group(8), "cycle_label"),
+    (lambda: gl2(7), "mat_label"),
+])
+def test_groups_above_the_table_limit_fail_before_building_elements(
+        monkeypatch, build, label):
+    def no_elements(*args):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(groups, label, no_elements)
+    with pytest.raises(SizeLimitError, match="TABLE_LIMIT = 1000"):
+        build()
 
 
 def test_center():
