@@ -97,7 +97,7 @@ from .racks import (
     validate_cocycle,
     validate_rack,
 )
-from .tables import compute_cell, diff_all, diff_table, expected_cell
+from .tables import compute_cell, diff_table, expected_cell
 from .validation import CheckResult, ValidationReport, Violation
 
 __version__ = "0.1.0"
@@ -139,7 +139,7 @@ __all__ = [
     "eisermann_quandle", "rack_colouring_count", "rack_from_csv",
     "validate_cocycle", "validate_rack",
     # tables
-    "compute_cell", "diff_all", "diff_table", "expected_cell",
+    "compute_cell", "diff_table", "expected_cell",
     # validation
     "CheckResult", "ValidationReport", "Violation",
 ]

@@ -211,9 +211,10 @@ def cmd_validate(args) -> int:
     reports = []
     if args.group and not args.pair:
         g = load_group(args.group)
+        g.validate_axioms()
         print(f"group {g.name}: order {g.order}, "
               f"{'abelian' if g.is_abelian else 'nonabelian'} "
-              "(axioms checked at construction)")
+              "(axioms checked)")
     if args.rack:
         r = load_rack(args.rack)
         reports.append(validate_rack(r, thorough=args.thorough))

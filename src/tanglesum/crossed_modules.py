@@ -571,8 +571,7 @@ def least_index_section(projection: GroupHom) -> np.ndarray:
     return sec
 
 
-def braided_from_central_extension(projection: GroupHom, section=None,
-                                   _verify_alternate: bool = True) \
+def braided_from_central_extension(projection: GroupHom, section=None) \
         -> BraidedCrossedModule:
     """The braided crossed module of a central extension, {g,h} = [s(g), s(h)].
 
@@ -613,7 +612,7 @@ def braided_from_central_extension(projection: GroupHom, section=None,
     gi = np.arange(base.order)
     lifting = ext.comm_arr(sec[gi[:, None]], sec[gi[None, :]])
 
-    if _verify_alternate and len(kernel) > 1:
+    if len(kernel) > 1:
         rng = np.random.default_rng(20_240_501)
         twist = np.array(kernel, dtype=np.int32)[
             rng.integers(0, len(kernel), base.order)]
@@ -623,12 +622,9 @@ def braided_from_central_extension(projection: GroupHom, section=None,
             raise KernelNotCentralError(
                 "lifting depends on the section; kernel cannot be central")
 
-    b = braided_crossed_module(
+    return braided_crossed_module(
         projection, lifting,
         name=f"({ext.name} -> {base.name} -> 1, central extension)")
-    b.projection = projection
-    b.section = sec
-    return b
 
 
 def abelianisation_tensor_2xmod(g: FiniteGroup) -> TwoCrossedModule:

@@ -50,7 +50,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DiagramError,
     IndexOutOfRangeError,
-    MultiComponentError,
     NonClosableError,
     OrientationMismatchError,
     ParseError,
@@ -255,79 +254,6 @@ class SlicedTangleDiagram:
         lower = SlicedTangleDiagram(self.words[row], self.slices[row:])
         return upper, lower
 
-    # -- strand traversal -------------------------------------------------
-
-    def traverse_strand(self, start: tuple[int, int, str]):
-        """Walk along one strand from a (level, pos, direction) seed.
-
-        Yields undercrossing events (crossing, entering_arc, leaving_arc) in
-        the order met.  Stops at a boundary or when the walk closes up.
-        Direction is "v" (downwards) or "^" (upwards).
-        """
-        seed = start
-        level, pos, d = start
-        events = []
-        visited = set()
-        nlast = len(self.words) - 1
-        while True:
-            state = (level, pos, d)
-            if state in visited:
-                break  # closed component
-            visited.add(state)
-            if d == DOWN:
-                if level == nlast:
-                    break
-                s = self.slices[level]
-                g, p = s.gen, s.pos
-                a, b = _TOP_ARITY[g], _BOT_ARITY[g]
-                if g == "id" or pos < p:
-                    level, pos = level + 1, pos
-                elif pos >= p + a:
-                    level, pos = level + 1, pos - a + b
-                elif g == "X+":
-                    if pos == p:  # under passage
-                        events.append((self._crossing_at(level), level, pos))
-                        level, pos = level + 1, p + 1
-                    else:
-                        level, pos = level + 1, p
-                elif g == "X-":
-                    if pos == p + 1:
-                        events.append((self._crossing_at(level), level, pos))
-                        level, pos = level + 1, p
-                    else:
-                        level, pos = level + 1, p + 1
-                elif g == "capR":
-                    pos, d = p + 1, UP  # down the left leg, up the right
-                elif g == "capL":
-                    pos, d = p, UP
-                else:
-                    raise DiagramError("downward flow into a cup leg")
-            else:
-                if level == 0:
-                    break
-                s = self.slices[level - 1]
-                g, p = s.gen, s.pos
-                a, b = _TOP_ARITY[g], _BOT_ARITY[g]
-                if g == "id" or pos < p:
-                    level -= 1
-                elif pos >= p + b:
-                    level, pos = level - 1, pos - b + a
-                elif g == "cupR":
-                    pos, d = p, DOWN  # up the right leg, down the left
-                elif g == "cupL":
-                    pos, d = p + 1, DOWN
-                else:
-                    raise DiagramError("upward flow into a crossing or cap")
-            if (level, pos, d) == seed:
-                break
-        return events
-
-    def _crossing_at(self, row: int) -> Crossing:
-        for c in self.crossings:
-            if c.row == row:
-                return c
-        raise DiagramError(f"no crossing at row {row}")
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -450,11 +376,6 @@ class Enhancement:
         for o, g in zip(self.orientations, self.elements):
             out = group.mul(out, g if o == DOWN else group.inv(g))
         return out
-
-
-def evaluate_word(group, orientations: Sequence[str], elements: Sequence[int]) -> int:
-    """e(w): multiply boundary colours left to right, starring up strands."""
-    return Enhancement(tuple(orientations), tuple(elements)).evaluation(group)
 
 
 # ----------------------------------------------------------------------

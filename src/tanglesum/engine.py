@@ -79,6 +79,8 @@ from .validation import SAMPLE_SEED
 
 STATE_SUM_BRANCH_CAP = 5_000_000
 SWEEP_CHUNK_ROWS = 2 ** 16
+COMPOSE_TOP_CAP = 2048
+COMPOSE_SAMPLE = 12
 
 
 # ----------------------------------------------------------------------
@@ -310,10 +312,6 @@ def _normalise_enhancement(group, orientations, value, which: str):
     return out
 
 
-def _one_top(top_cols) -> np.ndarray:
-    return np.array([top_cols], dtype=np.int32).reshape(1, len(top_cols))
-
-
 def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
                          top=None) -> Iterator[Colouring]:
     """Stream every colouring of d whose top arcs match the given colours.
@@ -324,7 +322,8 @@ def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
     pair = transfer.pair
     top_cols = _normalise_enhancement(pair.g, d.top, top, "top")
     prog = compile_program(d)
-    for rows, _ in _sweep(prog, transfer, _seed(prog, _one_top(top_cols))):
+    tops = np.array([top_cols], dtype=np.int32)
+    for rows, _ in _sweep(prog, transfer, _seed(prog, tops)):
         for arcs in rows.tolist():
             xs = ((pair.psi_at if c.sign > 0 else pair.phi_at)(
                       arcs[c.over_arc], arcs[c.under_out_arc])
@@ -404,13 +403,6 @@ class InvariantValue:
 
 
 
-def _bucketed(d: SlicedTangleDiagram, pair: ReidemeisterPair,
-              top_cols) -> dict:
-    """Bottom colour tuple -> {E element: count} over all colourings."""
-    return {bot: terms for (_, bot), terms
-            in _state_sum(d, pair, _one_top(top_cols)).items()}
-
-
 def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
               bottom="all"):
     """State sum of d with the given top enhancement.
@@ -423,7 +415,8 @@ def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
     group = pair.g
     top_cols = _normalise_enhancement(group, d.top, top, "top")
     src = Enhancement(d.top, top_cols)
-    buckets = _bucketed(d, pair, top_cols)
+    buckets = {bot: terms for (_, bot), terms in _state_sum(
+        d, pair, np.array([top_cols], dtype=np.int32)).items()}
 
     if d.is_closed:
         terms = buckets.get((), {})
@@ -523,12 +516,17 @@ def longitude_word(d: SlicedTangleDiagram) -> tuple[tuple[int, int], ...]:
     Walking the strand from the top, the i-th undercrossing with sign s,
     incoming under-arc a and over-arc b appends a^-s b^s.  The word lives in
     the free group on the arcs and has zero total exponent at each crossing.
+    Every crossing joins two downward strands, so an arc ends in at most one
+    under-passage: the walk goes from arc to arc through the crossing table.
     """
     _check_string(d)
+    under = {c.under_in_arc: c for c in d.crossings}
     word: list[tuple[int, int]] = []
-    for c, _, _ in d.traverse_strand((0, 0, DOWN)):
-        word.append((c.under_in_arc, -c.sign))
-        word.append((c.over_arc, c.sign))
+    arc = d.levels[0][0]
+    while arc in under:
+        c = under.pop(arc)
+        word += [(c.under_in_arc, -c.sign), (c.over_arc, c.sign)]
+        arc = c.under_out_arc
     return tuple(word)
 
 
@@ -546,43 +544,43 @@ def longitude_value(d: SlicedTangleDiagram, colours, group) -> int:
 
 
 def tqft_compose_check(d1: SlicedTangleDiagram, d2: SlicedTangleDiagram,
-                       pair: ReidemeisterPair, tops=None,
-                       sample: int = 12) -> bool:
+                       pair: ReidemeisterPair) -> bool:
     """Does the invariant of d1 stacked on d2 factor through the middle?
 
     Compares, for each top enhancement of d1, the bucketed state sum of the
     composite with the convolution of the two factors over all middle
-    enhancements.  Checks every top when the boundary is small, otherwise a
-    fixed-seed sample.
+    enhancements.  Checks every top when there are at most
+    COMPOSE_TOP_CAP of them, otherwise a fixed-seed sample of
+    COMPOSE_SAMPLE.  Three state sums do the work: the composite and d1
+    over the chosen tops, and d2 over the middles that d1 reaches.
     """
     if d1.bottom != d2.top:
         raise NonComposableError(
             f"cannot compose: bottom {d1.bottom} != top {d2.top}")
-    d = d1.then(d2)
-    group = pair.g
     egrp = pair.e
-    k = len(d1.top)
-    if tops is None:
-        if group.order ** k <= 2048:
-            tops = list(itertools.product(range(group.order), repeat=k))
-        else:
-            rng = random.Random(SAMPLE_SEED)
-            tops = [tuple(rng.randrange(group.order) for _ in range(k))
-                    for _ in range(sample)]
-    for top in tops:
-        lhs = {b: t for b, t in _bucketed(d, pair, top).items() if t}
-        rhs: dict[tuple[int, ...], dict[int, int]] = {}
-        for mid, upper in _bucketed(d1, pair, top).items():
-            for bot, lower in _bucketed(d2, pair, mid).items():
-                acc = rhs.setdefault(bot, {})
-                for e1, c1 in upper.items():
-                    for e2, c2 in lower.items():
-                        key = egrp.mul(e2, e1)
-                        acc[key] = acc.get(key, 0) + c1 * c2
-        rhs = {b: t for b, t in rhs.items() if t}
-        if lhs != rhs:
-            return False
-    return True
+    n, k = pair.g.order, len(d1.top)
+    if n ** k <= COMPOSE_TOP_CAP:
+        tops = np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k).T
+    else:
+        rng = random.Random(SAMPLE_SEED)
+        tops = np.array([[rng.randrange(n) for _ in range(k)]
+                         for _ in range(COMPOSE_SAMPLE)], dtype=np.int32)
+    upper = _state_sum(d1, pair, tops)
+    mids = sorted({mid for _, mid in upper})
+    below: dict[tuple, list] = {}
+    for (mid, bot), lower in _state_sum(
+            d2, pair, np.array(mids, dtype=np.int32).reshape(
+                len(mids), len(d2.top))).items():
+        below.setdefault(mid, []).append((bot, lower))
+    rhs: dict[tuple, dict[int, int]] = {}
+    for (top, mid), terms in upper.items():
+        for bot, lower in below.get(mid, ()):
+            acc = rhs.setdefault((top, bot), {})
+            for e1, c1 in terms.items():
+                for e2, c2 in lower.items():
+                    key = egrp.mul(e2, e1)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+    return _state_sum(d1.then(d2), pair, tops) == rhs
 
 
 # ----------------------------------------------------------------------

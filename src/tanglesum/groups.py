@@ -126,7 +126,7 @@ class FiniteGroup:
         inv.setflags(write=False)
         self.inv_table = inv
         if validate:
-            self._validate_axioms()
+            self.validate_axioms()
 
     # -- construction helpers ------------------------------------------------
 
@@ -137,7 +137,9 @@ class FiniteGroup:
                 return e
         raise NotAGroupError("no two-sided identity in table")
 
-    def _validate_axioms(self) -> None:
+    def validate_axioms(self) -> None:
+        """Raise NotAGroupError unless the table is a Latin square and
+        associative (exhaustively up to ASSOC_EXHAUSTIVE_LIMIT, sampled above)."""
         t = self.table
         n = self.order
         if t.min() < 0 or t.max() >= n:
@@ -339,12 +341,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
     gi = np.repeat(np.arange(n), m)
     hj = np.tile(np.arange(m), n)
     table = (g.table[gi[:, None], gi[None, :]] * m + h.table[hj[:, None], hj[None, :]])
-    prod = FiniteGroup(name or f"{g.name}x{h.name}", labels, table=table,
+    return FiniteGroup(name or f"{g.name}x{h.name}", labels, table=table,
                        identity=g.identity * m + h.identity)
-    prod.factors = (g, h)
-    prod.pair_index = lambda i, j: i * m + j
-    prod.split_index = lambda k: (k // m, k % m)
-    return prod
 
 
 def from_cayley_table(table, labels=None, name: str = "G") -> FiniteGroup:
@@ -517,7 +515,6 @@ def quotient_by_normal(g: FiniteGroup, normal_indices, name: str = "") \
     labels = tuple(f"[{g.labels[int(r)]}]" for r in reps)
     q = FiniteGroup(name or f"{g.name}/N{len(nset)}", labels, table=table,
                     identity=int(relabel[rep[g.identity]]))
-    q.coset_reps = tuple(int(r) for r in reps)
     proj = GroupHom(g, q, proj_map, name=f"{g.name} onto {q.name}")
     return q, proj
 

@@ -35,9 +35,10 @@ d(phi(A,Z)) A = Z has a unique solution A = f(Z), and (ii) with
 g(A) = d(psi(A,A))^{-1} A the maps f and g are mutually inverse.
 
 Constructors cover the example families: racks and quandles over any group
-structure on the same carrier, rack 2-cocycles, twisted-conjugation
-commutator pairs, Peiffer liftings of 2-crossed modules, and the braided
-liftings of the commutator pairs (framed and unframed).
+structure on the same carrier, rack 2-cocycles, the Eisermann commutator
+pairs (the rack pair of the twisted-conjugation quandle over its carrier),
+Peiffer liftings of 2-crossed modules, and the braided liftings of the
+commutator pairs (framed and unframed).
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .errors import (
     TangleSumError,
     XmodMismatchError,
 )
-from .groups import FiniteGroup, commutator_subgroup
-from .racks import Rack, RackCocycle
+from .groups import FiniteGroup
+from .racks import Rack, RackCocycle, _eisermann
 from .validation import (
     CheckResult,
     ValidationReport,
@@ -125,10 +126,6 @@ class ReidemeisterPair:
 # ---------------------------------------------------------------------------
 
 
-def _boundary_table(p: ReidemeisterPair) -> np.ndarray:
-    return p.xmod.boundary.mapping
-
-
 def framed_maps(p: ReidemeisterPair):
     """The kink maps (f, g) with d(phi(f(Z),Z)) f(Z) = Z and g = f^{-1}.
 
@@ -137,7 +134,7 @@ def framed_maps(p: ReidemeisterPair):
     """
     g = p.g
     n = g.order
-    bnd = _boundary_table(p)
+    bnd = p.xmod.boundary.mapping
     idx = np.arange(n, dtype=np.int64)
     # vals[a, z] = d(phi(a, z)) a
     vals = g.mul_arr(bnd[p.phi[idx[:, None], idx[None, :]]], idx[:, None])
@@ -278,7 +275,7 @@ def _transfer_tables(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:
     """
     g = p.g
     n = g.order
-    bnd = _boundary_table(p)
+    bnd = p.xmod.boundary.mapping
     X = np.arange(n, dtype=np.int64)[:, None]
     Y = np.arange(n, dtype=np.int64)[None, :]
     fplus = g.mul_arr(g.inv_arr(bnd[p.psi]), g.conj_arr(X, Y))
@@ -386,31 +383,14 @@ def pair_eisermann(g: FiniteGroup, x, carrier: str = "commutator",
                    name: str | None = None) -> ReidemeisterPair:
     """The commutator pair phi(L,M) = [Mx^{-1}, Lx^{-1}] over conjugation.
 
-    psi(L,M) = [L,M][ML^{-1},x].  The carrier is the commutator subgroup
+    psi(L,M) = [L,M][ML^{-1},x].  It is the rack pair of the twisted
+    conjugation quandle of x over its carrier, the commutator subgroup
     (where both tables land even when x does not) or the whole group; the
     crossed module is the identity with the adjoint action.  Unframed.
     """
     xi = g.element_by_label(x) if isinstance(x, str) else int(x)
-    if carrier == "commutator":
-        base, _ = commutator_subgroup(g)
-        elems = np.asarray(base.parent_indices, dtype=np.int64)
-    elif carrier == "group":
-        base = g
-        elems = np.arange(g.order, dtype=np.int64)
-    else:
-        raise TangleSumError(
-            f"carrier must be 'commutator' or 'group', got {carrier!r}")
-    L, M = elems[:, None], elems[None, :]
-    xinv = g.inv(xi)
-    phi_g = g.comm_arr(g.mul_arr(M, xinv), g.mul_arr(L, xinv))
-    psi_g = g.mul_arr(g.comm_arr(L, M), g.comm_arr(g.mul_arr(M, g.inv_arr(L)), xi))
-    # parent index -> carrier index, -1 off the carrier
-    pos = np.full(g.order, -1, dtype=np.int64)
-    pos[elems] = np.arange(len(elems))
-    phi, psi = pos[phi_g], pos[psi_g]
-    if (phi < 0).any() or (psi < 0).any():
-        raise TangleSumError(
-            f"commutator pair values leave the {carrier} carrier of {g.name}")
+    quandle, base = _eisermann(g, xi, carrier)
+    psi, phi = _rack_tables(quandle, base)
     return ReidemeisterPair(xm_identity(base), psi, phi, "unframed",
                             name=name or
                             f"eisermann({g.name}, {g.label(xi)}, {carrier})",
@@ -508,7 +488,7 @@ def pair_eisermann_lift_framed(b: TwoCrossedModule, x,
 
 def boundary_shadow(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:
     """The G-valued tables (d o psi, d o phi)."""
-    bnd = _boundary_table(p)
+    bnd = p.xmod.boundary.mapping
     return bnd[p.psi], bnd[p.phi]
 
 

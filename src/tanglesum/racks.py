@@ -9,7 +9,9 @@ A rack is a set with two mutually inverse binary operations, written x |> y
 
 A quandle additionally has x |> x = x = x <| x.  Only one table is needed:
 for a fixed acting element a the translations y -> a |> y and y -> y <| a
-are mutually inverse bijections, so either determines the other.
+are mutually inverse bijections, so either determines the other.  The
+Eisermann pair (pairs.pair_eisermann) is the rack pair of the
+twisted-conjugation quandle h <| a = x^-1 h a^-1 x a over its carrier.
 
 Colours live on arcs of a sliced diagram; an arc runs through cups, caps and
 over-strands and breaks only where it passes under a crossing.  At a positive
@@ -38,7 +40,6 @@ import numpy as np
 from .algebra import GroupAlgebraElement
 from .diagrams import SlicedTangleDiagram
 from .errors import (
-    DiagramError,
     EnhancementMismatchError,
     NotBijectiveError,
     NotClosedError,
@@ -85,9 +86,7 @@ class Rack:
     and is then derived by inverting the translations of the other.
     """
 
-    def __init__(self, left=None, right=None, labels=None, name: str = "R",
-                 group: FiniteGroup | None = None, carrier=None,
-                 x: int | None = None):
+    def __init__(self, left=None, right=None, labels=None, name: str = "R"):
         if left is None and right is None:
             raise TangleSumError("a rack needs at least one operation table")
         if left is not None:
@@ -117,10 +116,6 @@ class Rack:
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise TangleSumError("label count does not match rack size")
-        # optional provenance for racks built from a group
-        self.group = group
-        self.carrier = tuple(carrier) if carrier is not None else None
-        self.x = x
         diag = np.arange(n, dtype=np.int64)
         self.is_quandle = bool(
             (self.left[diag, diag] == diag).all() and (self.right[diag, diag] == diag).all()
@@ -203,33 +198,69 @@ def nelson_check(r: Rack) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _on_carrier(g: FiniteGroup, elems: np.ndarray, tables, what: str):
+    """Map tables of parent indices, cell (i, j) computed from the carrier
+    pair (elems[i], elems[j]), to carrier indices.
+
+    The first pair in row-major order whose value in any table leaves the
+    carrier raises NotClosedError naming it.
+    """
+    pos = np.full(g.order, -1, dtype=np.int64)
+    pos[elems] = np.arange(len(elems))
+    mapped = [pos[t] for t in tables]
+    off = np.logical_or.reduce([t < 0 for t in mapped])
+    if off.any():
+        i, j = divmod(int(np.argmax(off)), len(elems))
+        raise NotClosedError(
+            f"{what}: {g.label(int(elems[i]))} , {g.label(int(elems[j]))}")
+    return mapped
+
+
 def conjugation_quandle(g: FiniteGroup, subset=None, name: str | None = None) -> Rack:
     """The quandle h <| g = g^-1 h g on a conjugation-closed subset.
 
     `subset` is an iterable of element indices (default: the whole group).
     """
     if subset is None:
-        carrier = tuple(range(g.order))
+        elems = np.arange(g.order)
     else:
-        carrier = tuple(dict.fromkeys(int(i) for i in subset))
-    pos = {gi: k for k, gi in enumerate(carrier)}
-    m = len(carrier)
-    left = np.empty((m, m), dtype=np.int64)
-    right = np.empty((m, m), dtype=np.int64)
-    for i, a in enumerate(carrier):
-        for j, b in enumerate(carrier):
-            aba = g.mul(g.mul(a, b), g.inv(a))          # a |> b = a b a^-1
-            bab = g.mul(g.mul(g.inv(b), a), b)          # a <| b = b^-1 a b
-            if aba not in pos or bab not in pos:
-                raise NotClosedError(
-                    f"subset not closed under conjugation: "
-                    f"{g.label(a)} , {g.label(b)}"
-                )
-            left[i, j] = pos[aba]
-            right[i, j] = pos[bab]
-    labels = tuple(g.label(i) for i in carrier)
-    return Rack(left=left, right=right, labels=labels,
-                name=name or f"Conj({g.name})", group=g, carrier=carrier)
+        elems = np.array(list(dict.fromkeys(int(i) for i in subset)),
+                         dtype=np.int64)
+    a, b = elems[:, None], elems[None, :]
+    left, right = _on_carrier(
+        g, elems, (g.conj_arr(a, b),                  # a |> b = a b a^-1
+                   g.conj_arr(g.inv_arr(b), a)),      # a <| b = b^-1 a b
+        "subset not closed under conjugation")
+    return Rack(left=left, right=right, labels=map(g.label, elems.tolist()),
+                name=name or f"Conj({g.name})")
+
+
+def _eisermann(g: FiniteGroup, xi: int, carrier: str,
+               name: str | None = None) -> tuple[Rack, FiniteGroup]:
+    """The twisted conjugation quandle of eisermann_quandle, together with
+    its carrier as a group (the commutator subgroup or g itself)."""
+    if carrier == "commutator":
+        base = commutator_subgroup(g)[0]
+        elems = np.array(base.parent_indices, dtype=np.int64)
+    elif carrier == "group":
+        base = g
+        elems = np.arange(g.order)
+    else:
+        raise TangleSumError(f"carrier must be 'commutator' or 'group', got {carrier!r}")
+    # each cell is a row factor x^+-1 h times a column factor a^-1 x^-+1 a
+    ainv = g.inv_arr(elems)
+    xinv = g.inv(xi)
+    lo, ro = _on_carrier(
+        g, elems,
+        (g.mul_arr(g.mul_arr(xi, elems)[:, None],     # x h a^-1 x^-1 a
+                   g.conj_arr(ainv, xinv)[None, :]),
+         g.mul_arr(g.mul_arr(xinv, elems)[:, None],   # x^-1 h a^-1 x a
+                   g.conj_arr(ainv, xi)[None, :])),
+        "carrier not closed")
+    # lo[h, a] = a |> h and ro[h, a] = h <| a
+    quandle = Rack(left=lo.T, right=ro, labels=map(g.label, elems.tolist()),
+                   name=name or f"Eis({g.name}, {g.label(xi)})")
+    return quandle, base
 
 
 def eisermann_quandle(g: FiniteGroup, x, carrier: str = "commutator",
@@ -241,30 +272,7 @@ def eisermann_quandle(g: FiniteGroup, x, carrier: str = "commutator",
     or the whole group.  `x` is an element index or label of g.
     """
     xi = g.element_by_label(x) if isinstance(x, str) else int(x)
-    if carrier == "commutator":
-        elems = commutator_subgroup(g)[0].parent_indices
-    elif carrier == "group":
-        elems = tuple(range(g.order))
-    else:
-        raise TangleSumError(f"carrier must be 'commutator' or 'group', got {carrier!r}")
-    pos = {gi: k for k, gi in enumerate(elems)}
-    m = len(elems)
-    xinv = g.inv(xi)
-    left = np.empty((m, m), dtype=np.int64)
-    right = np.empty((m, m), dtype=np.int64)
-    for i, h in enumerate(elems):
-        for j, a in enumerate(elems):
-            lo = g.word([xi, h, g.inv(a), xinv, a])     # h' -> x h' a^-1 x^-1 a
-            ro = g.word([xinv, h, g.inv(a), xi, a])     # h  -> x^-1 h a^-1 x a
-            if lo not in pos or ro not in pos:
-                raise NotClosedError(
-                    f"carrier not closed: {g.label(h)} , {g.label(a)}")
-            left[j, i] = pos[lo]                        # left[a, h'] = a |> h'
-            right[i, j] = pos[ro]                       # right[h, a] = h <| a
-    labels = tuple(g.label(i) for i in elems)
-    return Rack(left=left, right=right, labels=labels,
-                name=name or f"Eis({g.name}, {g.label(xi)})",
-                group=g, carrier=elems, x=xi)
+    return _eisermann(g, xi, carrier, name)[0]
 
 
 def dihedral_quandle(n: int) -> Rack:

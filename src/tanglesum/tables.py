@@ -251,7 +251,3 @@ def diff_table(name: str, directions=("ket", "bra")) -> TableDiff:
                 name, knot, col, table["x"][col], computed.display(),
                 expected.display(), status, note, agree))
     return diff
-
-
-def diff_all() -> dict[str, TableDiff]:
-    return {name: diff_table(name) for name in TABLE_NAMES}

@@ -60,7 +60,6 @@ from tanglesum.pairs import (
 from tanglesum.racks import (
     cjkls_state_sum,
     cocycle_from_json,
-    conjugation_quandle,
     dihedral_quandle,
     Rack,
     rack_colouring_count,

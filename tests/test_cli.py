@@ -31,6 +31,30 @@ def test_validate_group_only(capsys):
     assert "order 120" in out
 
 
+BROKEN_TABLES = {
+    # row 2 repeats an entry: not a Latin square
+    "not latin": [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+    # a Latin square (a loop of order 5) that is not associative
+    "not associative": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+}
+
+
+@pytest.mark.parametrize("which", sorted(BROKEN_TABLES))
+def test_validate_group_checks_built_in_groups(monkeypatch, capsys, which):
+    from tanglesum import cli
+    from tanglesum.groups import FiniteGroup
+
+    table = BROKEN_TABLES[which]
+    broken = FiniteGroup("broken", tuple(f"g{i}" for i in range(len(table))),
+                         table, identity=0)
+    monkeypatch.setattr(cli, "symmetric_group", lambda n: broken)
+    assert main(["validate", "--group", "s5"]) != 0
+    captured = capsys.readouterr()
+    assert "axioms checked" not in captured.out
+    assert "error:" in captured.err
+
+
 def test_validate_rack(capsys):
     assert main(["validate", "--rack", "dihedral:5"]) == 0
     out = capsys.readouterr().out

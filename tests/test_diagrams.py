@@ -1,4 +1,4 @@
-"""Sliced tangle diagrams: parsing, arcs, composition, moves, traversal."""
+"""Sliced tangle diagrams: parsing, arcs, composition, moves, enhancements."""
 
 from __future__ import annotations
 
@@ -11,13 +11,11 @@ from tanglesum.diagrams import (
     catalog_names,
     diagram_from_json,
     Enhancement,
-    evaluate_word,
     load_catalog,
     move_neighbours,
     parse_tangle,
     serialize_tangle,
     single_strand,
-    Slice,
     SlicedTangleDiagram,
     trace_closure,
     trefoil_minus_string,
@@ -216,18 +214,6 @@ def test_then_and_split():
         d.split(9)
 
 
-def test_traverse_strand_lists_under_passages():
-    d = load_catalog("trefoil_plus_string")
-    events = d.traverse_strand((0, 0, "v"))
-    # one under-passage per crossing, met in strand order
-    assert len(events) == 3
-    assert [c.sign for c, _, _ in events] == [1, 1, 1]
-    # a closed diagram traverses to the same events from its own seed
-    closed = load_catalog("trefoil_plus_closed")
-    first = closed.slices[0]
-    assert len(closed.traverse_strand((1, first.pos, "v"))) == 3
-
-
 # ---------------------------------------------------------------------------
 # boundary enhancements
 # ---------------------------------------------------------------------------
@@ -237,8 +223,8 @@ def test_enhancement_evaluation_stars_up_strands():
     s3 = symmetric_group(3)
     t = s3.element_by_label("(1 2)")
     c = s3.element_by_label("(1 2 3)")
-    assert evaluate_word(s3, ("v", "v"), (t, c)) == s3.mul(t, c)
-    assert evaluate_word(s3, ("v", "^"), (t, c)) == s3.mul(t, s3.inv(c))
+    assert Enhancement(("v", "v"), (t, c)).evaluation(s3) == s3.mul(t, c)
+    assert Enhancement(("v", "^"), (t, c)).evaluation(s3) == s3.mul(t, s3.inv(c))
     with pytest.raises(DiagramError):
         Enhancement(("v",), (t, c))
 

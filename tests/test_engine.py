@@ -3,6 +3,8 @@ classical reductions (rack counting, cocycle state sums, abelianisation)."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -11,13 +13,14 @@ import pytest
 
 from tanglesum.algebra import GroupAlgebraElement
 from tanglesum.crossed_modules import (
-    abelianisation_tensor_2xmod,
     xm_identity,
     xm_trivial_boundary,
 )
 from tanglesum.diagrams import (
     braid_word_to_tangle,
+    catalog_names,
     load_catalog,
+    move_neighbours,
     SlicedTangleDiagram,
     trace_closure,
 )
@@ -43,7 +46,6 @@ from tanglesum.errors import (
 from tanglesum.groups import cyclic_group, symmetric_group, trivial_group
 from tanglesum.pairs import (
     pair_eisermann,
-    pair_from_2xmod,
     pair_from_rack,
     pair_from_rack_cocycle,
 )
@@ -296,6 +298,30 @@ def test_longitude_matches_bottom_colour_under_eisermann_propagation():
     assert seen == 6
 
 
+def _string_knots():
+    """One-component string diagrams: the catalog's, their move neighbours
+    in both modes, and the keep=1 closures of 4-letter 3-strand braids."""
+    catalog = [load_catalog(name) for name in catalog_names()]
+    out = list(catalog)
+    for d in catalog:
+        for moves in ("unframed", "framed"):
+            out += [mp.after for mp in move_neighbours(d, moves=moves)]
+    out += [trace_closure(braid_word_to_tangle(w, 3), keep=1)
+            for w in itertools.product((1, -1, 2, -2), repeat=4)]
+    return [d for d in out
+            if d.top == d.bottom == ("v",) and d.component_count() == 1]
+
+
+def test_longitude_words_are_frozen():
+    # order and sign of every under-passage along the strand, as the
+    # port-by-port strand walk found them
+    words = [longitude_word(d) for d in _string_knots()]
+    assert len(words) == 525
+    assert sum(map(len, words)) == 4092
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == (
+        "f02bfdb5b40c18b131f9abb4e843a9f5cb246b5bf38483faa50a8572c84c6719")
+
+
 def test_longitude_requires_one_component_string():
     from tanglesum.errors import DiagramError
 
@@ -326,6 +352,27 @@ def test_tqft_composition_on_split_trefoil():
     for row in range(1, len(d.slices)):
         upper, lower = d.split(row)
         assert tqft_compose_check(upper, lower, p)
+
+
+@pytest.mark.parametrize("degree, tops", [(3, 36), (5, 12)])
+def test_tqft_composition_takes_three_state_sums(monkeypatch, degree, tops):
+    # S3 checks all 36 two-strand tops, S5 a sample of 12 of its 14,400
+    from tanglesum import engine
+
+    g = symmetric_group(degree)
+    p = pair_eisermann(g, g.element_by_label("(1 2 3)"), carrier="group")
+    calls = []
+    state_sum = engine._state_sum
+
+    def counted(d, pair, rows):
+        calls.append(len(rows))
+        return state_sum(d, pair, rows)
+
+    monkeypatch.setattr(engine, "_state_sum", counted)
+    a = braid_word_to_tangle([1, 1], 2)
+    assert tqft_compose_check(a, braid_word_to_tangle([-1], 2), p)
+    assert len(calls) == 3
+    assert calls[0] == calls[2] == tops
 
 
 def test_tqft_composition_rejects_mismatched_boundaries():

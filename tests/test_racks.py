@@ -7,7 +7,7 @@ import pytest
 
 from tanglesum.diagrams import load_catalog
 from tanglesum.errors import NotClosedError, SizeLimitError
-from tanglesum.groups import cyclic_group, symmetric_group
+from tanglesum.groups import commutator_subgroup, cyclic_group, symmetric_group
 from tanglesum.racks import (
     cjkls_state_sum,
     cocycle_from_function,
@@ -19,7 +19,6 @@ from tanglesum.racks import (
     Rack,
     rack_colouring_count,
     rack_from_csv,
-    RackCocycle,
     validate_cocycle,
     validate_rack,
 )
@@ -196,3 +195,107 @@ def test_colouring_count_size_limit():
     wide = trace_closure(braid_word_to_tangle([1] * 16, 2))
     with pytest.raises(SizeLimitError):
         rack_colouring_count(wide, dihedral_quandle(3))
+
+
+# ---------------------------------------------------------------------------
+# the scalar quandle oracles
+# ---------------------------------------------------------------------------
+
+
+def conjugation_oracle(g, subset=None):
+    """(left, right, labels) of conjugation_quandle, one cell at a time."""
+    if subset is None:
+        carrier = tuple(range(g.order))
+    else:
+        carrier = tuple(dict.fromkeys(int(i) for i in subset))
+    pos = {gi: k for k, gi in enumerate(carrier)}
+    m = len(carrier)
+    left = np.empty((m, m), dtype=np.int64)
+    right = np.empty((m, m), dtype=np.int64)
+    for i, a in enumerate(carrier):
+        for j, b in enumerate(carrier):
+            aba = g.mul(g.mul(a, b), g.inv(a))          # a |> b = a b a^-1
+            bab = g.mul(g.mul(g.inv(b), a), b)          # a <| b = b^-1 a b
+            if aba not in pos or bab not in pos:
+                raise NotClosedError(
+                    f"subset not closed under conjugation: "
+                    f"{g.label(a)} , {g.label(b)}"
+                )
+            left[i, j] = pos[aba]
+            right[i, j] = pos[bab]
+    return left, right, tuple(g.label(i) for i in carrier)
+
+
+def eisermann_oracle(g, x, carrier):
+    """(left, right, labels) of eisermann_quandle, one cell at a time."""
+    xi = g.element_by_label(x) if isinstance(x, str) else int(x)
+    if carrier == "commutator":
+        elems = commutator_subgroup(g)[0].parent_indices
+    else:
+        elems = tuple(range(g.order))
+    pos = {gi: k for k, gi in enumerate(elems)}
+    m = len(elems)
+    xinv = g.inv(xi)
+    left = np.empty((m, m), dtype=np.int64)
+    right = np.empty((m, m), dtype=np.int64)
+    for i, h in enumerate(elems):
+        for j, a in enumerate(elems):
+            lo = g.word([xi, h, g.inv(a), xinv, a])     # h' -> x h' a^-1 x^-1 a
+            ro = g.word([xinv, h, g.inv(a), xi, a])     # h  -> x^-1 h a^-1 x a
+            if lo not in pos or ro not in pos:
+                raise NotClosedError(
+                    f"carrier not closed: {g.label(h)} , {g.label(a)}")
+            left[j, i] = pos[lo]                        # left[a, h'] = a |> h'
+            right[i, j] = pos[ro]                       # right[h, a] = h <| a
+    return left, right, tuple(g.label(i) for i in elems)
+
+
+def _assert_rack_is(r, oracle):
+    left, right, labels = oracle
+    assert np.array_equal(r.left, left)
+    assert np.array_equal(r.right, right)
+    assert r.labels == labels
+
+
+def test_conjugation_quandle_matches_scalar_oracle():
+    s3 = symmetric_group(3)
+    _assert_rack_is(conjugation_quandle(s3), conjugation_oracle(s3))
+    transpositions = [s3.element_by_label(l) for l in ("(1 2)", "(1 3)", "(2 3)")]
+    _assert_rack_is(conjugation_quandle(s3, transpositions),
+                    conjugation_oracle(s3, transpositions))
+    s4 = symmetric_group(4)
+    _assert_rack_is(conjugation_quandle(s4), conjugation_oracle(s4))
+
+
+@pytest.mark.parametrize("subset", [("(1 2)", "(1 3)"), ("(1 2 3)", "(1 2)")])
+def test_conjugation_quandle_names_the_same_failing_pair(subset):
+    s3 = symmetric_group(3)
+    idx = [s3.element_by_label(l) for l in subset]
+    with pytest.raises(NotClosedError) as expected:
+        conjugation_oracle(s3, idx)
+    with pytest.raises(NotClosedError) as got:
+        conjugation_quandle(s3, idx)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("carrier", ["group", "commutator"])
+def test_eisermann_quandle_matches_scalar_oracle_small(degree, carrier):
+    g = symmetric_group(degree)
+    for x in range(g.order):
+        _assert_rack_is(eisermann_quandle(g, x, carrier),
+                        eisermann_oracle(g, x, carrier))
+
+
+def test_eisermann_quandle_matches_scalar_oracle_on_table_columns():
+    from tanglesum.tables import PGL_COLUMNS, S5_COLUMNS, _gl_pgl
+
+    s5 = symmetric_group(5)
+    gl, pgl, proj = _gl_pgl()
+    pgl_columns = [int(proj.mapping[gl.element_by_label(l)])
+                   for l in PGL_COLUMNS]
+    for g, columns in ((s5, S5_COLUMNS), (pgl, pgl_columns)):
+        for x in columns:
+            for carrier in ("group", "commutator"):
+                _assert_rack_is(eisermann_quandle(g, x, carrier),
+                                eisermann_oracle(g, x, carrier))
