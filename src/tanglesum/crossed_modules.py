@@ -108,7 +108,7 @@ def validate_crossed_module(c: CrossedModule, thorough: bool = False) \
         lambda e, f: (bm[te[e, f]], tg[bm[e], bm[f]]), thorough))
     report.add(grid_check(
         "identity acts trivially", (c.e.order,),
-        lambda e: (act[np.full_like(e, c.g.identity), e], e), thorough))
+        lambda e: (act[c.g.identity, e], e), thorough))
     report.add(grid_check(
         "action distributes over products", (c.g.order, c.e.order, c.e.order),
         lambda g, e, f: (act[g, te[e, f]], te[act[g, e], act[g, f]]), thorough))
@@ -412,13 +412,13 @@ def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationRep
         lambda e, f: (bm[te[e, f]], tg[bm[e], bm[f]]), thorough))
     report.add(grid_check(
         "chain condition", (nl,),
-        lambda l: (bm[dm[l]], np.full_like(l, t.g.identity)), thorough))
+        lambda l: (bm[dm[l]], t.g.identity), thorough))
     report.add(grid_check(
         "identity acts trivially on E", (ne,),
-        lambda e: (ae[np.full_like(e, t.g.identity), e], e), thorough))
+        lambda e: (ae[t.g.identity, e], e), thorough))
     report.add(grid_check(
         "identity acts trivially on L", (nl,),
-        lambda l: (al[np.full_like(l, t.g.identity), l], l), thorough))
+        lambda l: (al[t.g.identity, l], l), thorough))
     report.add(grid_check(
         "G-action on E distributes over products", (ng, ne, ne),
         lambda g, e, f: (ae[g, te[e, f]], te[ae[g, e], ae[g, f]]), thorough))
@@ -499,11 +499,11 @@ def derived_identity_checks(t: TwoCrossedModule, thorough: bool = False) \
 
     def inv_left(x, y):
         lhs = tl[dact[x, lift[inv_e[x], y]], lift[x, ae[inv_g[bm[x]], y]]]
-        return lhs, np.full_like(lhs, t.l.identity)
+        return lhs, t.l.identity
 
     def inv_right(x, y):
         lhs = tl[lift[x, y], dact[ae[bm[x], y], lift[x, inv_e[y]]]]
-        return lhs, np.full_like(lhs, t.l.identity)
+        return lhs, t.l.identity
 
     def three_var(x, y, z):
         by = ae[bm[x], y]

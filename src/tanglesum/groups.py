@@ -157,18 +157,22 @@ class FiniteGroup:
             rhs = t[:, t]          # rhs[a,b,c] = a(bc)
             bad = np.argwhere(lhs != rhs)
             if len(bad):
-                a, b, c = (int(x) for x in bad[0])
-                raise NotAGroupError(
-                    f"associativity fails at ({self.labels[a]}, {self.labels[b]}, "
-                    f"{self.labels[c]}): ({a}{b}){c} != {a}({b}{c})")
+                self._associativity_failure(*bad[0])
         else:
             rng = np.random.default_rng(0)
             a, b, c = (rng.integers(0, n, 100_000) for _ in range(3))
             bad = np.nonzero(t[t[a, b], c] != t[a, t[b, c]])[0]
             if len(bad):
-                i = int(bad[0])
-                raise NotAGroupError(
-                    f"associativity fails at indices ({a[i]}, {b[i]}, {c[i]})")
+                i = bad[0]
+                self._associativity_failure(a[i], b[i], c[i])
+
+    def _associativity_failure(self, a, b, c):
+        t, lab = self.table, self.labels
+        a, b, c = int(a), int(b), int(c)
+        raise NotAGroupError(
+            f"associativity fails at ({lab[a]}, {lab[b]}, {lab[c]}): "
+            f"({lab[a]}*{lab[b]})*{lab[c]} = {lab[t[t[a, b], c]]} but "
+            f"{lab[a]}*({lab[b]}*{lab[c]}) = {lab[t[a, t[b, c]]]}")
 
     # -- basic operations ----------------------------------------------------
 
@@ -447,50 +451,51 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
 
 def subgroup_closure(g: FiniteGroup, generators) -> tuple[int, ...]:
     """Indices of the subgroup generated by `generators`, sorted."""
-    closed = {g.identity}
-    frontier = list(set(generators) | {g.identity})
-    closed.update(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(closed):
-                for c in (g.mul(a, b), g.mul(b, a)):
-                    if c not in closed:
-                        closed.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return tuple(sorted(closed))
+    closed = np.zeros(g.order, dtype=bool)
+    closed[g.identity] = True
+    closed[np.array(list(generators), dtype=np.intp)] = True
+    while True:
+        idx = np.flatnonzero(closed)
+        grown = closed.copy()
+        grown[g.table[np.ix_(idx, idx)]] = True
+        if np.array_equal(grown, closed):
+            return tuple(int(i) for i in idx)
+        closed = grown
 
 
 def verify_subgroup(g: FiniteGroup, indices) -> tuple[int, ...]:
     idx = tuple(sorted(set(int(i) for i in indices)))
-    inside = set(idx)
-    if g.identity not in inside:
+    arr = np.array(idx, dtype=np.intp)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[arr] = True
+    if not inside[g.identity]:
         raise NotClosedError("subset does not contain the identity")
-    for a in idx:
-        if g.inv(a) not in inside:
+    # column 0 is a's inverse, column 1 + j the product a * idx[j]: scanning
+    # row by row names the first failure of the element-by-element loop
+    bad = np.argwhere(~inside[np.column_stack(
+        [g.inv_table[arr], g.table[np.ix_(arr, arr)]])])
+    if len(bad):
+        a, j = idx[bad[0][0]], int(bad[0][1])
+        if j == 0:
             raise NotClosedError(f"subset not closed under inverse at {g.labels[a]}")
-        for b in idx:
-            if g.mul(a, b) not in inside:
-                raise NotClosedError(
-                    f"subset not closed: {g.labels[a]} * {g.labels[b]} escapes")
+        raise NotClosedError(
+            f"subset not closed: {g.labels[a]} * {g.labels[idx[j - 1]]} escapes")
     return idx
 
 
 def subgroup(g: FiniteGroup, indices, name: str = "") -> tuple[FiniteGroup, GroupHom]:
     """The subgroup on the given (verified) indices, with its embedding."""
     idx = verify_subgroup(g, indices)
-    pos = {e: i for i, e in enumerate(idx)}
+    arr = np.array(idx, dtype=np.intp)
     n = len(idx)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, a in enumerate(idx):
-        for j, b in enumerate(idx):
-            table[i, j] = pos[g.mul(a, b)]
+    pos = np.full(g.order, -1, dtype=np.int32)
+    pos[arr] = np.arange(n)
     h = FiniteGroup(name or f"{g.name}_sub{n}",
-                    tuple(g.labels[e] for e in idx), table=table,
-                    identity=pos[g.identity])
+                    tuple(g.labels[e] for e in idx),
+                    table=pos[g.table[np.ix_(arr, arr)]],
+                    identity=int(pos[g.identity]))
     h.parent_indices = idx
-    embed = GroupHom(h, g, np.array(idx, dtype=np.int32), name=f"{h.name} into {g.name}")
+    embed = GroupHom(h, g, arr, name=f"{h.name} into {g.name}")
     return h, embed
 
 
@@ -498,14 +503,18 @@ def quotient_by_normal(g: FiniteGroup, normal_indices, name: str = "") \
         -> tuple[FiniteGroup, GroupHom]:
     """Quotient by a verified normal subgroup; canonical rep = least index."""
     nset = verify_subgroup(g, normal_indices)
-    inside = set(nset)
-    for h in nset:
-        for x in range(g.order):
-            if g.conj(x, h) not in inside:
-                raise NotClosedError(
-                    f"subgroup is not normal: {g.labels[x]} conjugates "
-                    f"{g.labels[h]} outside")
     narr = np.array(nset, dtype=np.int32)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[narr] = True
+    # conj[i, x] = x nset[i] x^-1, scanned row by row as nset[i] runs
+    xs = np.arange(g.order)
+    conj = g.table[g.table[xs, narr[:, None]], g.inv_table[xs]]
+    bad = np.argwhere(~inside[conj])
+    if len(bad):
+        h, x = nset[bad[0][0]], int(bad[0][1])
+        raise NotClosedError(
+            f"subgroup is not normal: {g.labels[x]} conjugates "
+            f"{g.labels[h]} outside")
     rep = g.table[:, narr].min(axis=1)           # rep[x] = min of coset xN
     reps = np.unique(rep)
     relabel = -np.ones(g.order, dtype=np.int32)

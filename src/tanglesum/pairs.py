@@ -168,43 +168,51 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
     mode = mode or p.mode
     report = ValidationReport(f"{mode} pair {p.name}")
     g, e = p.g, p.e
-    n = g.order
-    psi, phi = p.psi, p.phi
-    fplus, fminus = _transfer_tables(p)
-    act = p.xmod.action
+    n, ne = g.order, e.order
     one = e.identity
+    # every table raveled once to intp and read as t[a * m + b]
+    psi, phi, fplus, fminus, act, emul = (
+        np.ascontiguousarray(t, dtype=np.intp).ravel()
+        for t in (p.psi, p.phi, *_transfer_tables(p), p.xmod.action, e.table))
+
+    def mul(a, b):
+        return emul[a * ne + b]
+
+    def acts(x, a):
+        return act[x * ne + a]
 
     if mode == "unframed":
         report.add(grid_check(
-            "R1: psi(X,X) = 1", (n,),
-            lambda X: (psi[X, X], np.full(len(X), one, dtype=np.int64)),
+            "R1: psi(X,X) = 1", (n,), lambda X: (psi[X * n + X], one),
             thorough))
 
     def r2(X, Y):
-        return (e.mul_arr(phi[X, Y], psi[X, fminus[X, Y]]),
-                np.full(len(X), one, dtype=np.int64))
+        xy = X * n + Y
+        return mul(phi[xy], psi[X * n + fminus[xy]]), one
 
     report.add(grid_check("R2: phi(X,Y) psi(X,Z) = 1", (n, n), r2, thorough))
 
     def r3(X, Y, T):
-        z = fminus[Y, X]
-        v = fminus[T, Y]
-        w = fminus[T, X]
-        lhs = e.mul_arr(e.mul_arr(phi[Y, X], act[Y, phi[T, z]]), phi[T, Y])
-        rhs = e.mul_arr(e.mul_arr(act[X, phi[T, Y]], phi[T, X]),
-                        act[T, phi[v, w]])
+        ty = T * n + Y
+        phi_ty = phi[ty]
+        z = fminus[Y * n + X]
+        v = fminus[ty]
+        w = fminus[T * n + X]
+        lhs = mul(mul(phi[Y * n + X], acts(Y, phi[T * n + z])), phi_ty)
+        rhs = mul(mul(acts(X, phi_ty), phi[T * n + X]), acts(T, phi[v * n + w]))
         return lhs, rhs
 
     report.add(grid_check("R3 (phi form)", (n, n, n), r3, thorough))
 
     def r3p(X, Y, Z):
-        a = fplus[X, Y]
-        b = fplus[X, Z]
-        c = fplus[Y, Z]
-        d_ = fplus[X, c]
-        lhs = e.mul_arr(e.mul_arr(psi[X, Y], act[a, psi[X, Z]]), psi[a, b])
-        rhs = e.mul_arr(e.mul_arr(act[X, psi[Y, Z]], psi[X, c]),
-                        act[d_, psi[X, Y]])
+        xy = X * n + Y
+        psi_xy = psi[xy]
+        a = fplus[xy]
+        b = fplus[X * n + Z]
+        c = fplus[Y * n + Z]
+        d_ = fplus[X * n + c]
+        lhs = mul(mul(psi_xy, acts(a, psi[X * n + Z])), psi[a * n + b])
+        rhs = mul(mul(acts(X, psi[Y * n + Z]), psi[X * n + c]), acts(d_, psi_xy))
         return lhs, rhs
 
     report.add(grid_check("R3 (psi form)", (n, n, n), r3p, thorough))
@@ -511,15 +519,12 @@ def lifting_shadow_check(p: ReidemeisterPair, x=None,
     xinv = g.inv(xi)
 
     def phi_check(L, M):
-        expect = g.comm_arr(g.mul_arr(M, np.full(len(M), xinv, dtype=np.int64)),
-                            g.mul_arr(L, np.full(len(L), xinv, dtype=np.int64)))
+        expect = g.comm_arr(g.mul_arr(M, xinv), g.mul_arr(L, xinv))
         return shadow_phi[L, M], expect
 
     def psi_check(L, M):
-        expect = g.mul_arr(
-            g.comm_arr(L, M),
-            g.comm_arr(g.mul_arr(M, g.inv_arr(L)),
-                       np.full(len(L), xi, dtype=np.int64)))
+        expect = g.mul_arr(g.comm_arr(L, M),
+                           g.comm_arr(g.mul_arr(M, g.inv_arr(L)), xi))
         return shadow_psi[L, M], expect
 
     report.add(grid_check("d(phi(L,M)) = [Mx^-1, Lx^-1]", (n, n),

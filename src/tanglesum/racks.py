@@ -380,7 +380,7 @@ def validate_cocycle(c: RackCocycle, thorough: bool = False) -> ValidationReport
     if c.rack.is_quandle:
         report.add(grid_check(
             "w(x,x) = 0", (n,),
-            lambda X: (w[X, X], np.full(len(X), v.identity, dtype=np.int64)),
+            lambda X: (w[X, X], v.identity),
             thorough))
     return report
 

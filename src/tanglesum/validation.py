@@ -8,6 +8,7 @@ witnesses, so a failed validation is always reproducible and explainable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,55 +73,59 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def check_equal(axiom: str, lhs: np.ndarray, rhs: np.ndarray,
-                axes: list[np.ndarray], mode: str, domain_size: int) -> CheckResult:
-    """Package an elementwise comparison into a CheckResult with witnesses."""
-    bad = np.nonzero(lhs != rhs)[0]
+def check_equal(axiom: str, lhs, rhs, axes: list[np.ndarray], mode: str,
+                domain_size: int) -> CheckResult:
+    """Package an elementwise comparison into a CheckResult with witnesses.
+
+    `lhs`, `rhs` and the index `axes` are broadcast against each other
+    (either side may be a scalar or depend on only some of the axes); the
+    tuples are the broadcast points in C order, and the first WITNESS_CAP
+    mismatches become witnesses that read each coordinate off its axis.
+    """
+    lhs, rhs, *axes = np.broadcast_arrays(lhs, rhs, *axes)
     violations = tuple(
         Violation(axiom, tuple(int(ax[i]) for ax in axes),
                   f"lhs={int(lhs[i])} rhs={int(rhs[i])}")
-        for i in bad[:WITNESS_CAP]
-    )
-    return CheckResult(axiom, domain_size, len(lhs), mode, violations)
+        for i in zip(*np.unravel_index(
+            np.flatnonzero(lhs != rhs)[:WITNESS_CAP], lhs.shape)))
+    return CheckResult(axiom, domain_size, lhs.size, mode, violations)
 
 
-GRID_CHUNK = 2_000_000
+# exhaustive sweeps evaluate about this many points per call of `fn`
+GRID_CHUNK = 65_536
 
 
 def grid_check(axiom: str, shape: tuple[int, ...], fn,
                thorough: bool = False) -> CheckResult:
     """Check fn(axes...) == (lhs, rhs) over a product domain.
 
-    `fn` receives one flat int64 index array per factor and returns the two
-    sides of the axiom as equal-length arrays.  Exhaustive sweeps are chunked
-    along the first axis so memory stays bounded; above EXHAUSTIVE_BUDGET
-    tuples a fixed-seed sample of SAMPLE_SIZE tuples runs instead (unless
-    thorough).
+    Exhaustive sweeps pass `fn` open index axes, as np.ix_ does: the first
+    is a block of rows of shape (b, 1, ..., 1) and axis i has shape
+    (1, ..., n_i, ..., 1).  `fn` returns the two sides of the axiom as
+    anything that broadcasts to the block, so a scalar side or a term of
+    only some of the variables is computed once per plane.  Blocks hold
+    about GRID_CHUNK points, so memory stays bounded.  Above
+    EXHAUSTIVE_BUDGET tuples a fixed-seed sample of SAMPLE_SIZE tuples runs
+    instead (unless thorough), and `fn` receives one flat index array per
+    factor.  Either way the tuples are checked in row-major order and the
+    first WITNESS_CAP mismatches are reported.
     """
-    total = 1
-    for n in shape:
-        total *= n
+    total = math.prod(shape)
     if not thorough and total > EXHAUSTIVE_BUDGET:
         rng = np.random.default_rng(SAMPLE_SEED)
         axes = [rng.integers(0, n, size=SAMPLE_SIZE, dtype=np.int64) for n in shape]
         lhs, rhs = fn(*axes)
         return check_equal(axiom, lhs, rhs, axes, "sampled", total)
 
-    rest = total // shape[0] if shape[0] else 0
-    block = max(1, GRID_CHUNK // max(1, rest))
+    block = max(1, GRID_CHUNK // max(1, math.prod(shape[1:])))
     violations: list[Violation] = []
     checked = 0
-    tail = [np.arange(n, dtype=np.int64) for n in shape[1:]]
     for start in range(0, shape[0], block):
-        head = np.arange(start, min(start + block, shape[0]), dtype=np.int64)
-        grids = np.meshgrid(head, *tail, indexing="ij", copy=False)
-        axes = [g.reshape(-1) for g in grids]
+        axes = np.ix_(np.arange(start, min(start + block, shape[0])),
+                      *map(np.arange, shape[1:]))
         lhs, rhs = fn(*axes)
-        checked += len(lhs)
-        if len(violations) < WITNESS_CAP:
-            bad = np.nonzero(lhs != rhs)[0]
-            for i in bad[:WITNESS_CAP - len(violations)]:
-                violations.append(
-                    Violation(axiom, tuple(int(ax[i]) for ax in axes),
-                              f"lhs={int(lhs[i])} rhs={int(rhs[i])}"))
-    return CheckResult(axiom, total, checked, "exhaustive", tuple(violations))
+        part = check_equal(axiom, lhs, rhs, axes, "exhaustive", total)
+        checked += part.checked
+        violations += part.violations
+    return CheckResult(axiom, total, checked, "exhaustive",
+                       tuple(violations[:WITNESS_CAP]))

@@ -55,6 +55,26 @@ def test_validate_group_checks_built_in_groups(monkeypatch, capsys, which):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("exhaustive_limit, message", [
+    (None, "associativity fails at (g1, g1, g2): "
+           "(g1*g1)*g2 = g2 but g1*(g1*g2) = g4"),
+    (0, "associativity fails at (g1, g2, g4): "
+        "(g1*g2)*g4 = g1 but g1*(g2*g4) = g4"),
+])
+def test_validate_group_names_the_associativity_failure(monkeypatch, capsys,
+                                                        exhaustive_limit, message):
+    from tanglesum import cli, groups
+
+    table = BROKEN_TABLES["not associative"]
+    loop = groups.FiniteGroup("loop", tuple(f"g{i}" for i in range(5)), table,
+                              identity=0)
+    monkeypatch.setattr(cli, "symmetric_group", lambda n: loop)
+    if exhaustive_limit is not None:
+        monkeypatch.setattr(groups, "ASSOC_EXHAUSTIVE_LIMIT", exhaustive_limit)
+    assert main(["validate", "--group", "s5"]) != 0
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_validate_rack(capsys):
     assert main(["validate", "--rack", "dihedral:5"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from tanglesum import groups
-from tanglesum.errors import GroupMismatchError, NotAGroupError, SizeLimitError
+from tanglesum.errors import (
+    GroupMismatchError,
+    NotAGroupError,
+    NotClosedError,
+    SizeLimitError,
+)
 from tanglesum.groups import (
     abelianization,
     cayley_to_csv,
@@ -263,3 +268,163 @@ def test_central_quotient_of_gl25():
     q, proj = central_quotient(gl2(5))
     assert q.order == 120
     assert proj.is_homomorphism and proj.is_surjective
+
+
+# ---------------------------------------------------------------------------
+# the scalar subgroup and quotient loops, kept as oracles for the array code
+# ---------------------------------------------------------------------------
+
+
+def oracle_subgroup_closure(g, generators):
+    closed = {g.identity}
+    frontier = list(set(generators) | {g.identity})
+    closed.update(frontier)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(closed):
+                for c in (g.mul(a, b), g.mul(b, a)):
+                    if c not in closed:
+                        closed.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(closed))
+
+
+def oracle_verify_subgroup(g, indices):
+    idx = tuple(sorted(set(int(i) for i in indices)))
+    inside = set(idx)
+    if g.identity not in inside:
+        raise NotClosedError("subset does not contain the identity")
+    for a in idx:
+        if g.inv(a) not in inside:
+            raise NotClosedError(f"subset not closed under inverse at {g.labels[a]}")
+        for b in idx:
+            if g.mul(a, b) not in inside:
+                raise NotClosedError(
+                    f"subset not closed: {g.labels[a]} * {g.labels[b]} escapes")
+    return idx
+
+
+def oracle_subgroup(g, indices, name=""):
+    idx = oracle_verify_subgroup(g, indices)
+    pos = {e: i for i, e in enumerate(idx)}
+    n = len(idx)
+    table = np.empty((n, n), dtype=np.int32)
+    for i, a in enumerate(idx):
+        for j, b in enumerate(idx):
+            table[i, j] = pos[g.mul(a, b)]
+    h = groups.FiniteGroup(name or f"{g.name}_sub{n}",
+                           tuple(g.labels[e] for e in idx), table=table,
+                           identity=pos[g.identity])
+    h.parent_indices = idx
+    embed = GroupHom(h, g, np.array(idx, dtype=np.int32), name=f"{h.name} into {g.name}")
+    return h, embed
+
+
+def oracle_quotient_by_normal(g, normal_indices, name=""):
+    nset = oracle_verify_subgroup(g, normal_indices)
+    inside = set(nset)
+    for h in nset:
+        for x in range(g.order):
+            if g.conj(x, h) not in inside:
+                raise NotClosedError(
+                    f"subgroup is not normal: {g.labels[x]} conjugates "
+                    f"{g.labels[h]} outside")
+    narr = np.array(nset, dtype=np.int32)
+    rep = g.table[:, narr].min(axis=1)
+    reps = np.unique(rep)
+    relabel = -np.ones(g.order, dtype=np.int32)
+    relabel[reps] = np.arange(len(reps))
+    proj_map = relabel[rep]
+    table = proj_map[g.table[reps[:, None], reps[None, :]]]
+    labels = tuple(f"[{g.labels[int(r)]}]" for r in reps)
+    q = groups.FiniteGroup(name or f"{g.name}/N{len(nset)}", labels, table=table,
+                           identity=int(relabel[rep[g.identity]]))
+    proj = GroupHom(g, q, proj_map, name=f"{g.name} onto {q.name}")
+    return q, proj
+
+
+def oracle_commutator_subgroup(g):
+    a = np.repeat(np.arange(g.order), g.order)
+    b = np.tile(np.arange(g.order), g.order)
+    gens = np.unique(g.comm_arr(a, b))
+    idx = oracle_subgroup_closure(g, (int(x) for x in gens))
+    return oracle_subgroup(g, idx, name=f"{g.name}'")
+
+
+def _assert_same(got, want):
+    (h, hom), (h0, hom0) = got, want
+    assert (h.name, h.labels, h.identity) == (h0.name, h0.labels, h0.identity)
+    assert np.array_equal(h.table, h0.table)
+    assert getattr(h, "parent_indices", None) == getattr(h0, "parent_indices", None)
+    assert hom.name == hom0.name and np.array_equal(hom.mapping, hom0.mapping)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_commutator_subgroup_matches_the_scalar_loops(n):
+    g = symmetric_group(n)
+    _assert_same(commutator_subgroup(g), oracle_commutator_subgroup(g))
+
+
+def test_abelianization_and_pgl2_match_the_scalar_loops():
+    s4 = symmetric_group(4)
+    derived, _ = oracle_commutator_subgroup(s4)
+    _assert_same(abelianization(s4),
+                 oracle_quotient_by_normal(s4, derived.parent_indices,
+                                           name="S4^ab"))
+    gl = gl2(5)
+    _assert_same(pgl2(5), oracle_quotient_by_normal(gl, gl.center(),
+                                                    name="PGL(2,5)"))
+
+
+def test_subgroup_closure_matches_the_scalar_loop():
+    s4 = symmetric_group(4)
+    for gens in itertools.combinations(range(s4.order), 2):
+        assert subgroup_closure(s4, gens) == oracle_subgroup_closure(s4, gens)
+    assert subgroup_closure(s4, []) == (s4.identity,)
+
+
+# each subset, with the message of its first failure in row-major order
+NOT_SUBGROUPS_OF_S4 = [
+    (["(1 2)", "(3 4)"], "subset not closed: (3 4) * (1 2) escapes"),
+    (["(1 2 3)"], "subset not closed under inverse at (1 2 3)"),
+    (["(1 2)", "(1 2 3)", "(1 3 2)"], "subset not closed: (1 2) * (1 2 3) escapes"),
+]
+
+NOT_NORMAL_IN_S4 = [
+    (["(1 2)"], "subgroup is not normal: (2 3) conjugates (1 2) outside"),
+    (["(1 2 3 4)"], "subgroup is not normal: (3 4) conjugates (1 2 3 4) outside"),
+    # scanned conjugate by conjugate instead, (1 2) would move (2 3) out first
+    (["(3 4)", "(2 3)"], "subgroup is not normal: (1 3 2) conjugates (3 4) outside"),
+]
+
+
+def _message(fn, *args):
+    with pytest.raises(NotClosedError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("labels, message", NOT_SUBGROUPS_OF_S4)
+def test_verify_subgroup_names_the_first_failure(labels, message):
+    s4 = symmetric_group(4)
+    idx = [s4.identity] + [s4.element_by_label(x) for x in labels]
+    assert _message(groups.verify_subgroup, s4, idx) == message
+    assert _message(oracle_verify_subgroup, s4, idx) == message
+    assert _message(subgroup, s4, idx) == message
+
+
+def test_verify_subgroup_needs_the_identity():
+    s4 = symmetric_group(4)
+    message = "subset does not contain the identity"
+    assert _message(groups.verify_subgroup, s4, [1, 2]) == message
+    assert _message(oracle_verify_subgroup, s4, [1, 2]) == message
+
+
+@pytest.mark.parametrize("labels, message", NOT_NORMAL_IN_S4)
+def test_quotient_by_normal_names_the_first_conjugate_outside(labels, message):
+    s4 = symmetric_group(4)
+    idx = subgroup_closure(s4, [s4.element_by_label(x) for x in labels])
+    assert _message(quotient_by_normal, s4, idx) == message
+    assert _message(oracle_quotient_by_normal, s4, idx) == message

@@ -7,6 +7,7 @@ import functools
 import numpy as np
 import pytest
 
+from tanglesum import validation
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
     braided_crossed_module,
@@ -400,6 +401,36 @@ def test_validation_report_of_perturbed_eisermann_pair_is_frozen():
     phi[3, 7] = (phi[3, 7] + 1) % 120
     p = ReidemeisterPair(base.xmod, base.psi, phi, "unframed")
     assert _as_tuples(validate_pair(p)) == PERTURBED_S5_PHI_37
+
+
+# the same pair swept exhaustively: the R3 witnesses lie in rows X = 0..3, so
+# blocks of fewer rows put them in different blocks of the sweep
+PERTURBED_S5_PHI_37_THOROUGH = [
+    ("R1: psi(X,X) = 1", 120, 120, "exhaustive", ()),
+    ("R2: phi(X,Y) psi(X,Z) = 1", 14400, 14400, "exhaustive", (
+        ((3, 7), "lhs=74 rhs=0"),
+    )),
+    ("R3 (phi form)", 1728000, 1728000, "exhaustive", (
+        ((0, 7, 3), "lhs=8 rhs=19"),
+        ((1, 7, 3), "lhs=112 rhs=96"),
+        ((2, 7, 3), "lhs=48 rhs=71"),
+        ((3, 7, 3), "lhs=68 rhs=51"),
+        ((3, 8, 3), "lhs=74 rhs=73"),
+    )),
+    ("R3 (psi form)", 1728000, 1728000, "exhaustive", ()),
+]
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 1, 3])
+def test_thorough_report_of_perturbed_eisermann_pair_is_frozen(monkeypatch,
+                                                               rows_per_block):
+    if rows_per_block is not None:
+        monkeypatch.setattr(validation, "GRID_CHUNK", rows_per_block * 120 * 120)
+    base = pair_eisermann(symmetric_group(5), "(1 2 3)", carrier="group")
+    phi = base.phi.copy()
+    phi[3, 7] = (phi[3, 7] + 1) % 120
+    p = ReidemeisterPair(base.xmod, base.psi, phi, "unframed")
+    assert _as_tuples(validate_pair(p, thorough=True)) == PERTURBED_S5_PHI_37_THOROUGH
 
 
 # ---------------------------------------------------------------------------
