@@ -193,9 +193,9 @@ def _raise_on_failure(c: CrossedModule) -> CrossedModule:
 
 def xm_identity(g: FiniteGroup) -> CrossedModule:
     """(id: G -> G) with G acting on itself by conjugation."""
-    idx = np.arange(g.order)
-    action = g.table[g.table[idx[:, None], idx[None, :]], g.inv_table[idx[:, None]]]
-    return CrossedModule(identity_hom(g), action, name=f"(id: {g.name} -> {g.name})")
+    G, H = np.ogrid[:g.order, :g.order]
+    return CrossedModule(identity_hom(g), g.conj_arr(G, H),
+                         name=f"(id: {g.name} -> {g.name})")
 
 
 def xm_trivial_boundary(g: FiniteGroup, e: FiniteGroup, action=None) -> CrossedModule:
@@ -302,9 +302,8 @@ def xm_pair_with_module(g: FiniteGroup, v: FiniteGroup) -> CrossedModule:
     h_part, v_part = eidx // m, eidx % m
     boundary = GroupHom(e, g, h_part.astype(np.int32),
                         name=f"proj: {e.name} -> {g.name}")
-    conj = g.table[g.table[np.arange(g.order)[:, None], h_part[None, :]],
-                   g.inv_table[np.arange(g.order)][:, None]]
-    action = conj * m + v_part[None, :]
+    action = g.conj_arr(np.arange(g.order)[:, None], h_part[None, :]) * m \
+        + v_part[None, :]
     c = CrossedModule(boundary, action, name=f"(proj: {e.name} -> {g.name})")
     c.module = v
     return _raise_on_failure(c)
@@ -640,7 +639,7 @@ def abelianisation_tensor_2xmod(g: FiniteGroup) -> TwoCrossedModule:
     delta = GroupHom(lgrp, g, np.full(lgrp.order, g.identity, dtype=np.int32),
                      name=f"1: {lgrp.name} -> {g.name}")
     idx = np.arange(g.order)
-    conj = g.table[g.table[idx[:, None], idx[None, :]], g.inv_table[idx[:, None]]]
+    conj = g.conj_arr(idx[:, None], idx[None, :])
     act_g_l = np.broadcast_to(np.arange(lgrp.order, dtype=np.int32),
                               (g.order, lgrp.order))
     pure = np.empty((gab.order, gab.order), dtype=np.int32)

@@ -38,13 +38,19 @@ Two sliced diagrams present the same (framed) oriented tangle exactly when
 they are related by the local moves generated here: trivial-slice insertion
 (identity move), far-away slice commutation (interchange move), the cup/cap
 plane moves R0A-R0D, the Reidemeister moves R2A-R2C and R3, and R1 for
-unframed tangles or the kink-pair cancellation R1' for framed ones.
+unframed tangles or the kink-pair cancellation R1' for framed ones.  Every
+move but the first two is a row of one table of relations: a tag, the
+orientation word that an insertion needs, and two sides, each a run of
+slices at positions relative to the leftmost strand it touches.  One
+routine applies the table, inserting a side where the other is empty and
+the strands read the word, and replacing each occurrence of a side by the
+other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -475,83 +481,119 @@ class MovePair:
     after: SlicedTangleDiagram
 
 
-def _snake_templates(orient: str, i: int) -> list[tuple[str, list[tuple[str, int]]]]:
-    if orient == DOWN:
-        return [
-            ("R0A", [("cupR", i), ("capL", i + 1)]),  # excursion to the left
-            ("R0B", [("cupL", i + 1), ("capR", i)]),  # excursion to the right
-        ]
-    return [
-        ("R0A", [("cupL", i), ("capR", i + 1)]),
-        ("R0B", [("cupR", i + 1), ("capL", i)]),
-    ]
+# a kink of sign +/- looping to the right (R) or left (L) of a down strand
+_KINKS = {
+    "+R": (("cupR", 1), ("X+", 0), ("capR", 1)),
+    "+L": (("cupL", 0), ("X+", 1), ("capL", 0)),
+    "-R": (("cupR", 1), ("X-", 0), ("capR", 1)),
+    "-L": (("cupL", 0), ("X-", 1), ("capL", 0)),
+}
+
+# (tag, word, side A, side B) per local relation, in groups that run in
+# this order.  Sides are runs of (generator, relative position) slices; an
+# empty side A marks a relation that inserts side B where the strands read
+# word.
+_RELATIONS = (
+    # snakes: a strand straightened past a cup-cap excursion left (R0A) or
+    # right (R0B)
+    (("R0A", (DOWN,), (), (("cupR", 0), ("capL", 1))),
+     ("R0B", (DOWN,), (), (("cupL", 1), ("capR", 0))),
+     ("R0A", (UP,), (), (("cupL", 0), ("capR", 1))),
+     ("R0B", (UP,), (), (("cupR", 1), ("capL", 0)))),
+    # crossing rotations: a crossing turned round by cups above and caps below
+    tuple((tag, (), (("cupL", 0), ("cupL", 1), (x, 2), ("capR", 3), ("capR", 2)),
+           (("cupR", 2), ("cupR", 3), (x, 2), ("capL", 1), ("capL", 0)))
+          for tag, x in (("R0C", "X+"), ("R0D", "X-"))),
+    # kinks: single ones (R1) for unframed tangles, cancelling pairs (R1')
+    # for framed ones
+    tuple(("R1", (DOWN,), (), _KINKS[k]) for k in ("+R", "+L", "-R", "-L"))
+    + tuple(("R1'", (DOWN,), (), _KINKS[a] + _KINKS[b])
+            for a, b in (("+R", "-R"), ("-R", "+R"), ("+L", "-L"), ("-L", "+L"))),
+    # R2A: opposite crossings on two downward strands
+    (("R2A", (DOWN, DOWN), (), (("X+", 0), ("X-", 0))),
+     ("R2A", (DOWN, DOWN), (), (("X-", 0), ("X+", 0)))),
+    # R2B / R2C: the antiparallel second Reidemeister moves
+    tuple(("R2B", (UP, DOWN), (),
+           (("cupR", 2), (x, 1), ("capL", 0), ("cupL", 0), (y, 1), ("capR", 2)))
+          for x, y in (("X+", "X-"), ("X-", "X+")))
+    + tuple(("R2C", (DOWN, UP), (),
+             (("cupL", 0), (x, 1), ("capR", 2), ("cupR", 2), (y, 1), ("capL", 0)))
+            for x, y in (("X-", "X+"), ("X+", "X-"))),
+    # R3: the braid relation on three strands
+    (("R3", (), (("X+", 0), ("X+", 1), ("X+", 0)),
+      (("X+", 1), ("X+", 0), ("X+", 1))),),
+)
 
 
-def _kink_templates(i: int) -> dict[str, list[tuple[str, int]]]:
-    return {
-        "+R": [("cupR", i + 1), ("X+", i), ("capR", i + 1)],
-        "+L": [("cupL", i), ("X+", i + 1), ("capL", i)],
-        "-R": [("cupR", i + 1), ("X-", i), ("capR", i + 1)],
-        "-L": [("cupL", i), ("X-", i + 1), ("capL", i)],
-    }
+@cache
+def _place(side, base: int) -> tuple[Slice, ...]:
+    # slices are immutable, so one placed side serves every diagram
+    return tuple(Slice(g, p + base) for g, p in side)
 
 
-def _r2b_templates(i: int) -> list[list[tuple[str, int]]]:
-    # up strand at i, down strand at i+1
-    return [
-        [("cupR", i + 2), ("X+", i + 1), ("capL", i),
-         ("cupL", i), ("X-", i + 1), ("capR", i + 2)],
-        [("cupR", i + 2), ("X-", i + 1), ("capL", i),
-         ("cupL", i), ("X+", i + 1), ("capR", i + 2)],
-    ]
-
-
-def _r2c_templates(i: int) -> list[list[tuple[str, int]]]:
-    # down strand at i, up strand at i+1
-    return [
-        [("cupL", i), ("X-", i + 1), ("capR", i + 2),
-         ("cupR", i + 2), ("X+", i + 1), ("capL", i)],
-        [("cupL", i), ("X+", i + 1), ("capR", i + 2),
-         ("cupR", i + 2), ("X-", i + 1), ("capL", i)],
-    ]
-
-
-def _rotation_forms(sign: str, p: int) -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-    x = "X+" if sign == "+" else "X-"
-    left = [("cupL", p), ("cupL", p + 1), (x, p + 2), ("capR", p + 3), ("capR", p + 2)]
-    right = [("cupR", p + 2), ("cupR", p + 3), (x, p + 2), ("capL", p + 1), ("capL", p)]
-    return left, right
-
-
-def _insert(d: SlicedTangleDiagram, level: int, template: list[tuple[str, int]]):
-    new = list(d.slices[:level]) + [Slice(g, p) for g, p in template] + list(
-        d.slices[level:]
-    )
-    return d.with_slices(new)
-
-
-def _delete(d: SlicedTangleDiagram, row: int, count: int):
-    new = list(d.slices[:row]) + list(d.slices[row + count :])
-    return d.with_slices(new)
-
-
-def _scan_template(d: SlicedTangleDiagram, template: list[tuple[str, int]]):
+def _scan_template(d: SlicedTangleDiagram, template):
     """Rows where the template occurs, matching relative positions."""
+    tp0, n = template[0][1], len(template)
     hits = []
-    tp0 = template[0][1]
-    for row in range(len(d.slices) - len(template) + 1):
+    for row in range(len(d.slices) - n + 1):
         base = d.slices[row].pos - tp0
-        if base < 0:
-            continue
-        ok = True
-        for k, (g, p) in enumerate(template):
-            s = d.slices[row + k]
-            if s.gen != g or s.pos != p + base:
-                ok = False
-                break
-        if ok:
+        if base >= 0 and d.slices[row:row + n] == _place(template, base):
             hits.append((row, base))
     return hits
+
+
+def _relation_images(d: SlicedTangleDiagram, moves: str) \
+        -> list[tuple[str, tuple[Slice, ...]]]:
+    """(tag, slices) of each diagram one listed relation away from d, once.
+
+    After the identity and interchange moves, each group of _RELATIONS
+    inserts its insertable sides level by level, then replaces every
+    occurrence of a side by the other side, row by row.
+    """
+    if moves not in ("unframed", "framed"):
+        raise DiagramError(f"unknown move set {moves!r}")
+    skip = "R1'" if moves == "unframed" else "R1"
+    slices = d.slices
+    found: dict = {}  # (tag, slices) -> None, in order of first finding
+
+    # identity move: insert a trivial slice anywhere, delete existing ones
+    for level in range(len(slices) + 1):
+        found["identity-move", slices[:level] + (Slice("id", 0),)
+              + slices[level:]] = None
+    for row, s in enumerate(slices):
+        if s.gen == "id":
+            found["identity-move", slices[:row] + slices[row + 1:]] = None
+
+    # interchange move: swap adjacent slices with disjoint support
+    for row in range(len(slices) - 1):
+        s1, s2 = slices[row], slices[row + 1]
+        a1, b1 = _TOP_ARITY[s1.gen], _BOT_ARITY[s1.gen]
+        a2, b2 = _TOP_ARITY[s2.gen], _BOT_ARITY[s2.gen]
+        if s1.gen == "id" or s2.gen == "id":
+            swapped = (s2, s1)
+        elif s2.pos + a2 <= s1.pos:
+            swapped = (s2, Slice(s1.gen, s1.pos + b2 - a2))
+        elif s2.pos >= s1.pos + b1:
+            swapped = (Slice(s2.gen, s2.pos - b1 + a1), s1)
+        else:
+            continue
+        found["interchange-move", slices[:row] + swapped + slices[row + 2:]] = None
+
+    for group in _RELATIONS:
+        rows = [r for r in group if r[0] != skip]
+        for level, w in enumerate(d.words):
+            for i in range(len(w)):
+                for tag, word, a, b in rows:
+                    if not a and w[i:i + len(word)] == word:
+                        found[tag, slices[:level] + _place(b, i)
+                              + slices[level:]] = None
+        for tag, _, a, b in rows:
+            for side, other in ((a, b), (b, a)):
+                if side:
+                    for row, base in _scan_template(d, side):
+                        found[tag, slices[:row] + _place(other, base)
+                              + slices[row + len(side):]] = None
+    return [key for key in found if key[1] != slices]
 
 
 def move_neighbours(d: SlicedTangleDiagram, moves: str = "unframed") -> list[MovePair]:
@@ -559,138 +601,5 @@ def move_neighbours(d: SlicedTangleDiagram, moves: str = "unframed") -> list[Mov
 
     moves is "unframed" (R1 allowed) or "framed" (R1' instead of R1).
     """
-    if moves not in ("unframed", "framed"):
-        raise DiagramError(f"unknown move set {moves!r}")
-    out: list[MovePair] = []
-    seen: set = set()
-
-    def emit(tag: str, after: SlicedTangleDiagram) -> None:
-        key = (tag, after.top, after.slices)
-        if key not in seen and after.slices != d.slices:
-            seen.add(key)
-            out.append(MovePair(tag, d, after))
-
-    nrows = len(d.slices)
-
-    # identity move: insert a trivial slice anywhere, delete existing ones
-    for level in range(nrows + 1):
-        emit("identity-move", _insert(d, level, [("id", 0)]))
-    for row, s in enumerate(d.slices):
-        if s.gen == "id":
-            emit("identity-move", _delete(d, row, 1))
-
-    # interchange move: swap adjacent slices with disjoint support
-    for row in range(nrows - 1):
-        s1, s2 = d.slices[row], d.slices[row + 1]
-        a1, b1 = _TOP_ARITY[s1.gen], _BOT_ARITY[s1.gen]
-        a2 = _TOP_ARITY[s2.gen]
-        b2 = _BOT_ARITY[s2.gen]
-        if s1.gen == "id" or s2.gen == "id":
-            swapped = [s2, s1]
-        elif s2.pos + a2 <= s1.pos:
-            swapped = [s2, Slice(s1.gen, s1.pos + b2 - a2)]
-        elif s2.pos >= s1.pos + b1:
-            swapped = [Slice(s2.gen, s2.pos - b1 + a1), s1]
-        else:
-            continue
-        new = list(d.slices)
-        new[row : row + 2] = swapped
-        emit("interchange-move", d.with_slices(new))
-
-    # snakes R0A / R0B
-    for level, w in enumerate(d.words):
-        for i, o in enumerate(w):
-            for tag, tpl in _snake_templates(o, i):
-                emit(tag, _insert(d, level, tpl))
-    for tag_orient in (DOWN, UP):
-        for tag, tpl in _snake_templates(tag_orient, 0):
-            for row, base in _scan_template(d, tpl):
-                emit(tag, _delete(d, row, 2))
-
-    # crossing rotations R0C / R0D
-    for sign, tag in (("+", "R0C"), ("-", "R0D")):
-        left, right = _rotation_forms(sign, 0)
-        for row, base in _scan_template(d, left):
-            repl = [Slice(g, p + base) for g, p in _rotation_forms(sign, 0)[1]]
-            new = list(d.slices)
-            new[row : row + 5] = repl
-            emit(tag, d.with_slices(new))
-        for row, base in _scan_template(d, right):
-            repl = [Slice(g, p + base) for g, p in _rotation_forms(sign, 0)[0]]
-            new = list(d.slices)
-            new[row : row + 5] = repl
-            emit(tag, d.with_slices(new))
-
-    # kinks: R1 for unframed, cancelling kink pairs R1' for framed
-    kink_keys = ("+R", "+L", "-R", "-L")
-    if moves == "unframed":
-        for level, w in enumerate(d.words):
-            for i, o in enumerate(w):
-                if o != DOWN:
-                    continue
-                for tpl in _kink_templates(i).values():
-                    emit("R1", _insert(d, level, tpl))
-        for key in kink_keys:
-            tpl = _kink_templates(0)[key]
-            for row, base in _scan_template(d, tpl):
-                emit("R1", _delete(d, row, 3))
-    else:
-        pairs = [("+R", "-R"), ("-R", "+R"), ("+L", "-L"), ("-L", "+L")]
-        for level, w in enumerate(d.words):
-            for i, o in enumerate(w):
-                if o != DOWN:
-                    continue
-                tpls = _kink_templates(i)
-                for k1, k2 in pairs:
-                    emit("R1'", _insert(d, level, tpls[k1] + tpls[k2]))
-        for k1, k2 in pairs:
-            tpl = _kink_templates(0)[k1] + _kink_templates(0)[k2]
-            for row, base in _scan_template(d, tpl):
-                emit("R1'", _delete(d, row, 6))
-
-    # R2A: opposite crossings on the same pair of strands
-    for level, w in enumerate(d.words):
-        for i in range(len(w) - 1):
-            if w[i] == DOWN and w[i + 1] == DOWN:
-                emit("R2A", _insert(d, level, [("X+", i), ("X-", i)]))
-                emit("R2A", _insert(d, level, [("X-", i), ("X+", i)]))
-    for row in range(nrows - 1):
-        s1, s2 = d.slices[row], d.slices[row + 1]
-        if (
-            s1.pos == s2.pos
-            and {s1.gen, s2.gen} == {"X+", "X-"}
-        ):
-            emit("R2A", _delete(d, row, 2))
-
-    # R2B / R2C: antiparallel second Reidemeister moves
-    for level, w in enumerate(d.words):
-        for i in range(len(w) - 1):
-            if w[i] == UP and w[i + 1] == DOWN:
-                for tpl in _r2b_templates(i):
-                    emit("R2B", _insert(d, level, tpl))
-            if w[i] == DOWN and w[i + 1] == UP:
-                for tpl in _r2c_templates(i):
-                    emit("R2C", _insert(d, level, tpl))
-    for tag, tpls in (("R2B", _r2b_templates(0)), ("R2C", _r2c_templates(0))):
-        for tpl in tpls:
-            shift = -min(p for _, p in tpl)
-            tpl0 = [(g, p + shift) for g, p in tpl]
-            for row, base in _scan_template(d, tpl0):
-                emit(tag, _delete(d, row, 6))
-
-    # R3: braid relation on three strands
-    for row in range(nrows - 2):
-        s1, s2, s3 = d.slices[row : row + 3]
-        if not (s1.gen == s2.gen == s3.gen == "X+"):
-            continue
-        p = s1.pos
-        if s2.pos == p + 1 and s3.pos == p:
-            new = list(d.slices)
-            new[row : row + 3] = [Slice("X+", p + 1), Slice("X+", p), Slice("X+", p + 1)]
-            emit("R3", d.with_slices(new))
-        elif p >= 1 and s2.pos == p - 1 and s3.pos == p:
-            new = list(d.slices)
-            new[row : row + 3] = [Slice("X+", p - 1), Slice("X+", p), Slice("X+", p - 1)]
-            emit("R3", d.with_slices(new))
-
-    return out
+    return [MovePair(tag, d, SlicedTangleDiagram(d.top, new))
+            for tag, new in _relation_images(d, moves)]

@@ -10,7 +10,7 @@ legs.
 
 Going downwards both constraints solve uniquely for Y, so a diagram
 compiles once into an integer event program: a branch event for each arc
-whose first read finds it uncoloured (the arc born at a cup), and a
+that a cup creates while it is still uncoloured, and a
 crossing event that computes the outgoing under-colour, or checks it when
 a closure coloured that arc earlier.  The program runs as one numpy sweep
 over a frontier of partial colourings, one row each: a branch repeats
@@ -125,28 +125,26 @@ class EventProgram(NamedTuple):
 def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
     """Compile d, given colours on its top arcs and on the arcs in coloured.
 
-    Every arc a crossing reads (over, incoming under, prefix) or a cup
-    creates gets a branch event the first time it is met uncoloured.
+    An arc a cup creates gets a branch event unless a closure coloured it
+    earlier.  Only a cup may branch: every arc a crossing reads (over,
+    incoming under, prefix) lies on the level above it, and every arc on a
+    level was born on the top edge, at an earlier cup or at an earlier
+    crossing, so it is coloured by then.
     """
     top_arcs, bottom_arcs = d.boundary_arcs()
     known = set(top_arcs) | set(coloured)
     events: list = []
-
-    def read(a: int) -> None:
-        if a not in known:
-            known.add(a)
-            events.append(a)
-
     crossings = iter(d.crossings)
     for r, s in enumerate(d.slices):
         if s.gen in ("cupR", "cupL"):
-            read(d.levels[r + 1][s.pos])
+            a = d.levels[r + 1][s.pos]
+            if a not in known:
+                known.add(a)
+                events.append(a)
         elif s.gen in ("X+", "X-"):
             c = next(crossings)
             prefix = tuple(zip(d.levels[r][:s.pos],
                                (o != DOWN for o in d.words[r])))
-            for a in (c.over_arc, c.under_in_arc, *(a for a, _ in prefix)):
-                read(a)
             events.append(CrossingEvent(c.sign, c.over_arc, c.under_in_arc,
                                         c.under_out_arc,
                                         c.under_out_arc in known, prefix))
@@ -177,16 +175,18 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
     """Run prog over the frontier rows; return the finished chunks.
 
     Each chunk is (colours, elt): an int32 array of complete arc colourings,
-    one per row, and the E-element each one folds to.  The branch cap is
-    checked here, before any work.
+    one per row, and the E-element each one folds to.  The cap bounds the
+    real work, every seeded row times every branch, and is checked here,
+    before any work.
     """
     pair = transfer.pair
     n = pair.g.order
     branches = prog.branch_arcs
-    if n ** len(branches) > STATE_SUM_BRANCH_CAP:
+    if len(rows) * n ** len(branches) > STATE_SUM_BRANCH_CAP:
         raise SizeLimitError(
-            f"{n}^{len(branches)} branches (on arcs {list(branches)}) exceed "
-            f"the state-sum cap of {STATE_SUM_BRANCH_CAP}")
+            f"{len(rows)} seeded rows x {n}^{len(branches)} branches (on arcs "
+            f"{list(branches)}) exceed the state-sum cap of "
+            f"{STATE_SUM_BRANCH_CAP}")
     # each packed (y, e) pair gathered as one 8-byte item: several times
     # faster than indexing the n x n x 2 table on large frontiers
     tables = (pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,

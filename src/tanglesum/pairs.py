@@ -417,11 +417,9 @@ def pair_from_2xmod(t: TwoCrossedModule, name: str | None = None) \
     The pair lives over the derived crossed module (delta: L -> E, |>') of
     the 2-crossed module; A and B run over the middle group E.
     """
-    n = t.e.order
-    A = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n))
-    B = np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n))
-    psi = t.lifting[A, B].astype(np.int64)
-    phi = t.derived_action_table[A, t.lifting[t.e.inv_arr(A), B]].astype(np.int64)
+    A, B = np.ogrid[:t.e.order, :t.e.order]
+    psi = t.lifting[A, B]
+    phi = t.derived_action_table[A, t.lifting[t.e.inv_arr(A), B]]
     return ReidemeisterPair(t.derived_xmod(), psi, phi, "framed",
                             name=name or f"peiffer({t.name})", source=t)
 
@@ -446,18 +444,12 @@ def pair_eisermann_lift_unframed(b: TwoCrossedModule, x,
             f"{b.delta.name or 'delta'} is not surjective; "
             "the unframed lifting needs every colour to lift")
     xi = mid.element_by_label(x) if isinstance(x, str) else int(x)
-    n = mid.order
-    L = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n))
-    M = np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n))
+    L, M = np.ogrid[:mid.order, :mid.order]
     xinv = mid.inv(xi)
-    phi = lifting[mid.mul_arr(M, np.full((n, n), xinv, dtype=np.int64)),
-                  mid.mul_arr(L, np.full((n, n), xinv, dtype=np.int64))]
-    psi = top.mul_arr(
-        lifting[L, M],
-        lifting[mid.mul_arr(M, mid.inv_arr(L)),
-                np.full((n, n), xi, dtype=np.int64)])
-    return ReidemeisterPair(b.derived_xmod(), psi.astype(np.int64),
-                            phi.astype(np.int64), "unframed",
+    phi = lifting[mid.mul_arr(M, xinv), mid.mul_arr(L, xinv)]
+    psi = top.mul_arr(lifting[L, M],
+                      lifting[mid.mul_arr(M, mid.inv_arr(L)), xi])
+    return ReidemeisterPair(b.derived_xmod(), psi, phi, "unframed",
                             name=name or f"lift_unframed({b.name}, "
                             f"{mid.label(xi)})",
                             source=b, x=xi)
@@ -471,19 +463,14 @@ def pair_eisermann_lift_framed(b: TwoCrossedModule, x,
     """
     mid, top, lifting = _braided_tables(b)
     xi = mid.element_by_label(x) if isinstance(x, str) else int(x)
-    n = mid.order
-    L = np.broadcast_to(np.arange(n, dtype=np.int64)[:, None], (n, n))
-    M = np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n))
-    xarr = np.full((n, n), xi, dtype=np.int64)
-    xinv_arr = np.full((n, n), mid.inv(xi), dtype=np.int64)
-    lx = mid.mul_arr(L, xinv_arr)
-    phi = lifting[mid.mul_arr(M, xinv_arr), lx]
-    first = mid.mul_arr(
-        mid.mul_arr(xarr, mid.mul_arr(M, mid.inv_arr(L))),
-        mid.mul_arr(xinv_arr, lx))
+    L, M = np.ogrid[:mid.order, :mid.order]
+    xinv = mid.inv(xi)
+    lx = mid.mul_arr(L, xinv)
+    phi = lifting[mid.mul_arr(M, xinv), lx]
+    first = mid.mul_arr(mid.mul_arr(xi, mid.mul_arr(M, mid.inv_arr(L))),
+                        mid.mul_arr(xinv, lx))
     psi = top.inv_arr(lifting[first, lx])
-    return ReidemeisterPair(b.derived_xmod(), psi.astype(np.int64),
-                            phi.astype(np.int64), "framed",
+    return ReidemeisterPair(b.derived_xmod(), psi, phi, "framed",
                             name=name or f"lift_framed({b.name}, "
                             f"{mid.label(xi)})",
                             source=b, x=xi)

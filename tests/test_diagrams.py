@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from tanglesum.diagrams import (
+    _relation_images,
     braid_word_to_tangle,
     catalog_names,
     diagram_from_json,
@@ -285,3 +288,98 @@ def test_writhe_changes_only_under_r1():
                 assert mp.after.writhe == d.writhe
         for mp in move_neighbours(d, "framed"):
             assert mp.after.writhe == d.writhe
+
+
+def seeded_braid_closures(count: int = 60, seed: int = 9):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.choice([2, 3])
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 3))]
+        out.append(trace_closure(braid_word_to_tangle(word, strands),
+                                 keep=rng.randint(0, 1)))
+    return out
+
+
+def test_every_move_is_undone_by_a_move_of_the_same_tag():
+    # every relation is listed both ways, so d is a neighbour of each of
+    # its neighbours under the same tag.  Within a relation group the
+    # inserts come first, so the first and the last neighbour under a tag
+    # are an insertion and, where d has one, a deletion or replacement;
+    # back-checking all 15,244 neighbours takes about 16 s on 2 CPUs
+    diagrams = [load_catalog(n) for n in catalog_names()]
+    for d in diagrams + seeded_braid_closures():
+        for moves in ("unframed", "framed"):
+            first, last = {}, {}
+            for mp in move_neighbours(d, moves):
+                first.setdefault(mp.tag, mp)
+                last[mp.tag] = mp
+            for mp in [*first.values(), *last.values()]:
+                assert (mp.tag, d.slices) in _relation_images(mp.after, moves), (
+                    mp.tag, d.slices, mp.after.slices)
+
+
+# per catalog diagram and move set: the number of neighbours and the SHA-256
+# of repr(sorted((tag, serialize_tangle(after)))), frozen from the
+# hand-coded generator the relation table replaced
+NEIGHBOURS_FROZEN = [
+    ("braid_sigma1_sigma2_sigma1", "unframed", 90,
+     "8357958b3d1f8db6fe96ddee33a52b77be575f35d9b5ff90222d0a38b1737842"),
+    ("braid_sigma1_sigma2_sigma1", "framed", 90,
+     "629b7a6c3c615b7b9ff9f088df7df5c03a692c31be8276078b30fdf47e4a3712"),
+    ("crossing_rotated_minus", "unframed", 98,
+     "0fddf70acec890a2a2c2a3504b2d3d7034b732730226abd470bf5c9416434b7d"),
+    ("crossing_rotated_minus", "framed", 98,
+     "6ac9694d25a06a4589e8fce6db8687acfc15313a084338c3c9b26193a1c64e29"),
+    ("crossing_rotated_plus", "unframed", 98,
+     "a5acf0c17dcbfe0434d6e3fa4ac9b8d57644da5d78cc7d4349ac84fbe0807d64"),
+    ("crossing_rotated_plus", "framed", 98,
+     "db06a0ef8522495ee87ce26c318b250bc54a2c1d8889a2e6b89f187049e2e5a3"),
+    ("figure_eight_closed", "unframed", 218,
+     "5f32dee31001753a0b388ccda03236a6950c8c31f82b33bfc45ed017f4823da1"),
+    ("figure_eight_closed", "framed", 218,
+     "4de7b6a9dc7b54b9d0605e4ea79c558189a392808166a640ee819e0ec3bc3832"),
+    ("hopf_link_closed", "unframed", 85,
+     "b50aebac0a1e383150d505d1b48e4d82a8cfa74ee5c92c4b77417c70b7ee5941"),
+    ("hopf_link_closed", "framed", 85,
+     "0a3b63fa9a177797cac181bfd71a59f0429468f82d620ab95162233cd8ed323d"),
+    ("sigma1_sigma1inv_closed", "unframed", 128,
+     "271dcb3ec30e4fde51b3f6cddfcc0fa96cc72b4d53acafc899686f97f176839f"),
+    ("sigma1_sigma1inv_closed", "framed", 128,
+     "22dbb25073b629f80cc03e10b619955c806a3287570ec2f2b8373992afcd1724"),
+    ("trefoil_minus_closed", "unframed", 105,
+     "bbea6a94695fb3d212c2582f93fe98fc18a36a1f2d934d6355a8f22ae303ccff"),
+    ("trefoil_minus_closed", "framed", 105,
+     "699ba0ae41c6fae8a13ec59cb150bafe7b8407e86df085887e79edb1b6dc4884"),
+    ("trefoil_minus_string", "unframed", 87,
+     "813d20782909db483b120581ac444cd01af97b9c4d4c4290d75685ea51353a70"),
+    ("trefoil_minus_string", "framed", 87,
+     "c47b81d528ea867530e535e19024103840cacef469b8da5e6633064f336369a8"),
+    ("trefoil_plus_closed", "unframed", 105,
+     "4d050f3134b796129d898a4178e4d251f7ffcd6e2752f9ecf96cc2a95db3de5c"),
+    ("trefoil_plus_closed", "framed", 105,
+     "4a380a4ce11c72c509d2b3fa0cdaad8dacb36d219124407949fd130ea6650dee"),
+    ("trefoil_plus_string", "unframed", 87,
+     "3d152f6210bcca8c975b4fffb1c9673bab50795c8554cd3a345593233820a76d"),
+    ("trefoil_plus_string", "framed", 87,
+     "ea6a380694bd84827ee7ccb9a49b1d88bc71e40a4b33a5d78bd0f4f20c42615b"),
+    ("unknot_closed", "unframed", 13,
+     "8feaecc546017ba73d18fa81113b58b2bbc11dc7c89c3370c19e6f039745585b"),
+    ("unknot_closed", "framed", 13,
+     "4e3ed61a4a95205d39e7bdb604ffe881edae8db95c107505f13608eca30b5001"),
+    ("unknot_string", "unframed", 7,
+     "1ce13f39b448b31f7e721e4e9d9d369d9c04d22145bc9757b438144f2c3b5db8"),
+    ("unknot_string", "framed", 7,
+     "806d595cc9e6c2a09e5cbaed6b2931e4df4f3d567d6efee49ffb0a942f063a97"),
+]
+
+
+def test_catalog_neighbours_are_frozen():
+    assert sorted({name for name, *_ in NEIGHBOURS_FROZEN}) == catalog_names()
+    for name, moves, count, digest in NEIGHBOURS_FROZEN:
+        found = sorted((mp.tag, serialize_tangle(mp.after))
+                       for mp in move_neighbours(load_catalog(name), moves))
+        assert len(found) == count, (name, moves)
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == digest, (
+            name, moves)

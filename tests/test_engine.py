@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -451,6 +452,21 @@ def test_branch_cap_counts_branch_events_not_cups():
     r = dihedral_quandle(200)
     p = pair_from_rack(r, cyclic_group(200))
     assert invariant(d, p).total == rack_colouring_count(d, r)
+
+
+def test_branch_cap_counts_seeded_rows_times_branches():
+    # 120 top colours seed 120 rows and each row branches 120^3 ways at the
+    # cups: 207M colourings to try, though each factor alone is in bounds
+    s5 = symmetric_group(5)
+    p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
+    p.transfer()
+    d = load_catalog("figure_eight_closed")
+    beside = SlicedTangleDiagram(("v",), [(s.gen, s.pos + 1) for s in d.slices])
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError,
+                       match=r"120 seeded rows x 120\^3 branches \(on arcs \["):
+        invariant_matrix(beside, p)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_frontier_memory_stays_bounded():
