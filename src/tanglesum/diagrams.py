@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DiagramError,
@@ -75,18 +75,25 @@ _CUP_MAKES = {"cupR": (DOWN, UP), "cupL": (UP, DOWN)}
 _CAP_WANTS = {"capR": (DOWN, UP), "capL": (UP, DOWN)}
 
 
-@dataclass(frozen=True)
-class Slice:
-    """One horizontal strip: a single generator at a given position."""
-
+class _SliceFields(NamedTuple):
     gen: str
     pos: int
 
-    def __post_init__(self) -> None:
-        if self.gen not in GENERATORS:
-            raise DiagramError(f"unknown generator {self.gen!r}")
-        if self.pos < 0:
-            raise DiagramError(f"negative position {self.pos}")
+
+class Slice(_SliceFields):
+    """One horizontal strip: a single generator at a given position.
+
+    A tuple, so slices and slice runs hash and compare in C.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, gen: str, pos: int) -> "Slice":
+        if gen not in GENERATORS:
+            raise DiagramError(f"unknown generator {gen!r}")
+        if pos < 0:
+            raise DiagramError(f"negative position {pos}")
+        return tuple.__new__(cls, (gen, pos))
 
 
 @dataclass(frozen=True)

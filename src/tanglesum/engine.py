@@ -8,15 +8,20 @@ psi(X, Y); at a negative crossing Z = X^-1 bd(phi(X, Y))^-1 Y X and the
 crossing carries phi(X, Y).  Cups and caps force equal colours on their two
 legs.
 
-Going downwards both constraints solve uniquely for Y, so a diagram
-compiles once into an integer event program: a branch event for each arc
-that a cup creates while it is still uncoloured, and a
-crossing event that computes the outgoing under-colour, or checks it when
-a closure coloured that arc earlier.  The program runs as one numpy sweep
+Given the over-colour, both constraints solve uniquely for either
+under-colour from the other (the transfer tables fplus and fminus are
+mutually inverse bijections), so colours propagate down and up through
+crossings.  A diagram compiles once into an integer event program.  A
+planner picks a small set of seed arcs from which the two rules colour
+every arc; each seed is a branch event, placed where it is first needed.
+A derive event colours an arc ahead of its crossing with one gather from
+fplus or fminus.  A crossing event, in top-down order, computes the
+outgoing under-colour, trusts it when a derive event used its relation,
+or checks it.  The program runs as one numpy sweep
 over a frontier of partial colourings, one row each: a branch repeats
 every row once per colour of G, a crossing reads the outgoing under-colour
 and its E-colour together, with one gather of whole columns from the
-pair's packed crossing table for its sign, and drops the rows it
+pair's packed crossing table for its sign, and a check drops the rows it
 contradicts.  The frontier is processed depth-first in slices of at most
 SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches the
 program has.  Finished rows are bucketed by their boundary colours and
@@ -63,7 +68,7 @@ from .crossed_modules import (
     CrossedModule,
     abelianisation_tensor_2xmod,
 )
-from .diagrams import DOWN, Enhancement, SlicedTangleDiagram
+from .diagrams import DOWN, UP, Enhancement, SlicedTangleDiagram
 from .errors import (
     DiagramError,
     EnhancementMismatchError,
@@ -87,29 +92,47 @@ COMPOSE_SAMPLE = 12
 # compiled event programs
 # ----------------------------------------------------------------------
 
+# what a crossing event does with its outgoing under-colour
+DERIVE, CHECK, TRUST = 0, 1, 2
+
 
 class CrossingEvent(NamedTuple):
     """One crossing of a compiled program, in arc indices.
 
-    out_known: the outgoing under-arc was coloured by an earlier event, so
-    the crossing checks its colour instead of assigning it.  prefix: the
-    arcs left of the crossing on the level above, each with True where the
-    strand runs upwards.
+    out: DERIVE colours the outgoing under-arc from (over, in); CHECK drops
+    the rows where an earlier event coloured it otherwise; TRUST means a
+    DeriveEvent already used this crossing's relation, so it holds, and
+    the crossing reads its E-colour, psi or phi at (over, out), alone.
+    prefix: the arcs left of the crossing on the level above, each with
+    True where the strand runs upwards.
     """
 
     sign: int
     over: int
     under_in: int
     under_out: int
-    out_known: bool
+    out: int
     prefix: tuple[tuple[int, bool], ...]
+
+
+class DeriveEvent(NamedTuple):
+    """Colour arc dst as f[over colour, src colour], f = fplus if plus else
+    fminus: a crossing's incoming under-arc from its outgoing one (fplus at
+    X+, fminus at X-), or the outgoing one, ahead of the crossing, from
+    the incoming one (the inverse table)."""
+
+    plus: bool
+    over: int
+    src: int
+    dst: int
 
 
 class EventProgram(NamedTuple):
     """A diagram compiled for the sweep.
 
-    events holds, in top-down order, an arc index for each branch event and
-    a CrossingEvent for each crossing.
+    events holds an arc index for each branch event, a DeriveEvent for each
+    arc colour derived ahead of its crossing, and a CrossingEvent for each
+    crossing, the crossings in top-down order.
     """
 
     n_arcs: int
@@ -119,37 +142,177 @@ class EventProgram(NamedTuple):
 
     @property
     def branch_arcs(self) -> tuple[int, ...]:
+        """The seed arcs, in the order the program branches on them."""
         return tuple(ev for ev in self.events if isinstance(ev, int))
+
+
+def _closure(known: int, new, touching, how=None) -> int:
+    """known | new closed under the crossing relations, as an arc bitmask.
+
+    known must be closed already.  touching[a] lists (crossing, over, in,
+    out) for each crossing that arc a takes part in.  With its over-colour
+    known, a crossing's relation colours its outgoing under-arc from the
+    incoming one and back.  how, if given, records (crossing, upwards) for
+    each arc derived here.
+    """
+    stack = list(new)
+    for a in stack:
+        known |= 1 << a
+    while stack:
+        for k, o, i, u in touching[stack.pop()]:
+            if not known >> o & 1:
+                continue
+            if not known >> i & 1:
+                if not known >> u & 1:
+                    continue
+                a, up = i, True
+            elif not known >> u & 1:
+                a, up = u, False
+            else:
+                continue
+            known |= 1 << a
+            stack.append(a)
+            if how is not None:
+                how[a] = (k, up)
+    return known
+
+
+def _plan_seeds(n_arcs: int, known, rules, touching, how: dict) -> list[int]:
+    """Seed arcs whose closure with known is every arc.
+
+    rules lists (crossing, over, in, out), and touching[a] the rules arc a
+    takes part in.  A max-gain greedy pass picks the seeds, then a prune
+    drops each seed the others still cover; the count is the least
+    possible on every catalog diagram and its move neighbours.  how gets
+    the derivation of every arc outside known and the seeds.
+    """
+    full = (1 << n_arcs) - 1
+    base = mask = _closure(0, known, touching, how) if known else 0
+    seeds = []
+    while mask != full:
+        # only an arc that lets some crossing fire gains more than itself:
+        # the under-arcs of a crossing whose over-colour is known, or an
+        # over-arc that would make one of its under-arcs follow the other
+        fire = set()
+        for _, o, i, u in rules:
+            if mask >> o & 1:
+                if i != u and not mask >> i & 1:
+                    fire.add(i)
+                    fire.add(u)
+            elif (o == i or mask >> i & 1) != (o == u or mask >> u & 1):
+                fire.add(o)
+        if fire:
+            # a candidate inside the closure of one already tried gains no
+            # more than it, so it is skipped
+            best = tried = mask
+            for a in sorted(fire):
+                if not tried >> a & 1:
+                    got: dict = {}
+                    m = _closure(mask, (a,), touching, got)
+                    tried |= m
+                    if m.bit_count() > best.bit_count():
+                        seed, best, derived = a, m, got
+                        if m == full:
+                            break
+            how.update(derived)
+            mask = best
+        else:
+            free = full & ~mask
+            seed = (free & -free).bit_length() - 1
+            mask |= 1 << seed
+        seeds.append(seed)
+    # the last seed is never redundant: the others close to the mask
+    # before it
+    for s in seeds[:-1]:
+        rest = [t for t in seeds if t != s]
+        if _closure(base, rest, touching) == full:
+            seeds = rest
+            how.clear()
+            _closure(_closure(0, known, touching, how), seeds, touching, how)
+    return seeds
+
+
+def _need(a: int, known: set, seeds, how, rules, crossings, events,
+          used) -> None:
+    """Colour arc a and, first, every arc its derivation reads.
+
+    A seed gets a branch event, any other arc a DeriveEvent through the
+    crossing that how names, which joins used.  Depth-first with a stack:
+    derivation chains can be as long as the diagram.
+    """
+    stack = [a]
+    while stack:
+        a = stack[-1]
+        if a in known:
+            stack.pop()
+            continue
+        if a in seeds:
+            events.append(a)
+        else:
+            k, up = how[a]
+            _, o, i, u = rules[k]
+            src = u if up else i
+            if o not in known or src not in known:
+                stack += (src, o)
+                continue
+            plus = up == (crossings[k].sign > 0)
+            events.append(DeriveEvent(plus, o, src, a))
+            used.add(k)
+        known.add(a)
+        stack.pop()
 
 
 def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
     """Compile d, given colours on its top arcs and on the arcs in coloured.
 
-    An arc a cup creates gets a branch event unless a closure coloured it
-    earlier.  Only a cup may branch: every arc a crossing reads (over,
-    incoming under, prefix) lies on the level above it, and every arc on a
-    level was born on the top edge, at an earlier cup or at an earlier
-    crossing, so it is coloured by then.
+    _plan_seeds picks the seed arcs: with them every arc follows from the
+    crossing relations, each of which, given the over-colour, fixes the
+    outgoing under-colour from the incoming one and the incoming one from
+    the outgoing one.  Seeds are the only branch events.  Crossing
+    events stay in top-down order, which the E-fold needs; before each one,
+    every arc it reads is made ready, a seed by branching and any other arc
+    by the derivation the planner recorded, as late as possible.  A
+    crossing then derives its outgoing under-colour if it is still
+    uncoloured, trusts its relation if a derive event used it, and checks
+    it otherwise.
     """
     top_arcs, bottom_arcs = d.boundary_arcs()
-    known = set(top_arcs) | set(coloured)
+    known = {*top_arcs, *coloured}
+    n_arcs = d.n_arcs
+    crossings = d.crossings
+    rules = []
+    touching: list[list] = [[] for _ in range(n_arcs)]
+    for k, c in enumerate(crossings):
+        r = (k, c.over_arc, c.under_in_arc, c.under_out_arc)
+        rules.append(r)
+        touching[r[1]].append(r)
+        touching[r[2]].append(r)
+        touching[r[3]].append(r)
+    how: dict[int, tuple[int, bool]] = {}
+    seeds = set(_plan_seeds(n_arcs, known, rules, touching, how))
     events: list = []
-    crossings = iter(d.crossings)
-    for r, s in enumerate(d.slices):
-        if s.gen in ("cupR", "cupL"):
-            a = d.levels[r + 1][s.pos]
-            if a not in known:
-                known.add(a)
-                events.append(a)
-        elif s.gen in ("X+", "X-"):
-            c = next(crossings)
-            prefix = tuple(zip(d.levels[r][:s.pos],
-                               (o != DOWN for o in d.words[r])))
-            events.append(CrossingEvent(c.sign, c.over_arc, c.under_in_arc,
-                                        c.under_out_arc,
-                                        c.under_out_arc in known, prefix))
-            known.add(c.under_out_arc)
-    return EventProgram(d.n_arcs, top_arcs, bottom_arcs, tuple(events))
+    used: set[int] = set()
+    levels, words = d.levels, d.words
+    for k, c in enumerate(crossings):
+        left = levels[c.row][:c.pos]
+        o, i, u = c.over_arc, c.under_in_arc, c.under_out_arc
+        if not (o in known and i in known and known.issuperset(left)):
+            for a in (o, *left, i):
+                _need(a, known, seeds, how, rules, crossings, events, used)
+        if k in used:
+            out = TRUST
+        elif u in known:
+            out = CHECK
+        else:
+            out = DERIVE
+            known.add(u)
+        events.append(CrossingEvent(
+            c.sign, o, i, u, out,
+            tuple(zip(left, map(UP.__eq__, words[c.row])))))
+    if len(known) < n_arcs:
+        for a in range(n_arcs):
+            _need(a, known, seeds, how, rules, crossings, events, used)
+    return EventProgram(n_arcs, top_arcs, bottom_arcs, tuple(events))
 
 
 def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
@@ -159,15 +322,11 @@ def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
     the arc identification and is dropped.
     """
     rows = np.zeros((len(tops), prog.n_arcs), dtype=np.int32)
-    keep = np.ones(len(tops), dtype=bool)
-    first: dict[int, int] = {}
-    for i, a in enumerate(prog.top_arcs):
-        if a in first:
-            keep &= tops[:, i] == tops[:, first[a]]
-        else:
-            first[a] = i
-            rows[:, a] = tops[:, i]
-    return rows[keep]
+    arcs = list(prog.top_arcs)
+    rows[:, arcs] = tops
+    if len(set(arcs)) < len(arcs):
+        rows = rows[(rows[:, arcs] == tops).all(axis=1)]
+    return rows
 
 
 def _sweep(prog: EventProgram, transfer: CrossingTransfer,
@@ -191,7 +350,8 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
     # faster than indexing the n x n x 2 table on large frontiers
     tables = (pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
               transfer.packed_plus.view(np.int64),
-              transfer.packed_minus.view(np.int64))
+              transfer.packed_minus.view(np.int64),
+              transfer.fplus, transfer.fminus, pair.psi, pair.phi)
     elt = np.full(len(rows), pair.e.identity, dtype=np.int32)
     return _run(prog.events, tables, n, rows, elt)
 
@@ -199,7 +359,8 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
 def _run(events, tables, n: int, rows, elt):
     # depth-first over tasks (event, rows, elt, colours): colours, if set,
     # are the values that the branch event k gives each row
-    g_mul, g_inv, e_mul, act, packed_plus, packed_minus = tables
+    (g_mul, g_inv, e_mul, act, packed_plus, packed_minus,
+     fplus, fminus, psi, phi) = tables
     colours = np.arange(n, dtype=np.int32)
     step = SWEEP_CHUNK_ROWS
     width = rows.shape[1]
@@ -215,16 +376,29 @@ def _run(events, tables, n: int, rows, elt):
             rows.reshape(m, b, width)[:, :, events[k]] = branch
             elt = np.repeat(elt, b)
             k += 1
-        while k < len(events) and len(elt) and not isinstance(events[k], int):
+        while k < len(events) and len(elt):
             ev = events[k]
-            packed = packed_plus if ev.sign > 0 else packed_minus
-            ye = packed[rows[:, ev.over], rows[:, ev.under_in]].view(np.int32)
-            y, e = ye[:, 0], ye[:, 1]
-            if ev.out_known:
-                keep = rows[:, ev.under_out] == y
-                rows, elt, e = rows[keep], elt[keep], e[keep]
+            kind = type(ev)
+            if kind is int:
+                break
+            k += 1
+            if kind is DeriveEvent:
+                f = fplus if ev.plus else fminus
+                rows[:, ev.dst] = f[rows[:, ev.over], rows[:, ev.src]]
+                continue
+            if ev.out == TRUST:
+                e = (psi if ev.sign > 0 else phi)[rows[:, ev.over],
+                                                  rows[:, ev.under_out]]
             else:
-                rows[:, ev.under_out] = y
+                packed = packed_plus if ev.sign > 0 else packed_minus
+                ye = packed[rows[:, ev.over],
+                            rows[:, ev.under_in]].view(np.int32)
+                y, e = ye[:, 0], ye[:, 1]
+                if ev.out == CHECK:
+                    keep = rows[:, ev.under_out] == y
+                    rows, elt, e = rows[keep], elt[keep], e[keep]
+                else:
+                    rows[:, ev.under_out] = y
             prefix = None
             for a, up in ev.prefix:
                 c = g_inv[rows[:, a]] if up else rows[:, a]
@@ -232,7 +406,6 @@ def _run(events, tables, n: int, rows, elt):
             if prefix is not None:
                 e = act[prefix, e]
             elt = e_mul[e, elt]
-            k += 1
         if not len(elt):
             continue
         if k == len(events):

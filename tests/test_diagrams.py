@@ -19,6 +19,7 @@ from tanglesum.diagrams import (
     parse_tangle,
     serialize_tangle,
     single_strand,
+    Slice,
     SlicedTangleDiagram,
     trace_closure,
     trefoil_minus_string,
@@ -114,6 +115,16 @@ def test_slice_errors_name_the_first_bad_slice(top, slices, error, message):
     with pytest.raises(error) as info:
         SlicedTangleDiagram(top, slices)
     assert str(info.value) == message
+
+
+def test_slice_is_a_validated_tuple():
+    s = Slice("X+", 1)
+    assert (s.gen, s.pos) == ("X+", 1)
+    assert s == ("X+", 1) and hash(s) == hash(("X+", 1))
+    with pytest.raises(DiagramError, match="unknown generator 'Y'"):
+        Slice("Y", 0)
+    with pytest.raises(DiagramError, match="negative position -1"):
+        Slice("cupR", -1)
 
 
 def propagate_words(d: SlicedTangleDiagram) -> tuple:

@@ -444,24 +444,28 @@ def test_branch_cap_error_names_the_branch_arcs():
 
 
 def test_branch_cap_counts_branch_events_not_cups():
-    # the third cup's arc is already coloured through a closure, so only
-    # two arcs branch: 200^2 branches pass the cap where 200^3 would not
+    # one seed colours every arc: the second cup's arc is coloured through
+    # the X+ below it and the third's through a closure, so 200^1 branches
+    # run where 200^3 would not pass the cap
     d = load_catalog("sigma1_sigma1inv_closed")
     assert sum(1 for s in d.slices if s.gen in ("cupR", "cupL")) == 3
-    assert len(compile_program(d).branch_arcs) == 2
+    assert len(compile_program(d).branch_arcs) == 1
     r = dihedral_quandle(200)
     p = pair_from_rack(r, cyclic_group(200))
     assert invariant(d, p).total == rack_colouring_count(d, r)
 
 
 def test_branch_cap_counts_seeded_rows_times_branches():
-    # 120 top colours seed 120 rows and each row branches 120^3 ways at the
-    # cups: 207M colourings to try, though each factor alone is in bounds
+    # 120 top colours seed 120 rows, and each row branches 120^3 ways: two
+    # seeds for the figure eight and one for the split circle below it,
+    # 207M colourings to try, though each factor alone is in bounds
     s5 = symmetric_group(5)
     p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
     p.transfer()
     d = load_catalog("figure_eight_closed")
-    beside = SlicedTangleDiagram(("v",), [(s.gen, s.pos + 1) for s in d.slices])
+    beside = SlicedTangleDiagram(
+        ("v",), [(s.gen, s.pos + 1) for s in d.slices]
+        + [("cupR", 0), ("capR", 0)])
     start = time.perf_counter()
     with pytest.raises(SizeLimitError,
                        match=r"120 seeded rows x 120\^3 branches \(on arcs \["):
@@ -470,16 +474,80 @@ def test_branch_cap_counts_seeded_rows_times_branches():
 
 
 def test_frontier_memory_stays_bounded():
-    # unchunked, the 120^3-row frontier alone would need about 27 MB
-    s5 = symmetric_group(5)
-    p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
+    # three cups, but the figure eight plans two seeds: the X- below the
+    # first two cups fixes the third cup's arc.  Over the whole of S6 that
+    # is 720^2 rows; unchunked, the frontier and its gathers peak at 18 MiB
+    # against 2.4 MiB chunked
+    s6 = symmetric_group(6)
+    p = pair_eisermann(s6, s6.element_by_label("(1 2 3 4 5 6)"), carrier="group")
     p.transfer()
     d = load_catalog("figure_eight_closed")
+    assert len(compile_program(d).branch_arcs) == 2
     tracemalloc.start()
     try:
         value = invariant(d, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value.total == 120
-    assert peak < 16 * 2**20
+    assert value.total == 2880
+    assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# seed planning
+# ---------------------------------------------------------------------------
+
+
+def _minimal_seed_count(d) -> int:
+    """Fewest arcs that colour every arc together with the top arcs.
+
+    Brute force over arc subsets.  A crossing whose over-arc is coloured
+    colours either under-arc from the other.
+    """
+    def closure(arcs: set) -> set:
+        grew = True
+        while grew:
+            grew = False
+            for c in d.crossings:
+                ends = {c.under_in_arc, c.under_out_arc}
+                if c.over_arc in arcs and ends & arcs and ends - arcs:
+                    arcs |= ends
+                    grew = True
+        return arcs
+
+    top = set(d.levels[0])
+    free = [a for a in range(d.n_arcs) if a not in top]
+    for k in range(len(free) + 1):
+        for extra in itertools.combinations(free, k):
+            if len(closure(top | set(extra))) == d.n_arcs:
+                return k
+    raise AssertionError("every arc together colours every arc")
+
+
+@pytest.mark.parametrize("moves", ["unframed", "framed"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_planned_seeds_are_minimal(name, moves):
+    d = load_catalog(name)
+    for e in [d] + [mp.after for mp in move_neighbours(d, moves)]:
+        assert len(compile_program(e).branch_arcs) == _minimal_seed_count(e), (
+            name, moves, e.slices)
+
+
+def test_eisermann_a6_figure_eight_is_move_invariant():
+    # the commutator carrier of S6 is A6 (order 360): two seeds plan 360^2
+    # rows, where the three cup branches would exceed the cap
+    s6 = symmetric_group(6)
+    p = pair_eisermann(s6, s6.element_by_label("(1 2 3 4 5 6)"))
+    assert p.g.order == 360
+    d = load_catalog("figure_eight_closed")
+    value = invariant(d, p)
+    assert value.check_boundary()
+    assert value.total > 0
+    first: dict = {}
+    for mp in move_neighbours(d, p.mode):
+        if (mp.tag not in first
+                and len(compile_program(mp.after).branch_arcs) <= 2):
+            first[mp.tag] = mp.after
+    assert {"R0A", "R0B", "R1", "R2A", "R2C"} <= set(first)
+    for tag, after in first.items():
+        assert invariant(after, p).total == value.total, tag
