@@ -25,14 +25,15 @@ convention.
 
 Arcs are maximal strand segments that never pass under a crossing: the over
 strand of a crossing keeps its arc, the under strand is broken into two arcs.
-A diagram finds them in one sweep down its levels, carrying an integer label
-per strand position and merging labels only at caps; the same sweep checks
-each slice against the orientation word above it and records the words.  The result is
-`levels`, the per-port arc table: levels[r][i] is the arc at position i of
-level r (level 0 is the top edge), arcs are numbered in order of their
-first port, and `n_arcs` counts them.  Each crossing records its row,
-position, sign and the arcs of its overstrand and of its under strand
-coming in and going out.
+Construction checks each slice against the orientation word above it and
+records the words.  The arc table is built on first use, by one sweep down
+the levels that carries an integer label per strand position and merges
+labels only at caps, so a diagram whose compiled program is already cached
+never builds it.  The result is `levels`, the per-port arc table:
+levels[r][i] is the arc at position i of level r (level 0 is the top
+edge), arcs are numbered in order of their first port, and `n_arcs` counts
+them.  Each crossing records its row, position, sign and the arcs of its
+overstrand and of its under strand coming in and going out.
 
 Two sliced diagrams present the same (framed) oriented tangle exactly when
 they are related by the local moves generated here: trivial-slice insertion
@@ -123,8 +124,18 @@ def _find(parent: list[int], x: int) -> int:
 # ----------------------------------------------------------------------
 
 
+class _ArcTable(NamedTuple):
+    n_arcs: int
+    levels: tuple[tuple[int, ...], ...]
+    crossings: tuple[Crossing, ...]
+
+
 class SlicedTangleDiagram:
-    """An oriented tangle diagram as a vertical stack of slices."""
+    """An oriented tangle diagram as a vertical stack of slices.
+
+    Construction checks every slice and records the orientation words; the
+    arc table (`levels`, `n_arcs`, `crossings`) is built on first use.
+    """
 
     def __init__(self, top: Sequence[str], slices: Iterable[Slice | tuple] = ()):
         top = tuple(top)
@@ -140,24 +151,15 @@ class SlicedTangleDiagram:
             norm.append(s)
         self.top = top
         self.slices = tuple(norm)
-        self._sweep_levels()
+        self._check_words()
 
     # -- words and arcs ----------------------------------------------------
 
-    def _sweep_levels(self) -> None:
-        # One sweep down the levels checks each slice against the word above
-        # it and carries two things per strand position: its orientation and
-        # an integer label.  Labels are born fresh on the top edge, at a cup
-        # (both legs) and at a crossing's under-out port; a cap merges its
-        # two labels, keeping the smaller.  Labels are born in port order, so
-        # numbering the merged classes by their least label numbers the arcs
-        # by their first port.
+    def _check_words(self) -> None:
+        # one sweep down the levels checks each slice against the word
+        # above it
         w = self.top
         words = [w]
-        labels = list(range(len(w)))
-        parent = list(labels)
-        rows = [labels]
-        raw = []  # per crossing: row, pos, sign, over, under-in, under-out
         for r, s in enumerate(self.slices):
             g, p = s.gen, s.pos
             if g in _CUP_MAKES:
@@ -165,9 +167,6 @@ class SlicedTangleDiagram:
                     raise WidthMismatchError(
                         f"slice {r}: cup at {p} beyond width {len(w)}")
                 w = w[:p] + _CUP_MAKES[g] + w[p:]
-                fresh = len(parent)
-                parent.append(fresh)
-                labels = labels[:p] + [fresh, fresh] + labels[p:]
             elif g != "id":
                 if p + 2 > len(w):
                     raise WidthMismatchError(
@@ -179,29 +178,48 @@ class SlicedTangleDiagram:
                             f"slice {r}: {g} expects {_CAP_WANTS[g]} at {p}, "
                             f"found {pair}")
                     w = w[:p] + w[p + 2:]
-                    x = _find(parent, labels[p])
-                    y = _find(parent, labels[p + 1])
-                    parent[max(x, y)] = min(x, y)
-                    labels = labels[:p] + labels[p + 2:]
                 elif pair != (DOWN, DOWN):
                     raise OrientationMismatchError(
                         f"slice {r}: {g} needs two downward strands at {p}, "
                         f"found {pair}")
-                else:
-                    fresh = len(parent)
-                    parent.append(fresh)
-                    if g == "X+":
-                        over, under = labels[p + 1], labels[p]
-                        labels = labels[:p] + [over, fresh] + labels[p + 2:]
-                        raw.append((r, p, +1, over, under, fresh))
-                    else:
-                        over, under = labels[p], labels[p + 1]
-                        labels = labels[:p] + [fresh, over] + labels[p + 2:]
-                        raw.append((r, p, -1, over, under, fresh))
             words.append(w)
-            rows.append(labels)
         self.words = tuple(words)
         self.bottom = w
+
+    @cached_property
+    def _arcs(self) -> _ArcTable:
+        # The label sweep carries an integer label per strand position.
+        # Labels are born fresh on the top edge, at a cup (both legs) and at
+        # a crossing's under-out port; a cap merges its two labels, keeping
+        # the smaller.  Labels are born in port order, so numbering the
+        # merged classes by their least label numbers the arcs by their
+        # first port.  The slices were checked on construction.
+        labels = list(range(len(self.top)))
+        parent = list(labels)
+        rows = [labels]
+        raw = []  # per crossing: row, pos, sign, over, under-in, under-out
+        for r, (g, p) in enumerate(self.slices):
+            if g in _CUP_MAKES:
+                fresh = len(parent)
+                parent.append(fresh)
+                labels = labels[:p] + [fresh, fresh] + labels[p:]
+            elif g in _CAP_WANTS:
+                x = _find(parent, labels[p])
+                y = _find(parent, labels[p + 1])
+                parent[max(x, y)] = min(x, y)
+                labels = labels[:p] + labels[p + 2:]
+            elif g != "id":
+                fresh = len(parent)
+                parent.append(fresh)
+                if g == "X+":
+                    over, under = labels[p + 1], labels[p]
+                    labels = labels[:p] + [over, fresh] + labels[p + 2:]
+                    raw.append((r, p, +1, over, under, fresh))
+                else:
+                    over, under = labels[p], labels[p + 1]
+                    labels = labels[:p] + [fresh, over] + labels[p + 2:]
+                    raw.append((r, p, -1, over, under, fresh))
+            rows.append(labels)
         arc: list[int] = []  # label -> arc; a parent precedes its children
         n = 0
         for label, up in enumerate(parent):
@@ -210,11 +228,24 @@ class SlicedTangleDiagram:
                 n += 1
             else:
                 arc.append(arc[up])
-        self.n_arcs = n
-        self.levels = tuple(tuple(map(arc.__getitem__, row)) for row in rows)
-        self.crossings = tuple(
-            Crossing(r, p, sign, arc[over], arc[under], arc[fresh])
-            for r, p, sign, over, under, fresh in raw)
+        return _ArcTable(
+            n,
+            tuple(tuple(map(arc.__getitem__, row)) for row in rows),
+            tuple(Crossing(r, p, sign, arc[over], arc[under], arc[fresh])
+                  for r, p, sign, over, under, fresh in raw))
+
+    @property
+    def n_arcs(self) -> int:
+        return self._arcs.n_arcs
+
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """levels[r][i] is the arc at position i of level r (0 is the top)."""
+        return self._arcs.levels
+
+    @property
+    def crossings(self) -> tuple[Crossing, ...]:
+        return self._arcs.crossings
 
     @cached_property
     def _component_count(self) -> int:
@@ -247,9 +278,6 @@ class SlicedTangleDiagram:
         return self.levels[0], self.levels[-1]
 
     # -- structural edits -------------------------------------------------
-
-    def with_slices(self, slices: Sequence[Slice]) -> "SlicedTangleDiagram":
-        return SlicedTangleDiagram(self.top, slices)
 
     def then(self, other: "SlicedTangleDiagram") -> "SlicedTangleDiagram":
         """Stack other below self; boundary words must agree."""

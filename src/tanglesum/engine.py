@@ -11,7 +11,10 @@ legs.
 Given the over-colour, both constraints solve uniquely for either
 under-colour from the other (the transfer tables fplus and fminus are
 mutually inverse bijections), so colours propagate down and up through
-crossings.  A diagram compiles once into an integer event program.  A
+crossings.  A diagram compiles once into an integer event program, cached
+on the diagram's content (top word, slices, pre-coloured arcs) in an LRU of
+PROGRAM_CACHE_SIZE programs: sweeps that hold a diagram fixed and vary the
+pair compile it once, and a cache hit never builds its arc table.  A
 planner picks a small set of seed arcs from which the two rules colour
 every arc; each seed is a branch event, placed where it is first needed.
 A derive event colours an arc ahead of its crossing with one gather from
@@ -55,7 +58,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+import threading
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -84,6 +88,7 @@ from .validation import SAMPLE_SEED
 
 STATE_SUM_BRANCH_CAP = 5_000_000
 SWEEP_CHUNK_ROWS = 2 ** 16
+PROGRAM_CACHE_SIZE = 4096
 COMPOSE_TOP_CAP = 2048
 COMPOSE_SAMPLE = 12
 
@@ -132,18 +137,17 @@ class EventProgram(NamedTuple):
 
     events holds an arc index for each branch event, a DeriveEvent for each
     arc colour derived ahead of its crossing, and a CrossingEvent for each
-    crossing, the crossings in top-down order.
+    crossing, the crossings in top-down order.  branch_arcs are the seed
+    arcs, in the order the program branches on them; top_repeats is True
+    when some arc is met twice along the top.
     """
 
     n_arcs: int
     top_arcs: tuple[int, ...]
     bottom_arcs: tuple[int, ...]
     events: tuple
-
-    @property
-    def branch_arcs(self) -> tuple[int, ...]:
-        """The seed arcs, in the order the program branches on them."""
-        return tuple(ev for ev in self.events if isinstance(ev, int))
+    branch_arcs: tuple[int, ...]
+    top_repeats: bool
 
 
 def _closure(known: int, new, touching, how=None) -> int:
@@ -262,8 +266,38 @@ def _need(a: int, known: set, seeds, how, rules, crossings, events,
         stack.pop()
 
 
+_PROGRAMS: OrderedDict = OrderedDict()  # content key -> program, LRU first
+_PROGRAMS_LOCK = threading.Lock()
+
+
 def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
     """Compile d, given colours on its top arcs and on the arcs in coloured.
+
+    Programs are cached on the diagram's content, (top, slices, coloured),
+    never on the diagram object, so equal diagrams built separately share
+    one program and a hit never builds the arc table.  The cache keeps the
+    PROGRAM_CACHE_SIZE most recently used programs;
+    compile_program.cache_clear() empties it.
+    """
+    key = (d.top, d.slices, tuple(coloured))
+    with _PROGRAMS_LOCK:
+        prog = _PROGRAMS.get(key)
+        if prog is not None:
+            _PROGRAMS.move_to_end(key)
+            return prog
+    prog = _compile(d, key[2])
+    with _PROGRAMS_LOCK:
+        _PROGRAMS[key] = prog
+        if len(_PROGRAMS) > PROGRAM_CACHE_SIZE:
+            _PROGRAMS.popitem(last=False)
+    return prog
+
+
+compile_program.cache_clear = _PROGRAMS.clear
+
+
+def _compile(d: SlicedTangleDiagram, coloured) -> EventProgram:
+    """The uncached compile behind compile_program.
 
     _plan_seeds picks the seed arcs: with them every arc follows from the
     crossing relations, each of which, given the over-colour, fixes the
@@ -312,7 +346,9 @@ def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
     if len(known) < n_arcs:
         for a in range(n_arcs):
             _need(a, known, seeds, how, rules, crossings, events, used)
-    return EventProgram(n_arcs, top_arcs, bottom_arcs, tuple(events))
+    return EventProgram(n_arcs, top_arcs, bottom_arcs, tuple(events),
+                        tuple(ev for ev in events if type(ev) is int),
+                        len(set(top_arcs)) < len(top_arcs))
 
 
 def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
@@ -322,10 +358,9 @@ def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
     the arc identification and is dropped.
     """
     rows = np.zeros((len(tops), prog.n_arcs), dtype=np.int32)
-    arcs = list(prog.top_arcs)
-    rows[:, arcs] = tops
-    if len(set(arcs)) < len(arcs):
-        rows = rows[(rows[:, arcs] == tops).all(axis=1)]
+    rows[:, prog.top_arcs] = tops
+    if prog.top_repeats:
+        rows = rows[(rows[:, prog.top_arcs] == tops).all(axis=1)]
     return rows
 
 

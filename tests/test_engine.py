@@ -3,15 +3,19 @@ classical reductions (rack counting, cocycle state sums, abelianisation)."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+from tanglesum import engine
 from tanglesum.algebra import GroupAlgebraElement
 from tanglesum.crossed_modules import (
     xm_identity,
@@ -26,6 +30,7 @@ from tanglesum.diagrams import (
     trace_closure,
 )
 from tanglesum.engine import (
+    PROGRAM_CACHE_SIZE,
     abelianisation_framed_invariant,
     compile_program,
     enumerate_colourings,
@@ -358,8 +363,6 @@ def test_tqft_composition_on_split_trefoil():
 @pytest.mark.parametrize("degree, tops", [(3, 36), (5, 12)])
 def test_tqft_composition_takes_three_state_sums(monkeypatch, degree, tops):
     # S3 checks all 36 two-strand tops, S5 a sample of 12 of its 14,400
-    from tanglesum import engine
-
     g = symmetric_group(degree)
     p = pair_eisermann(g, g.element_by_label("(1 2 3)"), carrier="group")
     calls = []
@@ -551,3 +554,69 @@ def test_eisermann_a6_figure_eight_is_move_invariant():
     assert {"R0A", "R0B", "R1", "R2A", "R2C"} <= set(first)
     for tag, after in first.items():
         assert invariant(after, p).total == value.total, tag
+
+
+# ---------------------------------------------------------------------------
+# the program cache
+# ---------------------------------------------------------------------------
+
+
+def test_equal_diagrams_share_one_program():
+    a = braid_word_to_tangle([1, -2, 1], 3)
+    b = SlicedTangleDiagram(("v",) * 3, [("X+", 0), ("X-", 1), ("X+", 0)])
+    assert a is not b
+    assert compile_program(a) is compile_program(b)
+    assert compile_program(a, (0,)) is compile_program(b, [0])
+    assert compile_program(a, (0,)) is not compile_program(a)
+    # the cache keys on content, so it keeps no diagram alive
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("moves", ["unframed", "framed"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_cached_program_equals_a_fresh_compile(name, moves):
+    d = load_catalog(name)
+    for e in [d] + [mp.after for mp in move_neighbours(d, moves)]:
+        for coloured in ((), tuple(range(0, e.n_arcs, 2))):
+            cached = compile_program(e, coloured)
+            again = SlicedTangleDiagram(e.top, e.slices)
+            assert compile_program(again, coloured) is cached
+            assert cached == engine._compile(e, coloured), (name, e.slices)
+
+
+def test_program_cache_stays_within_its_bound():
+    compile_program.cache_clear()
+    words = itertools.islice(itertools.product((1, -1, 2, -2), repeat=7),
+                             PROGRAM_CACHE_SIZE + 1)
+    diagrams = [braid_word_to_tangle(w, 3) for w in words]
+    for d in diagrams:
+        compile_program(d)
+    assert len(engine._PROGRAMS) == PROGRAM_CACHE_SIZE
+    # the least recently used program went first
+    first = diagrams[0]
+    assert (first.top, first.slices, ()) not in engine._PROGRAMS
+    compile_program.cache_clear()
+
+
+def test_a_cache_hit_builds_no_arc_table(monkeypatch):
+    sweeps = []
+    arcs = SlicedTangleDiagram.__dict__["_arcs"]
+
+    def counting(d):
+        sweeps.append(id(d))
+        return arcs.func(d)
+
+    counted = cached_property(counting)
+    counted.__set_name__(SlicedTangleDiagram, "_arcs")
+    monkeypatch.setattr(SlicedTangleDiagram, "_arcs", counted)
+    compile_program.cache_clear()
+    d = load_catalog("figure_eight_closed")
+    prog = compile_program(d)
+    assert sweeps == [id(d)]
+    e = load_catalog("figure_eight_closed")
+    assert compile_program(e) is prog
+    assert invariant(e, eisermann_s3()).check_boundary()
+    assert sweeps == [id(d)]

@@ -13,6 +13,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +47,7 @@ from tanglesum.pairs import (
     pair_from_rack,
     pair_from_rack_cocycle,
 )
-from tanglesum.racks import cocycle_from_json, dihedral_quandle
+from tanglesum.racks import Rack, cocycle_from_json, dihedral_quandle
 
 R3_COCYCLE = {"v_moduli": [3], "table": [[0, 0, 1], [2, 0, 2], [1, 0, 0]]}
 
@@ -71,6 +72,10 @@ def pairs() -> dict:
     d4 = _d4_extension()
     return {
         "rack R3": pair_from_rack(r3, z3),
+        # x <| y = x + 1, a rack that is not a quandle
+        "rack shift3": pair_from_rack(
+            Rack(right=np.array([[(x + 1) % 3] * 3 for x in range(3)]),
+                 name="shift3"), z3),
         "cocycle R3/Z3": pair_from_rack_cocycle(
             cocycle_from_json(r3, R3_COCYCLE), z3),
         "eisermann S3 (1 2 3)": pair_eisermann(
