@@ -23,8 +23,6 @@ axioms with the budgeted grid checker from the validation module.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .abelian import TensorSquare
@@ -41,7 +39,6 @@ from .groups import (
     GroupHom,
     abelianization,
     identity_hom,
-    subgroup_closure,
     trivial_group,
 )
 from .validation import CheckResult, ValidationReport, grid_check
@@ -209,85 +206,6 @@ def xm_trivial_boundary(g: FiniteGroup, e: FiniteGroup, action=None) -> CrossedM
     boundary = GroupHom(e, g, np.full(e.order, g.identity, dtype=np.int32),
                         name=f"1: {e.name} -> {g.name}")
     c = CrossedModule(boundary, action, name=f"(1: {e.name} -> {g.name})")
-    return _raise_on_failure(c)
-
-
-def generating_set(g: FiniteGroup) -> list[int]:
-    """A small generating set, greedily accumulated in index order."""
-    gens: list[int] = []
-    closed = {g.identity}
-    while len(closed) < g.order:
-        nxt = next(i for i in range(g.order) if i not in closed)
-        gens.append(nxt)
-        closed = set(subgroup_closure(g, gens))
-    return gens
-
-
-def _words_from_generators(g: FiniteGroup, gens: list[int]) -> list[list[int]]:
-    """For each element, a word in the generators reaching it (BFS)."""
-    words: dict[int, list[int]] = {g.identity: []}
-    frontier = [g.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, gen in enumerate(gens):
-                y = g.mul(x, gen)
-                if y not in words:
-                    words[y] = words[x] + [k]
-                    nxt.append(y)
-        frontier = nxt
-    return [words[i] for i in range(g.order)]
-
-
-def automorphism_group(e: FiniteGroup) -> FiniteGroup:
-    """Aut(E) as a permutation group on the index set of E (small E only).
-
-    Candidate images of a generating set are filtered by element order, then
-    each candidate map is expanded along generator words and kept when it is
-    a bijective homomorphism.
-    """
-    gens = generating_set(e)
-    words = _words_from_generators(e, gens)
-    by_order: dict[int, list[int]] = {}
-    for x in range(e.order):
-        by_order.setdefault(e.element_order(x), []).append(x)
-    candidates = [by_order[e.element_order(gen)] for gen in gens]
-
-    good: list[tuple[int, ...]] = []
-    for images in itertools.product(*candidates):
-        mapping = np.empty(e.order, dtype=np.int32)
-        for i, word in enumerate(words):
-            mapping[i] = e.word(images[k] for k in word)
-        if len(np.unique(mapping)) != e.order:
-            continue
-        if np.array_equal(mapping[e.table],
-                          e.table[mapping[:, None], mapping[None, :]]):
-            good.append(tuple(int(x) for x in mapping))
-    good.sort(key=lambda m: m != tuple(range(e.order)))  # identity first
-    index = {m: i for i, m in enumerate(good)}
-    n = len(good)
-    # Product = function composition, right factor applied first, so that
-    # evaluation is a left action and Ad: E -> Aut(E) is a homomorphism.
-    table = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(good):
-        for j, q in enumerate(good):
-            table[i, j] = index[tuple(p[q[k]] for k in range(e.order))]
-    labels = ("id",) + tuple(f"a{i}" for i in range(1, n))
-    aut = FiniteGroup(f"Aut({e.name})", labels, table=table, identity=0)
-    aut.maps = tuple(good)
-    return aut
-
-
-def xm_automorphism(e: FiniteGroup) -> CrossedModule:
-    """(Ad: E -> Aut(E)) with Aut(E) acting on E by evaluation."""
-    aut = automorphism_group(e)
-    index = {m: i for i, m in enumerate(aut.maps)}
-    ad = np.empty(e.order, dtype=np.int32)
-    for x in range(e.order):
-        ad[x] = index[tuple(e.conj(x, y) for y in range(e.order))]
-    boundary = GroupHom(e, aut, ad, name=f"Ad: {e.name} -> {aut.name}")
-    action = np.array(aut.maps, dtype=np.int32)
-    c = CrossedModule(boundary, action, name=f"(Ad: {e.name} -> {aut.name})")
     return _raise_on_failure(c)
 
 

@@ -45,7 +45,10 @@ holds for every colouring and makes the bottom evaluation redundant.
 
 The invariant of a diagram with a fixed top enhancement is the bag of
 morphism elements, bucketed by the bottom enhancement.  No normalisation is
-applied and values are compared as exact multisets.
+applied and values are compared as exact multisets.  invariant_matrix
+keeps its last matrix in one slot keyed on the program and the transfer,
+so a move neighbour that compiles to its base's program, as nearly half
+of them do, is not summed again.
 
 The module also provides three independent cross-checks: a Wirtinger-style
 counting invariant of closed diagrams that needs no pair at all, longitude
@@ -59,6 +62,7 @@ from __future__ import annotations
 import itertools
 import random
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -640,6 +644,20 @@ def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
                           buckets.get(bot_cols, {}))
 
 
+def _all_tops(n: int, k: int) -> np.ndarray:
+    """Every top colour tuple of k strands over n colours, one per row.
+
+    Row j is the j-th tuple of itertools.product(range(n), repeat=k); no -1
+    in the reshape, so k = 0 gives the one empty top.
+    """
+    return np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k).T
+
+
+# the last matrix summed: (program, weakref to its transfer, matrix), read
+# and replaced as one tuple, so no thread sees a key with another's matrix
+_last_matrix: tuple | None = None
+
+
 def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
                      top_cap: int = 4096) -> dict:
     """Full matrix {(top, bottom): terms} over every top enhancement.
@@ -647,16 +665,31 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
     Intended for small boundaries, e.g. to compare diagrams related by a
     move; keys with no colourings are omitted.  Every top enhancement
     seeds one row of a single sweep.
+
+    The sum reads nothing of d but its program, so a call whose program
+    equals the last call's, under the same transfer, returns a copy of the
+    last matrix without summing.  Identity moves, R0 snakes and many
+    interchanges compile to their base's program, so a move sweep hits
+    this one slot on nearly half its calls.  One slot needs no size knob,
+    holds one matrix, and keeps no pair alive (it holds the transfer
+    weakly); every hit of a move sweep is on the call just before.
     """
+    global _last_matrix
     k = len(d.top)
     n = pair.g.order
     if n ** k > top_cap:
         raise SizeLimitError(f"{n}^{k} top enhancements exceed {top_cap}")
-    # row j is the j-th tuple of itertools.product(range(n), repeat=k);
-    # no -1 in the reshape, so k = 0 gives the one empty top
-    tops = np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k).T
-    return _state_sum(d, pair, tops)
-
+    prog = compile_program(d)
+    transfer = pair.transfer()
+    last = _last_matrix
+    # equal, not identical: distinct diagrams compile to equal programs
+    if last is not None and last[1]() is transfer and last[0] == prog:
+        matrix = last[2]
+    else:
+        matrix = _state_sum(d, pair, _all_tops(n, k))
+        _last_matrix = (prog, weakref.ref(transfer), matrix)
+    # the slot's matrix is never handed out, so callers may mutate theirs
+    return {key: dict(terms) for key, terms in matrix.items()}
 
 
 # ----------------------------------------------------------------------
@@ -768,7 +801,7 @@ def tqft_compose_check(d1: SlicedTangleDiagram, d2: SlicedTangleDiagram,
     egrp = pair.e
     n, k = pair.g.order, len(d1.top)
     if n ** k <= COMPOSE_TOP_CAP:
-        tops = np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k).T
+        tops = _all_tops(n, k)
     else:
         rng = random.Random(SAMPLE_SEED)
         tops = np.array([[rng.randrange(n) for _ in range(k)]

@@ -7,7 +7,6 @@ import pytest
 
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
-    automorphism_group,
     braided_crossed_module,
     braided_from_central_extension,
     braided_identity_checks,
@@ -16,7 +15,6 @@ from tanglesum.crossed_modules import (
     least_index_section,
     validate_2xmod,
     validate_crossed_module,
-    xm_automorphism,
     xm_identity,
     xm_pair_with_module,
     xm_trivial_boundary,
@@ -146,26 +144,6 @@ def test_interchange_law_exhaustive_s3():
                         lhs = m1.tensor(m2).then(m3.tensor(m4))
                         rhs = m1.then(m3).tensor(m2.then(m4))
                         assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
-# automorphism structures
-# ---------------------------------------------------------------------------
-
-
-def test_automorphism_groups():
-    assert automorphism_group(cyclic_group(3)).order == 2
-    assert automorphism_group(cyclic_group(5)).order == 4
-    from tanglesum.groups import direct_product
-
-    klein = direct_product(cyclic_group(2), cyclic_group(2))
-    assert automorphism_group(klein).order == 6
-
-
-def test_automorphism_crossed_module():
-    xm = xm_automorphism(cyclic_group(3))
-    assert xm.validate().ok
-    assert xm.g.order == 2 and xm.e.order == 3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -620,3 +622,130 @@ def test_a_cache_hit_builds_no_arc_table(monkeypatch):
     assert compile_program(e) is prog
     assert invariant(e, eisermann_s3()).check_boundary()
     assert sweeps == [id(d)]
+
+
+# ---------------------------------------------------------------------------
+# the last-matrix slot
+# ---------------------------------------------------------------------------
+
+
+def _count_state_sums(monkeypatch) -> list:
+    calls = []
+    real = engine._state_sum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_state_sum", counting)
+    monkeypatch.setattr(engine, "_last_matrix", None)
+    return calls
+
+
+def test_neighbours_with_the_base_program_run_no_new_sum(monkeypatch):
+    calls = _count_state_sums(monkeypatch)
+    p = eisermann_s3()
+    d = load_catalog("trefoil_plus_string")
+    base = invariant_matrix(d, p)
+    same = [mp.after for mp in move_neighbours(d, p.mode)
+            if mp.tag in ("identity-move", "R0A", "R0B")]
+    assert len(same) == 34
+    for e in same:
+        assert invariant_matrix(e, p) == base
+    assert len(calls) == 1
+    r1 = next(mp.after for mp in move_neighbours(d, p.mode) if mp.tag == "R1")
+    assert invariant_matrix(r1, p) == base
+    assert len(calls) == 2
+    # the same diagram under a second pair sums again, and differs
+    assert invariant_matrix(r1, rack_pair(3)) != base
+    assert len(calls) == 3
+
+
+def test_mutating_a_returned_matrix_leaves_the_next_hit_unchanged(monkeypatch):
+    calls = _count_state_sums(monkeypatch)
+    p = eisermann_s3()
+    d = load_catalog("trefoil_plus_string")
+    first = invariant_matrix(d, p)
+    want = {key: dict(terms) for key, terms in first.items()}
+    for got in (first, invariant_matrix(d, p)):
+        key = next(iter(got))
+        got[key][0] = -1
+        got[(), ()] = {}
+        assert invariant_matrix(d, p) == want
+    assert len(calls) == 1
+
+
+def test_top_cap_is_checked_before_the_slot(monkeypatch):
+    calls = _count_state_sums(monkeypatch)
+    s5 = symmetric_group(5)
+    p = pair_eisermann(s5, s5.element_by_label("(1 2 3)"), carrier="group")
+    d = braid_word_to_tangle([1], 2)
+    assert invariant_matrix(d, p, top_cap=100_000)
+    with pytest.raises(SizeLimitError):
+        invariant_matrix(d, p)
+    assert len(calls) == 1
+
+
+def test_the_slot_keeps_no_pair_alive():
+    pair = rack_pair(3)
+    invariant_matrix(load_catalog("trefoil_plus_string"), pair)
+    ref = weakref.ref(pair.transfer())
+    del pair
+    gc.collect()
+    assert ref() is None
+
+
+def test_threads_sharing_the_slot_get_their_own_matrices():
+    # each thread alternates a diagram and a neighbour with its program, so
+    # its hits race the other threads' misses for the one slot
+    cases = []
+    for name, pair in [("trefoil_plus_string", eisermann_s3()),
+                       ("trefoil_minus_string", eisermann_s3()),
+                       ("trefoil_plus_string", rack_pair(3)),
+                       ("unknot_string", rack_pair(3))]:
+        d = load_catalog(name)
+        r0 = next(mp.after for mp in move_neighbours(d, pair.mode)
+                  if mp.tag == "R0A")
+        cases.append((d, r0, pair, invariant_matrix(d, pair)))
+    wrong = []
+
+    def work(d, r0, pair, want):
+        for _ in range(2000):
+            for e in (d, r0):
+                if invariant_matrix(e, pair) != want:
+                    wrong.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=case) for case in cases]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+@pytest.mark.parametrize("moves", ["unframed", "framed"])
+def test_the_slot_changes_no_matrix(monkeypatch, moves):
+    # a call that ran a sum returned it; each hit is summed again with the
+    # slot cleared, as every call would be without the slot
+    from test_engine_equivalence import pairs
+
+    calls = _count_state_sums(monkeypatch)
+    hits = 0
+    for tag, pair in sorted(pairs().items()):
+        for name in catalog_names():
+            d = load_catalog(name)
+            for e in [d] + [mp.after for mp in move_neighbours(d, moves)]:
+                before = len(calls)
+                got = invariant_matrix(e, pair)
+                if len(calls) == before:
+                    hits += 1
+                    engine._last_matrix = None
+                    assert invariant_matrix(e, pair) == got, (tag, e.slices)
+    # each step ran one sum, a miss or the hit's re-sum: 44% are hits
+    assert hits > len(calls) / 3

@@ -1,9 +1,16 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used, and every package definition is read.
 
 An AST scan of the package and the tests: a name bound by an import must
 be read somewhere in the same file, in code or in a string annotation.
 The package's __init__ re-exports its imports, and __future__ imports
 change the compiler, so neither is scanned.
+
+A second scan keeps dead code out of the package: every top-level def and
+class in src/tanglesum must be read by some other top-level statement of
+src/, tests/ or bench/, as a name, an attribute, an imported name or a
+string equal to it (monkeypatch.setattr and the bench's trace points look
+functions up by name).  The __init__ re-exports count for nothing, so a
+public name needs a caller too.
 """
 
 from __future__ import annotations
@@ -14,10 +21,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tanglesum"
 FILES = sorted(
-    p for p in [*(ROOT / "src" / "tanglesum").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")]
+    p for p in [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py")]
     if p.name != "__init__.py")
+READERS = sorted({*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "bench").glob("*.py")} - {PACKAGE / "__init__.py"})
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -61,3 +70,40 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in _imported(tree).items()
                     if name not in read)
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def _mentions(node: ast.AST) -> set[str]:
+    """Names a statement reads: names, attributes, imported names and
+    strings that are identifiers."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+        elif (isinstance(n, ast.Constant) and isinstance(n.value, str)
+              and n.value.isidentifier()):
+            out.add(n.value)
+    return out
+
+
+def _unread_definitions() -> list[str]:
+    """module.name of each top-level package def or class that no other
+    top-level statement of READERS reads."""
+    defs, mentions = [], []
+    for path in READERS:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            mentions.append((stmt, _mentions(stmt)))
+            if path.parent == PACKAGE and isinstance(
+                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((path.stem, stmt))
+    return [f"{module}.{stmt.name}" for module, stmt in defs
+            if not any(stmt.name in names
+                       for other, names in mentions if other is not stmt)]
+
+
+def test_every_package_definition_is_read():
+    assert any(p.parent.name == "bench" for p in READERS)
+    assert not _unread_definitions()

@@ -81,6 +81,8 @@ def test_table_diff_runs_one_state_sum_per_reading(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_state_sum", counting)
+    # an earlier test's last matrix must not stand in for a first reading
+    monkeypatch.setattr(engine, "_last_matrix", None)
     diff = diff_table("table1")
     assert diff.ok
     assert len(calls) == 14 * 2
