@@ -488,8 +488,13 @@ def catalog_names() -> list[str]:
     return sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".tng"))
 
 
+@cache
 def load_catalog(name: str) -> SlicedTangleDiagram:
-    """Load a shipped diagram by name (see catalog_names)."""
+    """Load a shipped diagram by name (see catalog_names).
+
+    Each name is parsed once per process and every later call returns the
+    same object, which is safe because diagrams are immutable.
+    """
     from importlib import resources
 
     path = resources.files(__package__) / "catalog" / f"{name}.tng"

@@ -20,16 +20,18 @@ every arc; each seed is a branch event, placed where it is first needed.
 A derive event colours an arc ahead of its crossing with one gather from
 fplus or fminus.  A crossing event, in top-down order, computes the
 outgoing under-colour, trusts it when a derive event used its relation,
-or checks it.  The program runs as one numpy sweep
-over a frontier of partial colourings, one row each: a branch repeats
-every row once per colour of G, a crossing reads the outgoing under-colour
-and its E-colour together, with one gather of whole columns from the
-pair's packed crossing table for its sign, and a check drops the rows it
-contradicts.  The frontier is processed depth-first in slices of at most
-SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches the
-program has.  Finished rows are bucketed by their boundary colours and
-E-element in one collections.Counter, which costs far less than numpy
-set-up on the few rows a small diagram yields.
+or checks it.  The program runs as one numpy sweep over an intp frontier
+of partial colourings, one row each, whose last column holds the
+E-element folded so far, so every column indexes the tables with no
+cast: a branch repeats every row once per colour of G, a crossing reads
+the outgoing under-colour and its E-colour together, with one gather of
+whole columns from the pair's packed crossing table for its sign (one
+int64 per entry, both halves decoded straight to intp), and a check drops
+the rows it contradicts.  The frontier is processed depth-first in slices
+of at most SWEEP_CHUNK_ROWS rows, so memory stays bounded however many
+branches the program has.  Finished rows are bucketed by their boundary
+colours and E-element in one collections.Counter, which costs far less
+than numpy set-up on the few rows a small diagram yields.
 
 A coloured diagram evaluates to a morphism of the categorical group of the
 crossed module: a slice whose crossing sits at position p with colour e
@@ -59,6 +61,7 @@ homomorphisms f out of the knot group.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import threading
@@ -356,12 +359,13 @@ def _compile(d: SlicedTangleDiagram, coloured) -> EventProgram:
 
 
 def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
-    """Frontier rows for the top colour tuples in tops (one per row).
+    """Frontier rows for the top colour tuples in tops (one per row), with
+    the last column free for the E-element that _sweep folds.
 
     A row whose colours differ on an arc met twice along the top violates
     the arc identification and is dropped.
     """
-    rows = np.zeros((len(tops), prog.n_arcs), dtype=np.int32)
+    rows = np.zeros((len(tops), prog.n_arcs + 1), dtype=np.intp)
     rows[:, prog.top_arcs] = tops
     if prog.top_repeats:
         rows = rows[(rows[:, prog.top_arcs] == tops).all(axis=1)]
@@ -369,13 +373,17 @@ def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
 
 
 def _sweep(prog: EventProgram, transfer: CrossingTransfer,
-           rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+           rows: np.ndarray) -> Iterator[np.ndarray]:
     """Run prog over the frontier rows; return the finished chunks.
 
-    Each chunk is (colours, elt): an int32 array of complete arc colourings,
-    one per row, and the E-element each one folds to.  The cap bounds the
-    real work, every seeded row times every branch, and is checked here,
-    before any work.
+    rows is an intp array with one column per arc and a last column that
+    the sweep sets to the identity of E and folds each row's E-element
+    into.  Each chunk is such an array of complete colourings.  Keeping
+    the E-element in the frontier makes it intp too, and lets one repeat
+    or one filter carry it with the colours: numpy casts any index array
+    that is not intp before each gather, which costs more than the gather
+    itself on a small frontier.  The cap bounds the real work, every
+    seeded row times every branch, and is checked here, before any work.
     """
     pair = transfer.pair
     n = pair.g.order
@@ -385,92 +393,86 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
             f"{len(rows)} seeded rows x {n}^{len(branches)} branches (on arcs "
             f"{list(branches)}) exceed the state-sum cap of "
             f"{STATE_SUM_BRANCH_CAP}")
-    # each packed (y, e) pair gathered as one 8-byte item: several times
-    # faster than indexing the n x n x 2 table on large frontiers
-    tables = (pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
-              transfer.packed_plus.view(np.int64),
-              transfer.packed_minus.view(np.int64),
-              transfer.fplus, transfer.fminus, pair.psi, pair.phi)
-    elt = np.full(len(rows), pair.e.identity, dtype=np.int32)
-    return _run(prog.events, tables, n, rows, elt)
+    rows[:, -1] = pair.e.identity
+    return _run(prog.events, transfer.sweep_tables, n, rows)
 
 
-def _run(events, tables, n: int, rows, elt):
-    # depth-first over tasks (event, rows, elt, colours): colours, if set,
-    # are the values that the branch event k gives each row
+def _run(events, tables, n: int, rows):
+    # depth-first over tasks (event, rows, colours): colours, if set, are
+    # the values that the branch event k gives each row
     (g_mul, g_inv, e_mul, act, packed_plus, packed_minus,
      fplus, fminus, psi, phi) = tables
-    colours = np.arange(n, dtype=np.int32)
+    colours = np.arange(n, dtype=np.intp)
     step = SWEEP_CHUNK_ROWS
     width = rows.shape[1]
-    stack = [(0, rows[lo:lo + step], elt[lo:lo + step], None)
-             for lo in reversed(range(0, len(elt), step))]
+    end = len(events)
+    stack = [(0, rows[lo:lo + step], None)
+             for lo in reversed(range(0, len(rows), step))]
     while stack:
-        k, rows, elt, branch = stack.pop()
+        k, rows, branch = stack.pop()
         if branch is not None:
             # rows are shared with sibling tasks: repeat copies them, and
             # the colours broadcast over the (rows, colours, arcs) view
-            m, b = len(elt), len(branch)
+            m, b = len(rows), len(branch)
             rows = np.repeat(rows, b, axis=0)
             rows.reshape(m, b, width)[:, :, events[k]] = branch
-            elt = np.repeat(elt, b)
             k += 1
-        while k < len(events) and len(elt):
+        while k < end and len(rows):
             ev = events[k]
             kind = type(ev)
             if kind is int:
                 break
             k += 1
             if kind is DeriveEvent:
-                f = fplus if ev.plus else fminus
-                rows[:, ev.dst] = f[rows[:, ev.over], rows[:, ev.src]]
+                plus, o, src, dst = ev
+                rows[:, dst] = (fplus if plus else fminus)[rows[:, o],
+                                                           rows[:, src]]
                 continue
-            if ev.out == TRUST:
-                e = (psi if ev.sign > 0 else phi)[rows[:, ev.over],
-                                                  rows[:, ev.under_out]]
+            sign, o, i, u, out, prefix = ev
+            if out == TRUST:
+                e = (psi if sign > 0 else phi)[rows[:, o], rows[:, u]]
             else:
-                packed = packed_plus if ev.sign > 0 else packed_minus
-                ye = packed[rows[:, ev.over],
-                            rows[:, ev.under_in]].view(np.int32)
-                y, e = ye[:, 0], ye[:, 1]
-                if ev.out == CHECK:
-                    keep = rows[:, ev.under_out] == y
-                    rows, elt, e = rows[keep], elt[keep], e[keep]
+                # one gather reads the packed (y, e), both decoded as intp
+                v = (packed_plus if sign > 0 else packed_minus)[rows[:, o],
+                                                                rows[:, i]]
+                y, e = v & 0xFFFFFFFF, v >> 32
+                if out == CHECK:
+                    keep = rows[:, u] == y
+                    rows, e = rows[keep], e[keep]
                 else:
-                    rows[:, ev.under_out] = y
-            prefix = None
-            for a, up in ev.prefix:
-                c = g_inv[rows[:, a]] if up else rows[:, a]
-                prefix = c if prefix is None else g_mul[prefix, c]
-            if prefix is not None:
-                e = act[prefix, e]
-            elt = e_mul[e, elt]
-        if not len(elt):
+                    rows[:, u] = y
+            if prefix:
+                p = None
+                for a, up in prefix:
+                    c = g_inv[rows[:, a]] if up else rows[:, a]
+                    p = c if p is None else g_mul[p, c]
+                e = act[p, e]
+            rows[:, -1] = e_mul[e, rows[:, -1]]
+        if not len(rows):
             continue
-        if k == len(events):
-            yield rows, elt
+        if k == end:
+            yield rows
             continue
         # a branch event: split the colours so no chunk exceeds step rows
-        per = max(1, step // len(elt))
+        per = max(1, step // len(rows))
         for lo in reversed(range(0, n, per)):
-            stack.append((k, rows, elt, colours[lo:lo + per]))
+            stack.append((k, rows, colours[lo:lo + per]))
 
 
-def _state_sum(d: SlicedTangleDiagram, pair: ReidemeisterPair,
+def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
                tops: np.ndarray) -> dict:
-    """{(top, bottom): {E element: count}} over the colourings of d whose
-    top colours are a row of tops, sorted by key."""
-    prog = compile_program(d)
+    """{(top, bottom): {E element: count}} over the colourings of the
+    compiled diagram prog whose top colours are a row of tops, sorted by
+    key."""
     k = len(prog.top_arcs)
-    keys = list(prog.top_arcs + prog.bottom_arcs)
+    keys = list(prog.top_arcs + prog.bottom_arcs + (prog.n_arcs,))
     counts: Counter = Counter()
-    for rows, elt in _sweep(prog, pair.transfer(), _seed(prog, tops)):
-        counts.update(zip(map(tuple, rows.take(keys, axis=1).tolist()),
-                          elt.tolist()))
+    for rows in _sweep(prog, pair.transfer(), _seed(prog, tops)):
+        counts.update(map(tuple, rows.take(keys, axis=1).tolist()))
     # sorting (boundary colours, elt) sorts the keys and each key's terms
     out: dict[tuple, dict[int, int]] = {}
-    for (cols, e), count in sorted(counts.items()):
-        out.setdefault((cols[:k], cols[k:]), {})[e] = count
+    for cols, count in sorted(counts.items()):
+        out.setdefault((cols[:k], cols[k:-1]), {})[cols[-1]] = count
     return out
 
 
@@ -534,9 +536,9 @@ def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
     pair = transfer.pair
     top_cols = _normalise_enhancement(pair.g, d.top, top, "top")
     prog = compile_program(d)
-    tops = np.array([top_cols], dtype=np.int32)
-    for rows, _ in _sweep(prog, transfer, _seed(prog, tops)):
-        for arcs in rows.tolist():
+    tops = np.array([top_cols], dtype=np.intp)
+    for rows in _sweep(prog, transfer, _seed(prog, tops)):
+        for arcs in rows[:, :-1].tolist():
             xs = ((pair.psi_at if c.sign > 0 else pair.phi_at)(
                       arcs[c.over_arc], arcs[c.under_out_arc])
                   for c in d.crossings)
@@ -547,13 +549,13 @@ def evaluate(col: Colouring) -> CGMorphism:
     """Composite categorical-group morphism of a coloured diagram."""
     d, pair = col.diagram, col.pair
     prog = compile_program(d, coloured=range(d.n_arcs))
-    rows = np.array([col.arc_colours], dtype=np.int32)
+    rows = np.array([(*col.arc_colours, 0)], dtype=np.intp)
     chunks = list(_sweep(prog, pair.transfer(), rows))
     if not chunks:
         raise TangleSumError(f"{col!r} violates a crossing constraint")
     top_cols = tuple(col.arc_colours[a] for a in d.levels[0])
     src = Enhancement(d.top, top_cols).evaluation(pair.g)
-    return CGMorphism(pair.xmod, src, int(chunks[0][1][0]))
+    return CGMorphism(pair.xmod, src, int(chunks[0][0, -1]))
 
 
 # ----------------------------------------------------------------------
@@ -628,7 +630,8 @@ def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
     top_cols = _normalise_enhancement(group, d.top, top, "top")
     src = Enhancement(d.top, top_cols)
     buckets = {bot: terms for (_, bot), terms in _state_sum(
-        d, pair, np.array([top_cols], dtype=np.int32)).items()}
+        compile_program(d), pair,
+        np.array([top_cols], dtype=np.intp)).items()}
 
     if d.is_closed:
         terms = buckets.get((), {})
@@ -644,13 +647,17 @@ def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
                           buckets.get(bot_cols, {}))
 
 
+@functools.cache
 def _all_tops(n: int, k: int) -> np.ndarray:
     """Every top colour tuple of k strands over n colours, one per row.
 
     Row j is the j-th tuple of itertools.product(range(n), repeat=k); no -1
-    in the reshape, so k = 0 gives the one empty top.
+    in the reshape, so k = 0 gives the one empty top.  Built once per (n,
+    k) and shared by every caller, so the array is read-only.
     """
-    return np.indices((n,) * k, dtype=np.int32).reshape(k, n ** k).T
+    tops = np.indices((n,) * k, dtype=np.intp).reshape(k, n ** k).T
+    tops.flags.writeable = False
+    return tops
 
 
 # the last matrix summed: (program, weakref to its transfer, matrix), read
@@ -686,7 +693,7 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
     if last is not None and last[1]() is transfer and last[0] == prog:
         matrix = last[2]
     else:
-        matrix = _state_sum(d, pair, _all_tops(n, k))
+        matrix = _state_sum(prog, pair, _all_tops(n, k))
         _last_matrix = (prog, weakref.ref(transfer), matrix)
     # the slot's matrix is never handed out, so callers may mutate theirs
     return {key: dict(terms) for key, terms in matrix.items()}
@@ -805,12 +812,12 @@ def tqft_compose_check(d1: SlicedTangleDiagram, d2: SlicedTangleDiagram,
     else:
         rng = random.Random(SAMPLE_SEED)
         tops = np.array([[rng.randrange(n) for _ in range(k)]
-                         for _ in range(COMPOSE_SAMPLE)], dtype=np.int32)
-    upper = _state_sum(d1, pair, tops)
+                         for _ in range(COMPOSE_SAMPLE)], dtype=np.intp)
+    upper = _state_sum(compile_program(d1), pair, tops)
     mids = sorted({mid for _, mid in upper})
     below: dict[tuple, list] = {}
     for (mid, bot), lower in _state_sum(
-            d2, pair, np.array(mids, dtype=np.int32).reshape(
+            compile_program(d2), pair, np.array(mids, dtype=np.intp).reshape(
                 len(mids), len(d2.top))).items():
         below.setdefault(mid, []).append((bot, lower))
     rhs: dict[tuple, dict[int, int]] = {}
@@ -821,7 +828,7 @@ def tqft_compose_check(d1: SlicedTangleDiagram, d2: SlicedTangleDiagram,
                 for e2, c2 in lower.items():
                     key = egrp.mul(e2, e1)
                     acc[key] = acc.get(key, 0) + c1 * c2
-    return _state_sum(d1.then(d2), pair, tops) == rhs
+    return _state_sum(compile_program(d1.then(d2)), pair, tops) == rhs
 
 
 # ----------------------------------------------------------------------

@@ -246,10 +246,15 @@ class CrossingTransfer:
     incoming one at positive resp. negative crossings with overstrand X.
 
     packed_plus[X, Z] and packed_minus[X, Z] are the downward steps the
-    state-sum sweep takes, packed so one gather reads both: the outgoing
-    under-colour Y and the crossing's E-colour, (fminus[X, Z],
-    psi(X, Y)) at positive crossings and (fplus[X, Z], phi(X, Y)) at
-    negative ones, as int32 n x n x 2 tables.
+    state-sum sweep takes, packed so one gather reads both the outgoing
+    under-colour Y and the crossing's E-colour: Y = fminus[X, Z] with
+    psi(X, Y) at positive crossings, Y = fplus[X, Z] with phi(X, Y) at
+    negative ones.  Each entry is one int64, Y | (E-colour << 32), so an n
+    x n table takes the bytes of an int32 n x n x 2 one, and the sweep
+    decodes Y = v & 0xFFFFFFFF and the E-colour v >> 32 straight into
+    index arrays.  sweep_tables holds every table the sweep reads, in the
+    order engine._run unpacks them, built once here rather than on every
+    state sum.
     """
 
     def __init__(self, pair: ReidemeisterPair, fplus: np.ndarray,
@@ -258,21 +263,36 @@ class CrossingTransfer:
         self.fplus = fplus
         self.fminus = fminus
         x = np.arange(pair.g.order)[:, None]
-        self.packed_plus = np.stack(
-            [fminus, pair.psi[x, fminus]], axis=-1).astype(np.int32)
-        self.packed_minus = np.stack(
-            [fplus, pair.phi[x, fplus]], axis=-1).astype(np.int32)
+        self.packed_plus = _pack(fminus, pair.psi[x, fminus])
+        self.packed_minus = _pack(fplus, pair.phi[x, fplus])
+        self.sweep_tables = (
+            pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
+            self.packed_plus, self.packed_minus, fplus, fminus,
+            pair.psi, pair.phi)
 
     def under_out_plus(self, over: int, under_in: int) -> int:
-        """Downward propagation at a positive crossing (inverse of fplus)."""
+        """Downward propagation at a positive crossing (inverse of fplus).
+
+        Kept as the scalar oracle that
+        test_packed_crossing_tables_match_the_scalar_lookups reads every
+        entry of packed_plus against."""
         return int(self.fminus[over, under_in])
 
     def under_out_minus(self, over: int, under_in: int) -> int:
-        """Downward propagation at a negative crossing (inverse of fminus)."""
+        """Downward propagation at a negative crossing (inverse of fminus).
+
+        Kept as the scalar oracle that
+        test_packed_crossing_tables_match_the_scalar_lookups reads every
+        entry of packed_minus against."""
         return int(self.fplus[over, under_in])
 
     def __repr__(self) -> str:
         return f"<crossing transfer for {self.pair.name}>"
+
+
+def _pack(y: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """One int64 per entry: the colour y in the low 32 bits, e above."""
+    return y.astype(np.int64) | e.astype(np.int64) << 32
 
 
 def _transfer_tables(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:

@@ -80,6 +80,16 @@ def test_string_trefoils_match_builders():
     assert load_catalog("trefoil_minus_string").slices == trefoil_minus_string().slices
 
 
+def test_catalog_diagrams_are_parsed_once():
+    from importlib import resources
+
+    root = resources.files("tanglesum") / "catalog"
+    for name in CATALOG:
+        d = load_catalog(name)
+        assert load_catalog(name) is d
+        assert d == parse_tangle((root / f"{name}.tng").read_text())
+
+
 def test_orientation_checking():
     with pytest.raises(OrientationMismatchError):
         SlicedTangleDiagram(("v", "^"), [("X+", 0)])

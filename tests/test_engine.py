@@ -481,8 +481,8 @@ def test_branch_cap_counts_seeded_rows_times_branches():
 def test_frontier_memory_stays_bounded():
     # three cups, but the figure eight plans two seeds: the X- below the
     # first two cups fixes the third cup's arc.  Over the whole of S6 that
-    # is 720^2 rows; unchunked, the frontier and its gathers peak at 18 MiB
-    # against 2.4 MiB chunked
+    # is 720^2 rows; unchunked, the intp frontier and its gathers peak at
+    # 40 MiB against 5.1 MiB chunked
     s6 = symmetric_group(6)
     p = pair_eisermann(s6, s6.element_by_label("(1 2 3 4 5 6)"), carrier="group")
     p.transfer()
@@ -496,6 +496,42 @@ def test_frontier_memory_stays_bounded():
         tracemalloc.stop()
     assert value.total == 2880
     assert peak < 8 * 2**20
+
+
+def test_sweep_chunks_are_intp(monkeypatch):
+    # the colours and the E-element column index the tables with no cast:
+    # the seeded frontier of a matrix, the one-top frontier of invariant
+    # and the one-row frontier that evaluate seeds with a whole colouring
+    chunks = []
+    real = engine._sweep
+
+    def recording(*args):
+        for rows in real(*args):
+            chunks.append(rows)
+            yield rows
+
+    monkeypatch.setattr(engine, "_sweep", recording)
+    monkeypatch.setattr(engine, "_last_matrix", None)
+    p = eisermann_s3()
+    assert invariant_matrix(load_catalog("trefoil_plus_string"), p)
+    d = load_catalog("trefoil_plus_closed")
+    assert invariant(d, p).total
+    col = next(enumerate_colourings(d, p.transfer()))
+    assert len(chunks) == 3
+    m = evaluate(col)
+    assert len(chunks) == 4 and chunks[-1].shape == (1, d.n_arcs + 1)
+    assert chunks[-1][0, -1] == m.elt
+    assert all(rows.dtype == np.intp for rows in chunks)
+
+
+def test_all_tops_are_built_once_and_read_only():
+    tops = engine._all_tops(3, 2)
+    assert engine._all_tops(3, 2) is tops
+    assert tops.tolist() == [list(t) for t in itertools.product(range(3),
+                                                                repeat=2)]
+    with pytest.raises(ValueError):
+        tops[0, 0] = 1
+    assert engine._all_tops(3, 0).shape == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +651,11 @@ def test_a_cache_hit_builds_no_arc_table(monkeypatch):
     counted.__set_name__(SlicedTangleDiagram, "_arcs")
     monkeypatch.setattr(SlicedTangleDiagram, "_arcs", counted)
     compile_program.cache_clear()
+    load_catalog.cache_clear()  # a fresh d, whose arc table is not built
     d = load_catalog("figure_eight_closed")
     prog = compile_program(d)
     assert sweeps == [id(d)]
-    e = load_catalog("figure_eight_closed")
+    e = SlicedTangleDiagram(d.top, d.slices)
     assert compile_program(e) is prog
     assert invariant(e, eisermann_s3()).check_boundary()
     assert sweeps == [id(d)]
@@ -659,6 +696,26 @@ def test_neighbours_with_the_base_program_run_no_new_sum(monkeypatch):
     # the same diagram under a second pair sums again, and differs
     assert invariant_matrix(r1, rack_pair(3)) != base
     assert len(calls) == 3
+
+
+def test_a_matrix_call_compiles_once_on_a_hit_and_on_a_miss(monkeypatch):
+    calls = _count_state_sums(monkeypatch)
+    compiles = []
+    real = engine.compile_program
+
+    def counting(*args, **kwargs):
+        compiles.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "compile_program", counting)
+    p = eisermann_s3()
+    d = load_catalog("trefoil_plus_string")
+    invariant_matrix(d, p)
+    assert (len(calls), len(compiles)) == (1, 1)
+    invariant_matrix(d, p)
+    assert (len(calls), len(compiles)) == (1, 2)
+    invariant_matrix(d, rack_pair(3))
+    assert (len(calls), len(compiles)) == (2, 3)
 
 
 def test_mutating_a_returned_matrix_leaves_the_next_hit_unchanged(monkeypatch):

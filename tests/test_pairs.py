@@ -255,20 +255,26 @@ def moves_set_pairs() -> dict:
 
 @pytest.mark.parametrize("tag", sorted(moves_set_pairs()))
 def test_packed_crossing_tables_match_the_scalar_lookups(tag):
-    # packed_plus[x, z] = (y, psi(x, y)) with y the under-out colour at a
-    # positive crossing; packed_minus[x, z] likewise with phi at a negative one
+    # packed_plus[x, z] = y | psi(x, y) << 32 with y the under-out colour at
+    # a positive crossing; packed_minus[x, z] likewise with phi at a
+    # negative one
     p = moves_set_pairs()[tag]
     t = p.transfer()
     n = p.g.order
     for packed in (t.packed_plus, t.packed_minus):
-        assert packed.dtype == np.int32
-        assert packed.shape == (n, n, 2)
+        assert packed.dtype == np.int64
+        assert packed.shape == (n, n)
+
+    def decode(v):
+        v = int(v)
+        return [v & 0xFFFFFFFF, v >> 32]
+
     for x in range(n):
         for z in range(n):
             y = t.under_out_plus(x, z)
-            assert t.packed_plus[x, z].tolist() == [y, p.psi_at(x, y)]
+            assert decode(t.packed_plus[x, z]) == [y, p.psi_at(x, y)]
             y = t.under_out_minus(x, z)
-            assert t.packed_minus[x, z].tolist() == [y, p.phi_at(x, y)]
+            assert decode(t.packed_minus[x, z]) == [y, p.phi_at(x, y)]
 
 
 def test_broken_pair_fails_r2_via_transfer():
