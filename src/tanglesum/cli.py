@@ -40,13 +40,12 @@ from .crossed_modules import (
     validate_crossed_module,
 )
 from .diagrams import (
-    Enhancement,
     catalog_names,
     load_catalog,
     move_neighbours,
     parse_tangle,
 )
-from .engine import InvariantValue, invariant, invariant_matrix
+from .engine import invariant, invariant_matrix
 from .errors import SizeLimitError, TangleSumError
 from .groups import (
     FiniteGroup,
@@ -263,15 +262,11 @@ def cmd_invariant(args) -> int:
     else:  # bra: fix the bottom, sum over tops
         bottom = _parse_enhancement(g, args.bottom, len(d.bottom), True)
         if args.top is None:
-            matrix = invariant_matrix(d, pair, top_cap=100_000)
+            result = invariant(d, pair, top="all", bottom=bottom)
         else:
             top = _parse_enhancement(g, args.top, len(d.top), False)
-            matrix = {(top, bottom):
-                      invariant(d, pair, top=top, bottom=bottom).terms}
-        result = {top: InvariantValue(pair, Enhancement(d.top, top),
-                                      Enhancement(d.bottom, bot), terms)
-                  for (top, bot), terms in matrix.items()
-                  if bot == bottom and terms}
+            iv = invariant(d, pair, top=top, bottom=bottom)
+            result = {top: iv} if iv.terms else {}
 
     if isinstance(result, dict):
         total = GroupAlgebraElement(pair.e)

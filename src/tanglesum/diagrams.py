@@ -295,14 +295,6 @@ class SlicedTangleDiagram:
         lower = SlicedTangleDiagram(self.words[row], self.slices[row:])
         return upper, lower
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "top": list(self.top),
-            "slices": [{"gen": s.gen, "pos": s.pos} for s in self.slices],
-        }
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SlicedTangleDiagram)
@@ -315,12 +307,6 @@ class SlicedTangleDiagram:
 
     def __repr__(self) -> str:
         return f"SlicedTangleDiagram(top={''.join(self.top) or '()'}, {len(self.slices)} slices)"
-
-
-def diagram_from_json(obj: dict) -> SlicedTangleDiagram:
-    return SlicedTangleDiagram(
-        obj["top"], [Slice(s["gen"], s["pos"]) for s in obj["slices"]]
-    )
 
 
 # ----------------------------------------------------------------------

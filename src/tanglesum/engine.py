@@ -11,12 +11,15 @@ legs.
 Given the over-colour, both constraints solve uniquely for either
 under-colour from the other (the transfer tables fplus and fminus are
 mutually inverse bijections), so colours propagate down and up through
-crossings.  A diagram compiles once into an integer event program, cached
-on the diagram's content (top word, slices, pre-coloured arcs) in an LRU of
-PROGRAM_CACHE_SIZE programs: sweeps that hold a diagram fixed and vary the
-pair compile it once, and a cache hit never builds its arc table.  A
-planner picks a small set of seed arcs from which the two rules colour
-every arc; each seed is a branch event, placed where it is first needed.
+crossings, and a sum can be seeded on either boundary: the ket reading
+fixes the top colours, the bra reading the bottom ones.  A diagram
+compiles once per seeded boundary into an integer event program, cached
+on the diagram's content (top word, slices, pre-coloured arcs, seeded
+boundary) in an LRU of PROGRAM_CACHE_SIZE programs: sweeps that hold a
+diagram fixed and vary the pair compile it once, and a cache hit never
+builds its arc table.  A planner picks a small set of seed arcs from which
+the two rules colour every arc not on the seeded boundary; each seed is a
+branch event, placed where it is first needed.
 A derive event colours an arc ahead of its crossing with one gather from
 fplus or fminus.  A crossing event, in top-down order, computes the
 outgoing under-colour, trusts it when a derive event used its relation,
@@ -46,11 +49,12 @@ of the top enhancement; the boundary identity
 holds for every colouring and makes the bottom evaluation redundant.
 
 The invariant of a diagram with a fixed top enhancement is the bag of
-morphism elements, bucketed by the bottom enhancement.  No normalisation is
-applied and values are compared as exact multisets.  invariant_matrix
-keeps its last matrix in one slot keyed on the program and the transfer,
-so a move neighbour that compiles to its base's program, as nearly half
-of them do, is not summed again.
+morphism elements, bucketed by the bottom enhancement; with a fixed bottom
+enhancement it is bucketed by the top one, from one sum seeded on the
+bottom.  No normalisation is applied and values are compared as exact
+multisets.  invariant_matrix keeps its last matrix in one slot keyed on
+the program and the transfer, so a move neighbour that compiles to its
+base's program, as nearly half of them do, is not summed again.
 
 The module also provides three independent cross-checks: a Wirtinger-style
 counting invariant of closed diagrams that needs no pair at all, longitude
@@ -144,9 +148,10 @@ class EventProgram(NamedTuple):
 
     events holds an arc index for each branch event, a DeriveEvent for each
     arc colour derived ahead of its crossing, and a CrossingEvent for each
-    crossing, the crossings in top-down order.  branch_arcs are the seed
-    arcs, in the order the program branches on them; top_repeats is True
-    when some arc is met twice along the top.
+    crossing, the crossings in top-down order.  seed_arcs are the boundary
+    arcs that _seed colours, top_arcs or bottom_arcs; seed_repeats is True
+    when some arc is met twice along that boundary.  branch_arcs are the
+    planned seed arcs, in the order the program branches on them.
     """
 
     n_arcs: int
@@ -154,7 +159,8 @@ class EventProgram(NamedTuple):
     bottom_arcs: tuple[int, ...]
     events: tuple
     branch_arcs: tuple[int, ...]
-    top_repeats: bool
+    seed_arcs: tuple[int, ...]
+    seed_repeats: bool
 
 
 def _closure(known: int, new, touching, how=None) -> int:
@@ -277,22 +283,24 @@ _PROGRAMS: OrderedDict = OrderedDict()  # content key -> program, LRU first
 _PROGRAMS_LOCK = threading.Lock()
 
 
-def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
-    """Compile d, given colours on its top arcs and on the arcs in coloured.
+def compile_program(d: SlicedTangleDiagram, coloured=(),
+                    from_bottom: bool = False) -> EventProgram:
+    """Compile d, given colours on its top arcs, or on its bottom arcs when
+    from_bottom is set, and on the arcs in coloured.
 
-    Programs are cached on the diagram's content, (top, slices, coloured),
-    never on the diagram object, so equal diagrams built separately share
-    one program and a hit never builds the arc table.  The cache keeps the
-    PROGRAM_CACHE_SIZE most recently used programs;
+    Programs are cached on the diagram's content, (top, slices, coloured,
+    from_bottom), never on the diagram object, so equal diagrams built
+    separately share one program and a hit never builds the arc table.
+    The cache keeps the PROGRAM_CACHE_SIZE most recently used programs;
     compile_program.cache_clear() empties it.
     """
-    key = (d.top, d.slices, tuple(coloured))
+    key = (d.top, d.slices, tuple(coloured), bool(from_bottom))
     with _PROGRAMS_LOCK:
         prog = _PROGRAMS.get(key)
         if prog is not None:
             _PROGRAMS.move_to_end(key)
             return prog
-    prog = _compile(d, key[2])
+    prog = _compile(d, key[2], key[3])
     with _PROGRAMS_LOCK:
         _PROGRAMS[key] = prog
         if len(_PROGRAMS) > PROGRAM_CACHE_SIZE:
@@ -303,9 +311,11 @@ def compile_program(d: SlicedTangleDiagram, coloured=()) -> EventProgram:
 compile_program.cache_clear = _PROGRAMS.clear
 
 
-def _compile(d: SlicedTangleDiagram, coloured) -> EventProgram:
+def _compile(d: SlicedTangleDiagram, coloured,
+             from_bottom: bool) -> EventProgram:
     """The uncached compile behind compile_program.
 
+    The seeded boundary, top or bottom, and the arcs in coloured are known.
     _plan_seeds picks the seed arcs: with them every arc follows from the
     crossing relations, each of which, given the over-colour, fixes the
     outgoing under-colour from the incoming one and the incoming one from
@@ -315,10 +325,13 @@ def _compile(d: SlicedTangleDiagram, coloured) -> EventProgram:
     by the derivation the planner recorded, as late as possible.  A
     crossing then derives its outgoing under-colour if it is still
     uncoloured, trusts its relation if a derive event used it, and checks
-    it otherwise.
+    it otherwise.  Seeded on the bottom, a crossing above the bottom arcs
+    is reached by the same derivations upwards, and checks its outgoing
+    under-colour where the bottom fixed it.
     """
     top_arcs, bottom_arcs = d.boundary_arcs()
-    known = {*top_arcs, *coloured}
+    seed_arcs = bottom_arcs if from_bottom else top_arcs
+    known = {*seed_arcs, *coloured}
     n_arcs = d.n_arcs
     crossings = d.crossings
     rules = []
@@ -355,20 +368,21 @@ def _compile(d: SlicedTangleDiagram, coloured) -> EventProgram:
             _need(a, known, seeds, how, rules, crossings, events, used)
     return EventProgram(n_arcs, top_arcs, bottom_arcs, tuple(events),
                         tuple(ev for ev in events if type(ev) is int),
-                        len(set(top_arcs)) < len(top_arcs))
+                        seed_arcs, len(set(seed_arcs)) < len(seed_arcs))
 
 
-def _seed(prog: EventProgram, tops: np.ndarray) -> np.ndarray:
-    """Frontier rows for the top colour tuples in tops (one per row), with
-    the last column free for the E-element that _sweep folds.
+def _seed(prog: EventProgram, cols: np.ndarray) -> np.ndarray:
+    """Frontier rows for the colour tuples in cols (one per row) on the
+    program's seeded boundary, with the last column free for the E-element
+    that _sweep folds.
 
-    A row whose colours differ on an arc met twice along the top violates
-    the arc identification and is dropped.
+    A row whose colours differ on an arc met twice along that boundary
+    violates the arc identification and is dropped.
     """
-    rows = np.zeros((len(tops), prog.n_arcs + 1), dtype=np.intp)
-    rows[:, prog.top_arcs] = tops
-    if prog.top_repeats:
-        rows = rows[(rows[:, prog.top_arcs] == tops).all(axis=1)]
+    rows = np.zeros((len(cols), prog.n_arcs + 1), dtype=np.intp)
+    rows[:, prog.seed_arcs] = cols
+    if prog.seed_repeats:
+        rows = rows[(rows[:, prog.seed_arcs] == cols).all(axis=1)]
     return rows
 
 
@@ -460,14 +474,14 @@ def _run(events, tables, n: int, rows):
 
 
 def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
-               tops: np.ndarray) -> dict:
+               seeds: np.ndarray) -> dict:
     """{(top, bottom): {E element: count}} over the colourings of the
-    compiled diagram prog whose top colours are a row of tops, sorted by
-    key."""
+    compiled diagram prog whose colours on its seeded boundary are a row of
+    seeds, sorted by key."""
     k = len(prog.top_arcs)
     keys = list(prog.top_arcs + prog.bottom_arcs + (prog.n_arcs,))
     counts: Counter = Counter()
-    for rows in _sweep(prog, pair.transfer(), _seed(prog, tops)):
+    for rows in _sweep(prog, pair.transfer(), _seed(prog, seeds)):
         counts.update(map(tuple, rows.take(keys, axis=1).tolist()))
     # sorting (boundary colours, elt) sorts the keys and each key's terms
     out: dict[tuple, dict[int, int]] = {}
@@ -619,14 +633,31 @@ class InvariantValue:
 
 def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
               bottom="all"):
-    """State sum of d with the given top enhancement.
+    """State sum of d with the given top enhancement, or, when top is
+    "all", with the given bottom enhancement.
 
     Closed diagram: a single InvariantValue with empty boundary words.
     Open diagram: a map {bottom colour tuple: InvariantValue} when bottom
     is "all" (or None), else the single InvariantValue at that bottom,
     possibly with no terms.
+
+    With top "all", on either kind of diagram, the bottom enhancement must
+    be given, and the result is a map {top colour tuple: InvariantValue}
+    over the tops that some colouring reaches, from one sum seeded on the
+    bottom.
     """
     group = pair.g
+    if isinstance(top, str) and top == "all":
+        if bottom is None or isinstance(bottom, str):
+            raise EnhancementMismatchError(
+                'top "all" needs a fixed bottom enhancement')
+        bot_cols = _normalise_enhancement(group, d.bottom, bottom, "bottom")
+        dst = Enhancement(d.bottom, bot_cols)
+        return {top_cols: InvariantValue(pair, Enhancement(d.top, top_cols),
+                                         dst, terms)
+                for (top_cols, _), terms in _state_sum(
+                    compile_program(d, from_bottom=True), pair,
+                    np.array([bot_cols], dtype=np.intp)).items()}
     top_cols = _normalise_enhancement(group, d.top, top, "top")
     src = Enhancement(d.top, top_cols)
     buckets = {bot: terms for (_, bot), terms in _state_sum(

@@ -15,9 +15,10 @@ Every cell is the invariant of the string trefoil with identity colour on
 the fixed boundary, summed over the free one.  Both readings are computed:
 "ket" fixes the top and sums over bottoms, "bra" fixes the bottom and sums
 over tops; on all of these cells the two agree, and the diff checks both.
-The ket reading is one state sum seeded with the identity top; the bra
-reading is one state sum with every top colour seeded (invariant_matrix),
-so the two still reach the engine through different seeding paths.
+Each reading is one state sum seeded with the identity on its fixed
+boundary: the ket sum on the top, the bra sum on the bottom.  The two
+share one compile and one sweep and differ only in the boundary they
+seed.
 
 The frozen values below reproduce the recomputation in 26 of 28 cells.
 The other two carry a corrected value next to the transcribed one: the
@@ -43,7 +44,7 @@ from functools import lru_cache
 from .algebra import GroupAlgebraElement, parse_algebra
 from .crossed_modules import braided_from_central_extension
 from .diagrams import load_catalog
-from .engine import invariant, invariant_matrix
+from .engine import invariant
 from .errors import TangleSumError
 from .groups import pgl2, symmetric_group
 from .pairs import pair_eisermann, pair_eisermann_lift_unframed
@@ -145,20 +146,24 @@ def _diagram(knot: str):
 
 def compute_cell(name: str, knot: str, column: int,
                  direction: str = "ket") -> GroupAlgebraElement:
-    """Recompute one table cell with the stated boundary reading."""
+    """Recompute one table cell with the stated boundary reading.
+
+    ket fixes the identity top and sums over bottoms; bra fixes the
+    identity bottom and sums over tops.  Either is one state sum, seeded
+    on its fixed boundary.
+    """
     pair = _pair(name, column)
     d = _diagram(knot)
-    total = GroupAlgebraElement(pair.e)
+    fixed = (pair.g.identity,)
     if direction == "ket":
-        for iv in invariant(d, pair, top=(pair.g.identity,)).values():
-            total = total + iv.algebra()
+        values = invariant(d, pair, top=fixed)
     elif direction == "bra":
-        bottom = (pair.g.identity,)
-        for (_, bot), terms in invariant_matrix(d, pair).items():
-            if bot == bottom:
-                total = total + GroupAlgebraElement(pair.e, terms)
+        values = invariant(d, pair, top="all", bottom=fixed)
     else:
         raise TangleSumError(f"direction must be 'ket' or 'bra', not {direction!r}")
+    total = GroupAlgebraElement(pair.e)
+    for iv in values.values():
+        total = total + iv.algebra()
     return total
 
 

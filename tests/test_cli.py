@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from tanglesum.cli import main
+from tanglesum.cli import build_pair, main
+from tanglesum.diagrams import load_catalog
+from tanglesum.engine import compile_program, invariant
 
 GOOD_COCYCLE = (
     '{"kind": "cocycle", "rack": "dihedral:3", "group": "z3",'
@@ -18,6 +20,7 @@ BAD_COCYCLE = (
 )
 RACK_PAIR = '{"kind": "rack", "rack": "dihedral:3"}'
 EISERMANN_S3 = '{"kind": "eisermann", "group": "s3", "x": "(1 2 3)", "carrier": "group"}'
+EISERMANN_S5 = '{"kind": "eisermann", "group": "s5", "x": "(1 2 3 4 5)"}'
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +185,34 @@ def test_invariant_bra_direction_output_is_pinned(capsys, diagram, bottom,
                 "sum": {"group": "S3",
                         "terms": [{"element": "id", "count": 1}]}}
     assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_invariant_bra_direction_is_seeded_on_the_bottom(capsys):
+    # 60^3 tops: too many to seed every top, but seeded on the bottom the
+    # sum plans no branches
+    argv = ["invariant", "--diagram", "braid_sigma1_sigma2_sigma1",
+            "--pair", EISERMANN_S5, "--direction", "bra",
+            "--bottom", "id,id,id"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "id\n"
+    assert main(argv + ["--json"]) == 0
+    bucket = _bra_bucket(["id", "id", "id"], ["id", "id", "id"])
+    expected = {"pair": "eisermann(S5, (1 2 3 4 5), commutator)",
+                "direction": "bra", "buckets": [bucket],
+                "sum": {"group": "S5'",
+                        "terms": [{"element": "id", "count": 1}]}}
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    # the buckets against one ket sum per top, on a few tops
+    pair = build_pair(json.loads(EISERMANN_S5))
+    d = load_catalog("braid_sigma1_sigma2_sigma1")
+    assert compile_program(d, from_bottom=True).branch_arcs == ()
+    g = pair.g
+    ident = (g.identity,) * 3
+    for labels in [("id", "id", "id"), ("(1 2 3)", "id", "id"),
+                   ("id", "(1 2)(3 4)", "(1 2 3 4 5)")]:
+        top = tuple(g.element_by_label(x) for x in labels)
+        terms = invariant(d, pair, top=top, bottom=ident).terms
+        assert terms == ({g.identity: 1} if top == ident else {})
 
 
 def test_invariant_missing_diagram(capsys):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from tanglesum.diagrams import (
     _relation_images,
     braid_word_to_tangle,
     catalog_names,
-    diagram_from_json,
     Enhancement,
     load_catalog,
     move_neighbours,
@@ -176,17 +174,6 @@ def test_parse_serialize_round_trip():
         d = load_catalog(name)
         again = parse_tangle(serialize_tangle(d))
         assert again.top == d.top and again.slices == d.slices
-
-
-def test_json_round_trip():
-    for name in CATALOG:
-        d = load_catalog(name)
-        again = diagram_from_json(json.loads(json.dumps(d.to_json())))
-        assert again == d
-        assert again.top == d.top and again.slices == d.slices
-        assert again.levels == d.levels
-    empty = SlicedTangleDiagram(())
-    assert diagram_from_json(empty.to_json()) == empty
 
 
 def test_parse_errors():

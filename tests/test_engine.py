@@ -26,6 +26,7 @@ from tanglesum.crossed_modules import (
 from tanglesum.diagrams import (
     braid_word_to_tangle,
     catalog_names,
+    Enhancement,
     load_catalog,
     move_neighbours,
     SlicedTangleDiagram,
@@ -431,6 +432,33 @@ def test_enhancement_mismatch_raises():
         invariant(d, p, top=(17,))
     with pytest.raises(EnhancementMismatchError):
         invariant(d, p)  # open boundary needs an explicit top
+    # the bra reading sums over every top, so it needs a fixed bottom
+    for bottom in ("all", None):
+        with pytest.raises(EnhancementMismatchError):
+            invariant(d, p, top="all", bottom=bottom)
+    with pytest.raises(EnhancementMismatchError):
+        invariant(d, p, top="all", bottom=(0, 1))
+
+
+def test_bra_reading_buckets_the_bottom_seeded_sum_by_top():
+    p = eisermann_s3()
+    d = load_catalog("braid_sigma1_sigma2_sigma1")
+    n = p.g.order
+    matrix = invariant_matrix(d, p)
+    for bottom in itertools.product(range(n), repeat=3):
+        bra = invariant(d, p, top="all", bottom=bottom)
+        assert {top: iv.terms for top, iv in bra.items()} == {
+            top: terms for (top, bot), terms in matrix.items()
+            if bot == bottom}
+        for top, iv in bra.items():
+            assert iv.source == Enhancement(d.top, top)
+            assert iv.target == Enhancement(d.bottom, bottom)
+            assert iv.check_boundary()
+    # a closed diagram has one empty top
+    closed = load_catalog("trefoil_plus_closed")
+    bra = invariant(closed, p, top="all", bottom=())
+    assert list(bra) == [()]
+    assert bra[()].terms == invariant(closed, p).terms
 
 
 def test_branch_cap_raises_size_limit():
@@ -539,8 +567,8 @@ def test_all_tops_are_built_once_and_read_only():
 # ---------------------------------------------------------------------------
 
 
-def _minimal_seed_count(d) -> int:
-    """Fewest arcs that colour every arc together with the top arcs.
+def _minimal_seed_count(d, known) -> int:
+    """Fewest arcs that colour every arc together with the known arcs.
 
     Brute force over arc subsets.  A crossing whose over-arc is coloured
     colours either under-arc from the other.
@@ -556,11 +584,11 @@ def _minimal_seed_count(d) -> int:
                     grew = True
         return arcs
 
-    top = set(d.levels[0])
-    free = [a for a in range(d.n_arcs) if a not in top]
+    known = set(known)
+    free = [a for a in range(d.n_arcs) if a not in known]
     for k in range(len(free) + 1):
         for extra in itertools.combinations(free, k):
-            if len(closure(top | set(extra))) == d.n_arcs:
+            if len(closure(known | set(extra))) == d.n_arcs:
                 return k
     raise AssertionError("every arc together colours every arc")
 
@@ -570,8 +598,10 @@ def _minimal_seed_count(d) -> int:
 def test_planned_seeds_are_minimal(name, moves):
     d = load_catalog(name)
     for e in [d] + [mp.after for mp in move_neighbours(d, moves)]:
-        assert len(compile_program(e).branch_arcs) == _minimal_seed_count(e), (
-            name, moves, e.slices)
+        for from_bottom, known in enumerate(e.boundary_arcs()):
+            prog = compile_program(e, from_bottom=bool(from_bottom))
+            assert len(prog.branch_arcs) == _minimal_seed_count(e, known), (
+                name, moves, from_bottom, e.slices)
 
 
 def test_eisermann_a6_figure_eight_is_move_invariant():
@@ -606,6 +636,11 @@ def test_equal_diagrams_share_one_program():
     assert compile_program(a) is compile_program(b)
     assert compile_program(a, (0,)) is compile_program(b, [0])
     assert compile_program(a, (0,)) is not compile_program(a)
+    # the seeded boundary is part of the key
+    bra = compile_program(a, from_bottom=True)
+    assert bra is compile_program(b, from_bottom=True)
+    assert bra is not compile_program(a)
+    assert bra.seed_arcs == a.levels[-1] != compile_program(a).seed_arcs
     # the cache keys on content, so it keeps no diagram alive
     ref = weakref.ref(a)
     del a
@@ -618,11 +653,15 @@ def test_equal_diagrams_share_one_program():
 def test_cached_program_equals_a_fresh_compile(name, moves):
     d = load_catalog(name)
     for e in [d] + [mp.after for mp in move_neighbours(d, moves)]:
-        for coloured in ((), tuple(range(0, e.n_arcs, 2))):
-            cached = compile_program(e, coloured)
+        for coloured, from_bottom in itertools.product(
+                ((), tuple(range(0, e.n_arcs, 2))), (False, True)):
+            cached = compile_program(e, coloured, from_bottom)
             again = SlicedTangleDiagram(e.top, e.slices)
-            assert compile_program(again, coloured) is cached
-            assert cached == engine._compile(e, coloured), (name, e.slices)
+            assert compile_program(again, coloured, from_bottom) is cached
+            assert cached == engine._compile(e, coloured, from_bottom), (
+                name, from_bottom, e.slices)
+        assert (compile_program(e, from_bottom=True)
+                is not compile_program(e))
 
 
 def test_program_cache_stays_within_its_bound():
@@ -635,7 +674,9 @@ def test_program_cache_stays_within_its_bound():
     assert len(engine._PROGRAMS) == PROGRAM_CACHE_SIZE
     # the least recently used program went first
     first = diagrams[0]
-    assert (first.top, first.slices, ()) not in engine._PROGRAMS
+    last = diagrams[-1]
+    assert (first.top, first.slices, (), False) not in engine._PROGRAMS
+    assert (last.top, last.slices, (), False) in engine._PROGRAMS
     compile_program.cache_clear()
 
 

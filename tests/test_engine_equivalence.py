@@ -3,8 +3,9 @@
 Diagrams are braid words on 2-3 strands, open or closed by trace_closure,
 followed by a short chain of move neighbours.  For every pair family the
 sweep's invariant_matrix must equal the oracle's matrix exactly, and each
-move must leave it unchanged.  A catalog sweep over S4 covers what those
-small groups cannot.
+move must leave it unchanged; the bra reading, one sum seeded on a fixed
+bottom, must equal the oracle's matrix at that bottom.  A catalog sweep
+over S4 covers what those small groups cannot.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from tanglesum.diagrams import (
     move_neighbours,
     trace_closure,
 )
-from tanglesum.engine import invariant_matrix
+from tanglesum.engine import invariant, invariant_matrix
 from tanglesum.groups import (
     central_quotient,
     cyclic_group,
@@ -103,6 +104,23 @@ def braid_closures(draw):
     return d if keep is None else trace_closure(d, keep=keep)
 
 
+def _check_bra_readings(d, pair, oracle: dict) -> None:
+    """The bottom-seeded sum at each bottom the oracle reaches equals the
+    oracle's matrix at that bottom, and at one bottom it never reaches,
+    if there is one, it is empty."""
+    by_bottom: dict = {}
+    for (top, bottom), terms in oracle.items():
+        by_bottom.setdefault(bottom, {})[top] = terms
+    for bottom, column in by_bottom.items():
+        bra = invariant(d, pair, top="all", bottom=bottom)
+        assert {top: iv.terms for top, iv in bra.items()} == column, bottom
+    unreached = next((b for b in itertools.product(range(pair.g.order),
+                                                   repeat=len(d.bottom))
+                      if b not in by_bottom), None)
+    if unreached is not None:
+        assert invariant(d, pair, top="all", bottom=unreached) == {}
+
+
 @pytest.mark.parametrize("tag", sorted(pairs()))
 @settings(max_examples=30)
 @given(d=braid_closures(), data=st.data())
@@ -110,6 +128,7 @@ def test_sweep_equals_reference_along_move_chains(tag, d, data):
     pair = pairs()[tag]
     expected = oracle_matrix(d, pair)
     assert invariant_matrix(d, pair) == expected
+    _check_bra_readings(d, pair, expected)
     for _ in range(data.draw(st.integers(0, 2), label="moves")):
         nexts = [mp.after for mp in move_neighbours(d, pair.mode)
                  if _small(mp.after)]
@@ -117,8 +136,10 @@ def test_sweep_equals_reference_along_move_chains(tag, d, data):
             break
         d = data.draw(st.sampled_from(nexts), label="neighbour")
         matrix = invariant_matrix(d, pair)
-        assert matrix == oracle_matrix(d, pair)
+        oracle = oracle_matrix(d, pair)
+        assert matrix == oracle
         assert matrix == expected
+        _check_bra_readings(d, pair, oracle)
 
 
 def test_sweep_equals_reference_on_the_catalog_over_s4():
@@ -168,3 +189,35 @@ def test_sweep_drops_tops_that_split_a_repeated_top_arc(tag, top, slices):
         seen = {}
         for a, c in zip(tops, top_cols):
             assert seen.setdefault(a, c) == c
+
+
+# open diagrams whose bottom edge meets one arc more than once, some with a
+# crossing whose over-arc is that bottom arc
+REPEATED_BOTTOM_ARCS = [
+    ((), [("cupR", 0)]),
+    (("v",), [("cupR", 0)]),
+    (("v", "v"), [("cupR", 1), ("X+", 0)]),
+    (("v", "v"), [("cupL", 2), ("X-", 0)]),
+    (("v", "v"), [("X+", 0), ("cupR", 2), ("X+", 1)]),
+]
+
+
+@pytest.mark.parametrize("tag", ["rack R3", "eisermann S3 (1 2 3)",
+                                 "lift unframed D4", "lift framed D4"])
+@pytest.mark.parametrize("top, slices", REPEATED_BOTTOM_ARCS)
+def test_bra_reading_drops_bottoms_that_split_a_repeated_bottom_arc(
+        tag, top, slices):
+    pair = pairs()[tag]
+    d = SlicedTangleDiagram(top, slices)
+    bottoms = d.levels[-1]
+    assert len(set(bottoms)) < len(bottoms)
+    oracle = oracle_matrix(d, pair)
+    split = 0
+    for bottom in itertools.product(range(pair.g.order), repeat=len(bottoms)):
+        bra = invariant(d, pair, top="all", bottom=bottom)
+        assert {t: iv.terms for t, iv in bra.items()} == {
+            t: terms for (t, b), terms in oracle.items() if b == bottom}
+        if len({(a, c) for a, c in zip(bottoms, bottom)}) > len(set(bottoms)):
+            assert bra == {}
+            split += 1
+    assert split

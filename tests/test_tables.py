@@ -59,8 +59,8 @@ def test_bra_and_ket_directions_agree_spot_check():
 @pytest.mark.parametrize("name, column", [("table1", 6), ("table3", 5)])
 @pytest.mark.parametrize("knot", KNOTS)
 def test_bra_reading_equals_the_per_top_sum(name, column, knot):
-    # the bra reading is one all-tops sweep; the oracle runs one state sum
-    # per top colour with the identity bottom fixed
+    # the bra reading is one sum seeded on the identity bottom; the oracle
+    # runs one ket sum per top colour with the identity bottom fixed
     from tanglesum.tables import _diagram, _pair
 
     pair = _pair(name, column)
