@@ -98,6 +98,7 @@ from .racks import conjugation_quandle, _enumerate_colourings as _rack_colouring
 from .validation import SAMPLE_SEED
 
 STATE_SUM_BRANCH_CAP = 5_000_000
+MATRIX_TOP_CAP = 4096
 SWEEP_CHUNK_ROWS = 2 ** 16
 PROGRAM_CACHE_SIZE = 4096
 COMPOSE_TOP_CAP = 2048
@@ -696,13 +697,13 @@ def _all_tops(n: int, k: int) -> np.ndarray:
 _last_matrix: tuple | None = None
 
 
-def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
-                     top_cap: int = 4096) -> dict:
+def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair) -> dict:
     """Full matrix {(top, bottom): terms} over every top enhancement.
 
     Intended for small boundaries, e.g. to compare diagrams related by a
     move; keys with no colourings are omitted.  Every top enhancement
-    seeds one row of a single sweep.
+    seeds one row of a single sweep, and more than MATRIX_TOP_CAP of them
+    raise SizeLimitError.
 
     The sum reads nothing of d but its program, so a call whose program
     equals the last call's, under the same transfer, returns a copy of the
@@ -715,8 +716,8 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair,
     global _last_matrix
     k = len(d.top)
     n = pair.g.order
-    if n ** k > top_cap:
-        raise SizeLimitError(f"{n}^{k} top enhancements exceed {top_cap}")
+    if n ** k > MATRIX_TOP_CAP:
+        raise SizeLimitError(f"{n}^{k} top enhancements exceed {MATRIX_TOP_CAP}")
     prog = compile_program(d)
     transfer = pair.transfer()
     last = _last_matrix

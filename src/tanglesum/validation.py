@@ -4,11 +4,19 @@ Axiom checks over finite domains run either exhaustively or, above a budget,
 on a fixed-seed pseudo-random sample.  A report records, per axiom, the mode
 that ran, how many tuples were checked, and up to a handful of violation
 witnesses, so a failed validation is always reproducible and explainable.
+
+An exhaustive sweep runs its blocks on the CPUs this process may use, one
+block per worker at a time, so at most workers x GRID_CHUNK points are in
+flight; the block results are merged in row-major order, so a report does
+not depend on the number of workers.  Check functions therefore run
+concurrently and must only read shared tables, never write shared state.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,8 +99,16 @@ def check_equal(axiom: str, lhs, rhs, axes: list[np.ndarray], mode: str,
     return CheckResult(axiom, domain_size, lhs.size, mode, violations)
 
 
-# exhaustive sweeps evaluate about this many points per call of `fn`
-GRID_CHUNK = 65_536
+# exhaustive sweeps evaluate about this many points per call of `fn`; each
+# worker holds one block at a time
+GRID_CHUNK = 32_768
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def grid_check(axiom: str, shape: tuple[int, ...], fn,
@@ -104,7 +120,13 @@ def grid_check(axiom: str, shape: tuple[int, ...], fn,
     (1, ..., n_i, ..., 1).  `fn` returns the two sides of the axiom as
     anything that broadcasts to the block, so a scalar side or a term of
     only some of the variables is computed once per plane.  Blocks hold
-    about GRID_CHUNK points, so memory stays bounded.  Above
+    about GRID_CHUNK points and run on min(usable CPUs, blocks) workers:
+    the calling thread plus threads started and joined within the call,
+    none for a one-block sweep.  So at most workers x GRID_CHUNK points are
+    in flight, and `fn` must be safe to call from several threads at once:
+    it may read shared tables but must not write shared state.  Block
+    results are merged in row-major order, and if blocks raise, the
+    earliest one's exception is raised, as a serial sweep would.  Above
     EXHAUSTIVE_BUDGET tuples a fixed-seed sample of SAMPLE_SIZE tuples runs
     instead (unless thorough), and `fn` receives one flat index array per
     factor.  Either way the tuples are checked in row-major order and the
@@ -118,13 +140,48 @@ def grid_check(axiom: str, shape: tuple[int, ...], fn,
         return check_equal(axiom, lhs, rhs, axes, "sampled", total)
 
     block = max(1, GRID_CHUNK // max(1, math.prod(shape[1:])))
+    starts = range(0, shape[0], block)
+    # parts[i] is block i's CheckResult or exception; blocks are taken in
+    # order, so once one fails every block not yet taken comes after it
+    parts: list = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+    failed = False
+
+    def work():
+        nonlocal failed
+        while not failed:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            axes = np.ix_(np.arange(starts[i], min(starts[i] + block, shape[0])),
+                          *map(np.arange, shape[1:]))
+            try:
+                lhs, rhs = fn(*axes)
+                parts[i] = check_equal(axiom, lhs, rhs, axes, "exhaustive", total)
+            except Exception as exc:  # raised below, in block order
+                parts[i] = exc
+                failed = True
+
+    threads = []
+    try:
+        for _ in range(min(_cpus(), len(starts)) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        # every block is taken by now, unless an interrupt cut work() short
+        failed = True
+        for thread in threads:
+            thread.join()
+
     violations: list[Violation] = []
     checked = 0
-    for start in range(0, shape[0], block):
-        axes = np.ix_(np.arange(start, min(start + block, shape[0])),
-                      *map(np.arange, shape[1:]))
-        lhs, rhs = fn(*axes)
-        part = check_equal(axiom, lhs, rhs, axes, "exhaustive", total)
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
         checked += part.checked
         violations += part.violations
     return CheckResult(axiom, total, checked, "exhaustive",

@@ -778,7 +778,10 @@ def test_top_cap_is_checked_before_the_slot(monkeypatch):
     s5 = symmetric_group(5)
     p = pair_eisermann(s5, s5.element_by_label("(1 2 3)"), carrier="group")
     d = braid_word_to_tangle([1], 2)
-    assert invariant_matrix(d, p, top_cap=100_000)
+    cap = engine.MATRIX_TOP_CAP
+    monkeypatch.setattr(engine, "MATRIX_TOP_CAP", 100_000)
+    assert invariant_matrix(d, p)
+    monkeypatch.setattr(engine, "MATRIX_TOP_CAP", cap)
     with pytest.raises(SizeLimitError):
         invariant_matrix(d, p)
     assert len(calls) == 1
