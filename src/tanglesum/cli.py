@@ -106,7 +106,7 @@ def load_group(spec: str) -> FiniteGroup:
 
 def load_rack(spec: str):
     parts = spec.split(":")
-    if parts[0] == "dihedral" and len(parts) == 2:
+    if parts[0] == "dihedral" and len(parts) == 2 and parts[1].isdigit():
         return dihedral_quandle(int(parts[1]))
     if parts[0] == "conj" and len(parts) == 2:
         return conjugation_quandle(load_group(parts[1]))
@@ -153,37 +153,56 @@ def _pair_descriptor(args) -> dict:
     return desc
 
 
+def _text(desc: dict, key: str) -> str:
+    """desc[key], which must be a string; a UsageError names the key and
+    the pair kind otherwise."""
+    value = desc.get(key)
+    if not isinstance(value, str):
+        got = f", got {value!r}" if key in desc else ""
+        raise UsageError(f'{desc["kind"]} pair needs a string "{key}"{got}')
+    return value
+
+
 def build_pair(desc: dict) -> ReidemeisterPair:
     kind = desc["kind"]
     if kind == "rack":
-        r = load_rack(desc["rack"])
-        grp = load_group(desc["group"]) if "group" in desc \
+        r = load_rack(_text(desc, "rack"))
+        grp = load_group(_text(desc, "group")) if "group" in desc \
             else cyclic_group(r.size)
         return pair_from_rack(r, grp)
     if kind == "cocycle":
-        r = load_rack(desc["rack"])
-        grp = load_group(desc["group"]) if "group" in desc \
+        r = load_rack(_text(desc, "rack"))
+        grp = load_group(_text(desc, "group")) if "group" in desc \
             else cyclic_group(r.size)
         values = desc.get("values")
         if values is None and "values_file" in desc:
-            values = json.loads(Path(desc["values_file"]).read_text())
-        if values is None:
-            raise UsageError('cocycle pair needs "values" or "values_file"')
+            text = Path(_text(desc, "values_file")).read_text()
+            try:
+                values = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise UsageError(
+                    f"cocycle values file is not valid JSON: {exc}") from exc
+        if not isinstance(values, dict):
+            raise UsageError(
+                'cocycle pair needs a "values" object or a "values_file"')
         c = cocycle_from_json(r, values)
         return pair_from_rack_cocycle(c, grp)
     if kind == "eisermann":
-        g = load_group(desc["group"])
-        return pair_eisermann(g, g.element_by_label(desc["x"]),
+        g = load_group(_text(desc, "group"))
+        return pair_eisermann(g, g.element_by_label(_text(desc, "x")),
                               carrier=desc.get("carrier", "commutator"))
     if kind == "2xmod":
-        g = load_group(desc["group"])
+        g = load_group(_text(desc, "group"))
         return pair_from_2xmod(abelianisation_tensor_2xmod(g))
     if kind in ("lift_unframed", "lift_framed"):
-        p = int(desc.get("modulus", 5))
-        _, proj = pgl2(p)
+        p = desc.get("modulus", 5)
+        if not str(p).isdigit():
+            raise UsageError(f'{kind} pair needs an integer "modulus", '
+                             f"got {p!r}")
+        _, proj = pgl2(int(p))
         b = braided_from_central_extension(proj)
         gl = proj.source
-        x = int(proj.mapping[gl.element_by_label(desc["x"])])
+        x = int(proj.mapping[gl.element_by_label(_text(desc, "x"))])
         builder = (pair_eisermann_lift_unframed if kind == "lift_unframed"
                    else pair_eisermann_lift_framed)
         return builder(b, x)

@@ -14,12 +14,12 @@ mutually inverse bijections), so colours propagate down and up through
 crossings, and a sum can be seeded on either boundary: the ket reading
 fixes the top colours, the bra reading the bottom ones.  A diagram
 compiles once per seeded boundary into an integer event program, cached
-on the diagram's content (top word, slices, pre-coloured arcs, seeded
-boundary) in an LRU of PROGRAM_CACHE_SIZE programs: sweeps that hold a
-diagram fixed and vary the pair compile it once, and a cache hit never
-builds its arc table.  A planner picks a small set of seed arcs from which
-the two rules colour every arc not on the seeded boundary; each seed is a
-branch event, placed where it is first needed.
+on the diagram's content (top word, slices, seeded boundary) in an LRU of
+PROGRAM_CACHE_SIZE programs: sweeps that hold a diagram fixed and vary the
+pair compile it once, and a cache hit never builds its arc table.  A
+planner picks a small set of seed arcs from which the two rules colour
+every arc not on the seeded boundary; each seed is a branch event, placed
+where it is first needed.
 A derive event colours an arc ahead of its crossing with one gather from
 fplus or fminus.  A crossing event, in top-down order, computes the
 outgoing under-colour, trusts it when a derive event used its relation,
@@ -284,24 +284,24 @@ _PROGRAMS: OrderedDict = OrderedDict()  # content key -> program, LRU first
 _PROGRAMS_LOCK = threading.Lock()
 
 
-def compile_program(d: SlicedTangleDiagram, coloured=(),
+def compile_program(d: SlicedTangleDiagram,
                     from_bottom: bool = False) -> EventProgram:
     """Compile d, given colours on its top arcs, or on its bottom arcs when
-    from_bottom is set, and on the arcs in coloured.
+    from_bottom is set.
 
-    Programs are cached on the diagram's content, (top, slices, coloured,
+    Programs are cached on the diagram's content, (top, slices,
     from_bottom), never on the diagram object, so equal diagrams built
     separately share one program and a hit never builds the arc table.
     The cache keeps the PROGRAM_CACHE_SIZE most recently used programs;
     compile_program.cache_clear() empties it.
     """
-    key = (d.top, d.slices, tuple(coloured), bool(from_bottom))
+    key = (d.top, d.slices, bool(from_bottom))
     with _PROGRAMS_LOCK:
         prog = _PROGRAMS.get(key)
         if prog is not None:
             _PROGRAMS.move_to_end(key)
             return prog
-    prog = _compile(d, key[2], key[3])
+    prog = _compile(d, key[2])
     with _PROGRAMS_LOCK:
         _PROGRAMS[key] = prog
         if len(_PROGRAMS) > PROGRAM_CACHE_SIZE:
@@ -312,15 +312,14 @@ def compile_program(d: SlicedTangleDiagram, coloured=(),
 compile_program.cache_clear = _PROGRAMS.clear
 
 
-def _compile(d: SlicedTangleDiagram, coloured,
-             from_bottom: bool) -> EventProgram:
+def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
     """The uncached compile behind compile_program.
 
-    The seeded boundary, top or bottom, and the arcs in coloured are known.
-    _plan_seeds picks the seed arcs: with them every arc follows from the
-    crossing relations, each of which, given the over-colour, fixes the
-    outgoing under-colour from the incoming one and the incoming one from
-    the outgoing one.  Seeds are the only branch events.  Crossing
+    The seeded boundary, top or bottom, is known.  _plan_seeds picks the
+    seed arcs: with them every arc follows from the crossing relations,
+    each of which, given the over-colour, fixes the outgoing under-colour
+    from the incoming one and the incoming one from the outgoing one.
+    Seeds are the only branch events.  Crossing
     events stay in top-down order, which the E-fold needs; before each one,
     every arc it reads is made ready, a seed by branching and any other arc
     by the derivation the planner recorded, as late as possible.  A
@@ -332,7 +331,7 @@ def _compile(d: SlicedTangleDiagram, coloured,
     """
     top_arcs, bottom_arcs = d.boundary_arcs()
     seed_arcs = bottom_arcs if from_bottom else top_arcs
-    known = {*seed_arcs, *coloured}
+    known = set(seed_arcs)
     n_arcs = d.n_arcs
     crossings = d.crossings
     rules = []
@@ -500,14 +499,14 @@ def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
 class Colouring:
     """One solution of the crossing constraints on a sliced diagram.
 
-    arc_colours[i] is the G-colour of arc i; crossing_colours[k] is the
-    E-colour of d.crossings[k].
+    arc_colours[i] is the G-colour of arc i; elt is the E-element that the
+    colouring's sweep row folded over every crossing, top to bottom.
     """
 
     diagram: SlicedTangleDiagram = field(compare=False)
     pair: ReidemeisterPair = field(compare=False)
-    arc_colours: tuple[int, ...] = ()
-    crossing_colours: tuple[int, ...] = ()
+    arc_colours: tuple[int, ...]
+    elt: int
 
     def __repr__(self) -> str:
         g = self.pair.g
@@ -545,32 +544,26 @@ def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
                          top=None) -> Iterator[Colouring]:
     """Stream every colouring of d whose top arcs match the given colours.
 
-    A view of the sweep for callers that inspect single colourings; the
-    crossing colours are read back off the arc colours.
+    A view of the sweep for callers that inspect single colourings: each
+    finished row of the top-seeded sweep is one Colouring, its arc colours
+    and its folded E-element, the row's last column.
     """
     pair = transfer.pair
     top_cols = _normalise_enhancement(pair.g, d.top, top, "top")
     prog = compile_program(d)
     tops = np.array([top_cols], dtype=np.intp)
     for rows in _sweep(prog, transfer, _seed(prog, tops)):
-        for arcs in rows[:, :-1].tolist():
-            xs = ((pair.psi_at if c.sign > 0 else pair.phi_at)(
-                      arcs[c.over_arc], arcs[c.under_out_arc])
-                  for c in d.crossings)
-            yield Colouring(d, pair, tuple(arcs), tuple(xs))
+        for *arcs, elt in rows.tolist():
+            yield Colouring(d, pair, tuple(arcs), elt)
 
 
 def evaluate(col: Colouring) -> CGMorphism:
-    """Composite categorical-group morphism of a coloured diagram."""
+    """Composite categorical-group morphism of a coloured diagram: the
+    evaluation of its top colours, and the E-element its sweep folded."""
     d, pair = col.diagram, col.pair
-    prog = compile_program(d, coloured=range(d.n_arcs))
-    rows = np.array([(*col.arc_colours, 0)], dtype=np.intp)
-    chunks = list(_sweep(prog, pair.transfer(), rows))
-    if not chunks:
-        raise TangleSumError(f"{col!r} violates a crossing constraint")
     top_cols = tuple(col.arc_colours[a] for a in d.levels[0])
     src = Enhancement(d.top, top_cols).evaluation(pair.g)
-    return CGMorphism(pair.xmod, src, int(chunks[0][0, -1]))
+    return CGMorphism(pair.xmod, src, col.elt)
 
 
 # ----------------------------------------------------------------------

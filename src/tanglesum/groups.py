@@ -187,7 +187,10 @@ class FiniteGroup:
         return self.mul(self.mul(g, h), self.inv(g))
 
     def comm(self, g: int, h: int) -> int:
-        """[g, h] = g h g^{-1} h^{-1}."""
+        """[g, h] = g h g^{-1} h^{-1}.
+
+        A scalar oracle: tests check the commutator-pair tables against it.
+        """
         return self.mul(self.conj(g, h), self.inv(h))
 
     def power(self, g: int, k: int) -> int:
@@ -368,11 +371,6 @@ def from_cayley_csv(path, labels=None, name: str = "G") -> FiniteGroup:
     return from_cayley_table(rows, labels=labels, name=name)
 
 
-def cayley_to_csv(g: FiniteGroup, path) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(g.table.tolist())
-
-
 # ---------------------------------------------------------------------------
 # homomorphisms
 # ---------------------------------------------------------------------------
@@ -405,11 +403,6 @@ class GroupHom:
             return int(bad[0][0]), int(bad[0][1])
         return None
 
-    @property
-    def is_homomorphism(self) -> bool:
-        return (int(self.mapping[self.source.identity]) == self.target.identity
-                and self.first_violation() is None)
-
     def assert_valid(self) -> None:
         if int(self.mapping[self.source.identity]) != self.target.identity:
             raise GroupMismatchError(f"{self.name or 'hom'} does not fix the identity")
@@ -435,10 +428,6 @@ class GroupHom:
     @property
     def is_surjective(self) -> bool:
         return len(np.unique(self.mapping)) == self.target.order
-
-    @property
-    def is_injective(self) -> bool:
-        return len(np.unique(self.mapping)) == self.source.order
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:

@@ -122,11 +122,13 @@ class Rack:
         )
 
     def lop(self, a: int, y: int) -> int:
-        """a |> y."""
+        """a |> y, a scalar oracle: tests check the rack pair's transfer
+        against it."""
         return int(self.left[a, y])
 
     def rop(self, x: int, b: int) -> int:
-        """x <| b."""
+        """x <| b, a scalar oracle: tests check the rack pair's transfer
+        against it."""
         return int(self.right[x, b])
 
     def label(self, i: int) -> str:
@@ -182,15 +184,6 @@ def validate_rack(r: Rack, thorough: bool = False) -> ValidationReport:
             "x <| x = x = x |> x", (n,),
             lambda X: (R[X, X] * n + L[X, X], X * n + X), thorough))
     return report
-
-
-def nelson_check(r: Rack) -> bool:
-    """Both squaring maps x -> x |> x and x -> x <| x are bijections."""
-    diag = np.arange(r.size, dtype=np.int64)
-    for squares in (r.left[diag, diag], r.right[diag, diag]):
-        if len(np.unique(squares)) != r.size:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +351,8 @@ def cocycle_from_json(rack: Rack, source, name: str | None = None) -> RackCocycl
         v = product_of_cyclics([int(m) for m in data["v_moduli"]])
     else:
         raise TangleSumError("cocycle JSON needs 'v_modulus' or 'v_moduli'")
+    if "table" not in data:
+        raise TangleSumError("cocycle JSON needs 'table'")
     return RackCocycle(rack, v, data["table"], name=name or data.get("name", "w"))
 
 

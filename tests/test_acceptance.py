@@ -13,11 +13,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from named_examples import (
+    R3_COCYCLE,
+    d4_extension,
+    move_families,
+    shift_rack,
+)
 from tanglesum.abelian import TensorSquare
 from tanglesum.algebra import GroupAlgebraElement
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
-    braided_from_central_extension,
     CGMorphism,
     xm_identity,
     xm_pair_with_module,
@@ -38,14 +43,7 @@ from tanglesum.engine import (
     tqft_compose_check,
     wirtinger_count,
 )
-from tanglesum.groups import (
-    abelianization,
-    central_quotient,
-    cyclic_group,
-    subgroup,
-    subgroup_closure,
-    symmetric_group,
-)
+from tanglesum.groups import abelianization, cyclic_group, symmetric_group
 from tanglesum.pairs import (
     boundary_shadow,
     lifting_shadow_check,
@@ -66,7 +64,6 @@ from tanglesum.racks import (
 )
 from tanglesum import tables
 
-R3_COCYCLE = {"v_moduli": [3], "table": [[0, 0, 1], [2, 0, 2], [1, 0, 0]]}
 GF4_RIGHT = [[0, 3, 1, 2], [2, 1, 3, 0], [3, 0, 2, 1], [1, 2, 0, 3]]
 GF4_COCYCLE = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
 
@@ -74,20 +71,6 @@ GF4_COCYCLE = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
 def _clear_table_caches():
     for fn in (tables._pair, tables._braided, tables._gl_pgl, tables._s5):
         fn.cache_clear()
-
-
-def _d4_extension():
-    s4 = symmetric_group(4)
-    gens = [s4.element_by_label("(1 2 3 4)"), s4.element_by_label("(1 3)")]
-    d4, _ = subgroup(s4, subgroup_closure(s4, gens), name="D4")
-    _, proj = central_quotient(d4)
-    return braided_from_central_extension(proj)
-
-
-def _shift_rack(n: int) -> Rack:
-    return Rack(
-        right=np.array([[(x + 1) % n] * n for x in range(n)]), name=f"shift{n}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +198,7 @@ def test_criterion_3_pair_axiom_suites():
 
 
 def test_criterion_4_move_invariance_across_families():
-    s3 = symmetric_group(3)
-    b = _d4_extension()
-    instances = [
-        ("rack quandle R3", pair_from_rack(dihedral_quandle(3), cyclic_group(3))),
-        ("rack shift3", pair_from_rack(_shift_rack(3), cyclic_group(3))),
-        ("cocycle R3/Z3", pair_from_rack_cocycle(
-            cocycle_from_json(dihedral_quandle(3), R3_COCYCLE), cyclic_group(3))),
-        ("eisermann S3", pair_eisermann(
-            s3, s3.element_by_label("(1 2 3)"), carrier="group")),
-        ("peiffer S3", pair_from_2xmod(abelianisation_tensor_2xmod(s3))),
-        ("lift unframed D4", pair_eisermann_lift_unframed(b, 1)),
-        ("lift framed D4", pair_eisermann_lift_framed(b, 1)),
-    ]
+    instances = list(move_families().items())
     assert all(p.g.order <= 6 for _, p in instances)
 
     checked = 0
@@ -352,14 +323,14 @@ def test_criterion_6_structural_checks():
                 interchange_checked += 1
 
     # (b) the two transfers are mutually inverse for every shipped family
-    b_small = _d4_extension()
+    b_small = d4_extension()
     b_gl = tables._braided()
     gl, pgl, proj = tables._gl_pgl()
     x_gl = int(proj.mapping[gl.element_by_label("(2 0; 0 1)")])
     s5 = symmetric_group(5)
     shipped = [
         pair_from_rack(dihedral_quandle(4), cyclic_group(4)),
-        pair_from_rack(_shift_rack(5), cyclic_group(5)),
+        pair_from_rack(shift_rack(5), cyclic_group(5)),
         pair_from_rack_cocycle(
             cocycle_from_json(dihedral_quandle(3), R3_COCYCLE), cyclic_group(3)),
         pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)")),

@@ -6,14 +6,13 @@ import json
 
 import pytest
 
+from named_examples import R3_COCYCLE
 from tanglesum.cli import build_pair, main
 from tanglesum.diagrams import load_catalog
 from tanglesum.engine import compile_program, invariant
 
-GOOD_COCYCLE = (
-    '{"kind": "cocycle", "rack": "dihedral:3", "group": "z3",'
-    ' "values": {"v_moduli": [3], "table": [[0,0,1],[2,0,2],[1,0,0]]}}'
-)
+GOOD_COCYCLE = json.dumps({"kind": "cocycle", "rack": "dihedral:3",
+                           "group": "z3", "values": R3_COCYCLE})
 BAD_COCYCLE = (
     '{"kind": "cocycle", "rack": "dihedral:3", "group": "z3",'
     ' "values": {"v_moduli": [3], "table": [[0,0,1],[2,0,2],[1,1,0]]}}'
@@ -227,6 +226,36 @@ def test_invariant_requires_pair(capsys):
 def test_invariant_bad_pair_json(capsys):
     assert main(["invariant", "--diagram", "unknot_closed",
                  "--pair", '{"kind": "sparkle"}']) == 2
+
+
+@pytest.mark.parametrize("argv, names", [
+    pytest.param(["invariant", "--pair", '{"kind": "eisermann"}'],
+                 '"group"', id="no-group"),
+    pytest.param(["invariant", "--pair", '{"kind": "eisermann", "group": "s3"}'],
+                 '"x"', id="no-x"),
+    pytest.param(["invariant", "--pair", '{"kind": "rack", "rack": 3}'],
+                 '"rack"', id="rack-not-a-string"),
+    pytest.param(["invariant", "--pair",
+                  '{"kind": "lift_framed", "modulus": "x", "x": "I"}'],
+                 '"modulus"', id="bad-modulus"),
+    pytest.param(["invariant", "--pair",
+                  '{"kind": "cocycle", "rack": "dihedral:3"}'],
+                 '"values"', id="no-values"),
+    pytest.param(["invariant", "--pair",
+                  '{"kind": "cocycle", "rack": "dihedral:3", '
+                  '"values": {"v_moduli": [3]}}'],
+                 "'table'", id="no-table"),
+    pytest.param(["validate", "--rack", "dihedral:abc"],
+                 "'dihedral:abc'", id="bad-rack-order"),
+])
+def test_malformed_descriptor_is_a_usage_error(capsys, argv, names):
+    # exit code 1 means a failed check, so a typo must not read as one
+    assert main([*argv, "--diagram", "unknot_closed"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert names in lines[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from named_examples import d4_extension, d4_projection
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
     braided_crossed_module,
@@ -27,12 +28,9 @@ from tanglesum.errors import (
 )
 from tanglesum.groups import (
     abelianization,
-    central_quotient,
     cyclic_group,
     GroupHom,
     identity_hom,
-    subgroup,
-    subgroup_closure,
     symmetric_group,
 )
 
@@ -164,17 +162,8 @@ def test_abelianisation_tensor_2xmod():
     assert t.lift(a, c) == t.l.identity  # anything (x) even dies
 
 
-def _d4_central_extension():
-    s4 = symmetric_group(4)
-    gens = [s4.element_by_label("(1 2 3 4)"), s4.element_by_label("(1 3)")]
-    d4, _ = subgroup(s4, subgroup_closure(s4, gens), name="D4")
-    _, proj = central_quotient(d4)
-    return proj
-
-
 def test_braided_from_central_extension():
-    proj = _d4_central_extension()
-    b = braided_from_central_extension(proj)
+    b = braided_from_central_extension(d4_projection())
     assert b.is_braided
     assert b.e.order == 4 and b.l.order == 8
     assert validate_2xmod(b, thorough=True).ok
@@ -191,7 +180,7 @@ BRAIDED_IDENTITIES = {"lifting boundary is the plain commutator",
 
 
 def test_validate_2xmod_sweeps_the_identities():
-    b = braided_from_central_extension(_d4_central_extension())
+    b = d4_extension()
     report = validate_2xmod(b, thorough=True)
     axioms = {c.axiom for c in report.checks}
     assert DERIVED_IDENTITIES | BRAIDED_IDENTITIES <= axioms
@@ -209,7 +198,7 @@ def test_validate_2xmod_sweeps_the_identities():
 
 
 def test_validate_2xmod_catches_a_perturbed_lifting_entry():
-    b = braided_from_central_extension(_d4_central_extension())
+    b = d4_extension()
     lifting = b.lifting.copy()
     assert lifting[1, 2] != 1
     lifting[1, 2] = 1

@@ -5,7 +5,9 @@ followed by a short chain of move neighbours.  For every pair family the
 sweep's invariant_matrix must equal the oracle's matrix exactly, and each
 move must leave it unchanged; the bra reading, one sum seeded on a fixed
 bottom, must equal the oracle's matrix at that bottom.  A catalog sweep
-over S4 covers what those small groups cannot.
+over S4 covers what those small groups cannot, and the colourings that
+enumerate_colourings streams, counted as a multiset of (top, bottom,
+element), must equal the oracle's matrix too.
 """
 
 from __future__ import annotations
@@ -14,16 +16,12 @@ import functools
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from named_examples import move_families
 from slice_oracle import oracle_matrix
-from tanglesum.crossed_modules import (
-    abelianisation_tensor_2xmod,
-    braided_from_central_extension,
-)
 from tanglesum.diagrams import (
     SlicedTangleDiagram,
     braid_word_to_tangle,
@@ -32,25 +30,14 @@ from tanglesum.diagrams import (
     move_neighbours,
     trace_closure,
 )
-from tanglesum.engine import invariant, invariant_matrix
-from tanglesum.groups import (
-    central_quotient,
-    cyclic_group,
-    subgroup,
-    subgroup_closure,
-    symmetric_group,
+from tanglesum.engine import (
+    enumerate_colourings,
+    evaluate,
+    invariant,
+    invariant_matrix,
 )
-from tanglesum.pairs import (
-    pair_eisermann,
-    pair_eisermann_lift_framed,
-    pair_eisermann_lift_unframed,
-    pair_from_2xmod,
-    pair_from_rack,
-    pair_from_rack_cocycle,
-)
-from tanglesum.racks import Rack, cocycle_from_json, dihedral_quandle
-
-R3_COCYCLE = {"v_moduli": [3], "table": [[0, 0, 1], [2, 0, 2], [1, 0, 0]]}
+from tanglesum.groups import symmetric_group
+from tanglesum.pairs import pair_eisermann
 
 # keeps the oracle's work per example small: cups, crossings
 MAX_CUPS = 3
@@ -59,34 +46,12 @@ MAX_CROSSINGS = 8
 S4_TOPS = 24
 
 
-def _d4_extension():
-    s4 = symmetric_group(4)
-    gens = [s4.element_by_label("(1 2 3 4)"), s4.element_by_label("(1 3)")]
-    d4, _ = subgroup(s4, subgroup_closure(s4, gens), name="D4")
-    _, proj = central_quotient(d4)
-    return braided_from_central_extension(proj)
-
-
 @functools.cache
 def pairs() -> dict:
-    s3, z3, r3 = symmetric_group(3), cyclic_group(3), dihedral_quandle(3)
-    d4 = _d4_extension()
-    return {
-        "rack R3": pair_from_rack(r3, z3),
-        # x <| y = x + 1, a rack that is not a quandle
-        "rack shift3": pair_from_rack(
-            Rack(right=np.array([[(x + 1) % 3] * 3 for x in range(3)]),
-                 name="shift3"), z3),
-        "cocycle R3/Z3": pair_from_rack_cocycle(
-            cocycle_from_json(r3, R3_COCYCLE), z3),
-        "eisermann S3 (1 2 3)": pair_eisermann(
-            s3, s3.element_by_label("(1 2 3)"), carrier="group"),
-        "eisermann S3 (1 2)": pair_eisermann(
-            s3, s3.element_by_label("(1 2)"), carrier="group"),
-        "tensor-square S3": pair_from_2xmod(abelianisation_tensor_2xmod(s3)),
-        "lift unframed D4": pair_eisermann_lift_unframed(d4, 1),
-        "lift framed D4": pair_eisermann_lift_framed(d4, 1),
-    }
+    """The moves families, plus Eisermann S3 at a transposition."""
+    s3 = symmetric_group(3)
+    return {**move_families(), "eisermann S3 (1 2)": pair_eisermann(
+        s3, s3.element_by_label("(1 2)"), carrier="group")}
 
 
 def _small(d) -> bool:
@@ -174,7 +139,7 @@ REPEATED_TOP_ARCS = [
 ]
 
 
-@pytest.mark.parametrize("tag", ["rack R3", "eisermann S3 (1 2 3)",
+@pytest.mark.parametrize("tag", ["rack quandle R3", "eisermann S3",
                                  "lift unframed D4", "lift framed D4"])
 @pytest.mark.parametrize("top, slices", REPEATED_TOP_ARCS)
 def test_sweep_drops_tops_that_split_a_repeated_top_arc(tag, top, slices):
@@ -202,7 +167,7 @@ REPEATED_BOTTOM_ARCS = [
 ]
 
 
-@pytest.mark.parametrize("tag", ["rack R3", "eisermann S3 (1 2 3)",
+@pytest.mark.parametrize("tag", ["rack quandle R3", "eisermann S3",
                                  "lift unframed D4", "lift framed D4"])
 @pytest.mark.parametrize("top, slices", REPEATED_BOTTOM_ARCS)
 def test_bra_reading_drops_bottoms_that_split_a_repeated_bottom_arc(
@@ -221,3 +186,23 @@ def test_bra_reading_drops_bottoms_that_split_a_repeated_bottom_arc(
             assert bra == {}
             split += 1
     assert split
+
+
+@pytest.mark.parametrize("tag", ["cocycle R3/Z3", "eisermann S3",
+                                 "lift framed D4"])
+def test_single_colourings_equal_the_oracle(tag):
+    # the (top, bottom, element) of each colouring that enumerate_colourings
+    # streams, over every top, counted as a multiset
+    pair = move_families()[tag]
+    transfer = pair.transfer()
+    for name in catalog_names():
+        d = load_catalog(name)
+        got: dict = {}
+        for top in itertools.product(range(pair.g.order), repeat=len(d.top)):
+            for col in enumerate_colourings(d, transfer, top=top):
+                key = tuple(tuple(col.arc_colours[a] for a in level)
+                            for level in (d.levels[0], d.levels[-1]))
+                terms = got.setdefault(key, {})
+                elt = evaluate(col).elt
+                terms[elt] = terms.get(elt, 0) + 1
+        assert got == oracle_matrix(d, pair), (tag, name)

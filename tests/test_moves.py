@@ -8,27 +8,27 @@ pairs survive R1, a genuinely framed pair does not.
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.util
+import sys
+from pathlib import Path
 
-from tanglesum.crossed_modules import abelianisation_tensor_2xmod
+from named_examples import move_families
 from tanglesum.diagrams import catalog_names, load_catalog, move_neighbours
 from tanglesum.engine import invariant_matrix
-from tanglesum.groups import cyclic_group, symmetric_group
-from tanglesum.pairs import (
-    pair_eisermann,
-    pair_from_2xmod,
-    pair_from_rack,
-    pair_from_rack_cocycle,
-)
-from tanglesum.racks import cocycle_from_json, dihedral_quandle, Rack
-
-R3_COCYCLE = {"v_moduli": [3], "table": [[0, 0, 1], [2, 0, 2], [1, 0, 0]]}
 
 
-def shift_rack(n: int) -> Rack:
-    return Rack(
-        right=np.array([[(x + 1) % n] * n for x in range(n)]), name=f"shift{n}"
-    )
+def _bench_workloads():
+    """bench/workloads.py, loaded read-only for its frozen moves values.
+
+    Registered in sys.modules before it runs, as its dataclasses need.
+    """
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def assert_invariant_under_moves(pair, names, moves):
@@ -41,29 +41,27 @@ def assert_invariant_under_moves(pair, names, moves):
 
 
 def test_rack_pair_invariant_on_whole_catalog():
-    p = pair_from_rack(dihedral_quandle(3), cyclic_group(3))
+    p = move_families()["rack quandle R3"]
     assert_invariant_under_moves(p, catalog_names(), "unframed")
 
 
 def test_cocycle_pair_invariant_on_knots():
-    c = cocycle_from_json(dihedral_quandle(3), R3_COCYCLE)
-    p = pair_from_rack_cocycle(c, cyclic_group(3))
+    p = move_families()["cocycle R3/Z3"]
     names = ["trefoil_plus_closed", "figure_eight_closed",
              "sigma1_sigma1inv_closed", "trefoil_plus_string"]
     assert_invariant_under_moves(p, names, "unframed")
 
 
 def test_eisermann_pair_invariant_on_selected_diagrams():
-    s3 = symmetric_group(3)
-    p = pair_eisermann(s3, s3.element_by_label("(1 2 3)"), carrier="group")
+    p = move_families()["eisermann S3"]
     names = ["trefoil_plus_closed", "sigma1_sigma1inv_closed",
              "crossing_rotated_plus", "unknot_string"]
     assert_invariant_under_moves(p, names, "unframed")
 
 
 def test_framed_pairs_invariant_under_framed_moves():
-    shift = pair_from_rack(shift_rack(3), cyclic_group(3))
-    peiffer = pair_from_2xmod(abelianisation_tensor_2xmod(symmetric_group(3)))
+    shift = move_families()["rack shift3"]
+    peiffer = move_families()["peiffer S3"]
     names = ["trefoil_plus_closed", "figure_eight_closed", "unknot_closed",
              "crossing_rotated_minus"]
     assert_invariant_under_moves(shift, names, "framed")
@@ -73,7 +71,7 @@ def test_framed_pairs_invariant_under_framed_moves():
 
 def test_framed_pair_detects_kinks():
     # the negative control: a proper rack is sensitive to R1
-    p = pair_from_rack(shift_rack(3), cyclic_group(3))
+    p = move_families()["rack shift3"]
     d = load_catalog("unknot_closed")
     base = invariant_matrix(d, p)
     kinked = [mp for mp in move_neighbours(d, "unframed") if mp.tag == "R1"]
@@ -84,9 +82,23 @@ def test_framed_pair_detects_kinks():
 
 def test_peiffer_pair_tracks_writhe():
     # the abelianisation pair separates diagrams of different framing
-    p = pair_from_2xmod(abelianisation_tensor_2xmod(symmetric_group(3)))
+    p = move_families()["peiffer S3"]
     plus = invariant_matrix(load_catalog("trefoil_plus_closed"), p)
     minus = invariant_matrix(load_catalog("trefoil_minus_closed"), p)
     assert plus == minus  # writhe +3 and -3 agree over tensor square of Z2
     unknot = invariant_matrix(load_catalog("unknot_closed"), p)
     assert plus != unknot
+
+
+def test_move_families_are_the_frozen_moves_pairs():
+    # the bench's moves workload freezes each family's matrix on the
+    # catalog; fingerprinting with its own code keeps the two copies of
+    # the families from drifting apart
+    workloads = _bench_workloads()
+    reference = workloads.moves_reference()
+    assert set(move_families()) == set(reference)
+    for tag, pair in move_families().items():
+        for name in catalog_names():
+            got = workloads.matrix_fingerprint(
+                invariant_matrix(load_catalog(name), pair))
+            assert got == reference[tag][name], (tag, name)

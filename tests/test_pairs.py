@@ -7,11 +7,16 @@ import functools
 import numpy as np
 import pytest
 
+from named_examples import (
+    R3_COCYCLE,
+    d4_extension,
+    move_families,
+    shift_rack,
+)
 from tanglesum import validation
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
     braided_crossed_module,
-    braided_from_central_extension,
     xm_identity,
 )
 from tanglesum.errors import (
@@ -20,12 +25,9 @@ from tanglesum.errors import (
     XmodMismatchError,
 )
 from tanglesum.groups import (
-    central_quotient,
     commutator_subgroup,
     cyclic_group,
     GroupHom,
-    subgroup,
-    subgroup_closure,
     symmetric_group,
     trivial_group,
 )
@@ -46,25 +48,7 @@ from tanglesum.racks import (
     cocycle_from_json,
     conjugation_quandle,
     dihedral_quandle,
-    Rack,
 )
-
-R3_COCYCLE = {"v_moduli": [3], "table": [[0, 0, 1], [2, 0, 2], [1, 0, 0]]}
-
-
-def shift_rack(n: int) -> Rack:
-    """The permutation rack x <| y = x + 1 on Z_n; a rack, not a quandle."""
-    return Rack(
-        right=np.array([[(x + 1) % n] * n for x in range(n)]), name=f"shift{n}"
-    )
-
-
-def d4_extension():
-    s4 = symmetric_group(4)
-    gens = [s4.element_by_label("(1 2 3 4)"), s4.element_by_label("(1 3)")]
-    d4, _ = subgroup(s4, subgroup_closure(s4, gens), name="D4")
-    _, proj = central_quotient(d4)
-    return braided_from_central_extension(proj)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +195,10 @@ def test_unframed_lift_requires_surjective_boundary():
 
 def test_transfer_tables_are_mutually_inverse_for_all_families():
     s3 = symmetric_group(3)
-    b = d4_extension()
     pairs = [
-        pair_from_rack(dihedral_quandle(3), cyclic_group(3)),
+        *move_families().values(),
         pair_from_rack(shift_rack(4), cyclic_group(4)),
-        pair_from_rack_cocycle(
-            cocycle_from_json(dihedral_quandle(3), R3_COCYCLE), cyclic_group(3)
-        ),
         pair_eisermann(s3, s3.element_by_label("(1 2)"), carrier="group"),
-        pair_from_2xmod(abelianisation_tensor_2xmod(s3)),
-        pair_eisermann_lift_unframed(b, 1),
-        pair_eisermann_lift_framed(b, 1),
     ]
     for p in pairs:
         t = p.transfer()
@@ -235,22 +212,9 @@ def test_transfer_tables_are_mutually_inverse_for_all_families():
 @functools.cache
 def moves_set_pairs() -> dict:
     """The pair families of the move-invariance sweep, plus Eisermann S5."""
-    s3, s5, z3, r3 = (symmetric_group(3), symmetric_group(5), cyclic_group(3),
-                      dihedral_quandle(3))
-    b = d4_extension()
-    return {
-        "rack R3": pair_from_rack(r3, z3),
-        "rack shift3": pair_from_rack(shift_rack(3), z3),
-        "cocycle R3/Z3": pair_from_rack_cocycle(
-            cocycle_from_json(r3, R3_COCYCLE), z3),
-        "eisermann S3": pair_eisermann(
-            s3, s3.element_by_label("(1 2 3)"), carrier="group"),
-        "peiffer S3": pair_from_2xmod(abelianisation_tensor_2xmod(s3)),
-        "lift unframed D4": pair_eisermann_lift_unframed(b, 1),
-        "lift framed D4": pair_eisermann_lift_framed(b, 1),
-        "eisermann S5": pair_eisermann(
-            s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group"),
-    }
+    s5 = symmetric_group(5)
+    return {**move_families(), "eisermann S5": pair_eisermann(
+        s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")}
 
 
 @pytest.mark.parametrize("tag", sorted(moves_set_pairs()))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from named_examples import R3_COCYCLE, shift_rack
 from tanglesum.diagrams import load_catalog
 from tanglesum.errors import NotClosedError, SizeLimitError
 from tanglesum.groups import commutator_subgroup, cyclic_group, symmetric_group
@@ -15,16 +16,12 @@ from tanglesum.racks import (
     conjugation_quandle,
     dihedral_quandle,
     eisermann_quandle,
-    nelson_check,
     Rack,
     rack_colouring_count,
     rack_from_csv,
     validate_cocycle,
     validate_rack,
 )
-
-# one valid non-zero 2-cocycle on the three-element dihedral quandle over Z3
-R3_COCYCLE = [[0, 0, 1], [2, 0, 2], [1, 0, 0]]
 
 # the Alexander quandle on the field with four elements, x <| y = tx + (1+t)y
 GF4_RIGHT = [[0, 3, 1, 2], [2, 1, 3, 0], [3, 0, 2, 1], [1, 2, 0, 3]]
@@ -86,7 +83,7 @@ def test_eisermann_quandle_trivial_twist():
 
 def test_permutation_rack_is_not_a_quandle():
     # x <| y = x + 1 on Z3: a rack whose translations ignore y
-    shift = Rack(right=np.array([[(x + 1) % 3] * 3 for x in range(3)]), name="shift3")
+    shift = shift_rack(3)
     assert validate_rack(shift).ok
     assert not shift.is_quandle
 
@@ -94,11 +91,6 @@ def test_permutation_rack_is_not_a_quandle():
 def test_validate_rack_catches_broken_distributivity():
     bad = Rack(right=np.array([[0, 1, 0], [1, 0, 2], [2, 2, 1]]))
     assert not validate_rack(bad).ok
-
-
-def test_nelson_check():
-    assert nelson_check(dihedral_quandle(3))
-    assert nelson_check(conjugation_quandle(symmetric_group(3)))
 
 
 def test_rack_csv_round_trip(tmp_path):
@@ -118,8 +110,16 @@ def test_rack_csv_round_trip(tmp_path):
 
 def test_r3_cocycle_fixture_is_valid():
     r3 = dihedral_quandle(3)
-    c = cocycle_from_json(r3, {"v_moduli": [3], "table": R3_COCYCLE})
+    c = cocycle_from_json(r3, R3_COCYCLE)
     assert validate_cocycle(c, thorough=True).ok
+
+
+def test_r3_cocycle_is_a_coboundary():
+    # H^2_Q(R3; Z3) = 0: the table is delta f(x, y) = f(x) - f(x <| y)
+    r3 = dihedral_quandle(3)
+    f = (0, 2, 0)
+    assert R3_COCYCLE["table"] == [[(f[x] - f[r3.rop(x, y)]) % 3
+                                    for y in range(3)] for x in range(3)]
 
 
 def test_perturbed_cocycle_is_rejected_with_witness():
@@ -156,7 +156,7 @@ def test_gf4_fixture_and_state_sums():
 
 def test_coboundary_state_sum_is_concentrated_at_zero():
     r3 = dihedral_quandle(3)
-    c = cocycle_from_json(r3, {"v_moduli": [3], "table": R3_COCYCLE})
+    c = cocycle_from_json(r3, R3_COCYCLE)
     v = cjkls_state_sum(load_catalog("trefoil_plus_closed"), c)
     assert v.terms == {0: 9}
 
