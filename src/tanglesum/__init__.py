@@ -15,7 +15,6 @@ from .algebra import (
 )
 from .abelian import TensorSquare, cyclic_decomposition, product_of_cyclics
 from .crossed_modules import (
-    BraidedCrossedModule,
     CGMorphism,
     CrossedModule,
     TwoCrossedModule,
@@ -108,7 +107,7 @@ __all__ = [
     # abelian
     "TensorSquare", "cyclic_decomposition", "product_of_cyclics",
     # crossed_modules
-    "BraidedCrossedModule", "CGMorphism", "CrossedModule", "TwoCrossedModule",
+    "CGMorphism", "CrossedModule", "TwoCrossedModule",
     "abelianisation_tensor_2xmod", "braided_from_central_extension",
     "validate_2xmod", "validate_crossed_module", "xm_identity",
     "xm_pair_with_module", "xm_trivial_boundary",

@@ -1,11 +1,14 @@
 """Batch front end: validate inputs, compute invariants, diff the tables.
 
-Subcommands:
+Subcommands, each with only the flags it reads:
   validate   axiom sweeps for groups, racks, cocycles, crossed modules and
-             Reidemeister pairs built from a descriptor
-  invariant  state sum of a diagram under a pair, text or JSON
-  tables     recompute the bundled trefoil tables and diff them
+             Reidemeister pairs built from a descriptor (--group, --rack,
+             --pair, --x, --diagram, --framed, --thorough)
+  invariant  state sum of a diagram under a pair, text or JSON (--pair,
+             --group, --x, --diagram, --top, --bottom, --direction, --json)
+  tables     recompute the bundled trefoil tables and diff them (--json)
   moves      invariance of the state sum under the listed diagram moves
+             (--pair, --group, --x, --diagram, --framed)
 
 Group specs: s<n> (symmetric), z<n> (cyclic), gl2_<p>, pgl2_<p>, trivial,
 or a path to a Cayley-table CSV.  Rack specs: dihedral:<n>, conj:<group>,
@@ -148,7 +151,7 @@ def _pair_descriptor(args) -> dict:
         raise UsageError('pair descriptor must be an object with a "kind"')
     if args.x is not None:
         desc["x"] = args.x
-    if getattr(args, "group", None):
+    if args.group:
         desc.setdefault("group", args.group)
     return desc
 
@@ -276,12 +279,11 @@ def cmd_invariant(args) -> int:
     if args.direction == "ket":
         top = _parse_enhancement(g, args.top, len(d.top), True)
         bottom = _parse_enhancement(g, args.bottom, len(d.bottom), False)
-        result = invariant(d, pair, top=top,
-                           bottom=bottom if bottom is not None else "all")
+        result = invariant(d, pair, top=top, bottom=bottom)
     else:  # bra: fix the bottom, sum over tops
         bottom = _parse_enhancement(g, args.bottom, len(d.bottom), True)
         if args.top is None:
-            result = invariant(d, pair, top="all", bottom=bottom)
+            result = invariant(d, pair, bottom=bottom)
         else:
             top = _parse_enhancement(g, args.top, len(d.top), False)
             iv = invariant(d, pair, top=top, bottom=bottom)
@@ -380,20 +382,20 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x", help="override the basepoint x in the pair")
         sp.add_argument("--diagram", required=diagram_required,
                         help="catalog name or .tng file")
-        sp.add_argument("--framed", action="store_true",
-                        help="use framed axioms / move set")
-        sp.add_argument("--thorough", action="store_true",
-                        help="exhaustive validation sweeps")
-        sp.add_argument("--json", action="store_true",
-                        help="machine-readable output")
 
     sp = sub.add_parser("validate", help="axiom sweeps for the given inputs")
     common(sp)
     sp.add_argument("--rack", help="rack spec, e.g. dihedral:3")
+    sp.add_argument("--framed", action="store_true",
+                    help="check the pair's framed axioms")
+    sp.add_argument("--thorough", action="store_true",
+                    help="exhaustive validation sweeps")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("invariant", help="state sum of a diagram")
     common(sp, diagram_required=True)
+    sp.add_argument("--json", action="store_true",
+                    help="machine-readable output")
     sp.add_argument("--top", help="comma-separated colour labels")
     sp.add_argument("--bottom", help="comma-separated colour labels")
     sp.add_argument("--direction", choices=("ket", "bra"), default="ket",
@@ -403,11 +405,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tables", help="recompute and diff the bundled tables")
     sp.add_argument("which", nargs="?", default="all",
                     choices=TABLE_NAMES + ("all",))
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--json", action="store_true",
+                    help="machine-readable output")
     sp.set_defaults(func=cmd_tables)
 
     sp = sub.add_parser("moves", help="move invariance of the state sum")
     common(sp)
+    sp.add_argument("--framed", action="store_true",
+                    help="use the framed move set")
     sp.set_defaults(func=cmd_moves)
     return p
 

@@ -75,9 +75,6 @@ class CrossedModule:
     def kernel(self) -> tuple[int, ...]:
         return self.boundary.kernel()
 
-    def validate(self, thorough: bool = False) -> ValidationReport:
-        return validate_crossed_module(self, thorough=thorough)
-
     def __repr__(self) -> str:
         return f"CrossedModule({self.name})"
 
@@ -181,7 +178,7 @@ class CGMorphism:
 # ---------------------------------------------------------------------------
 
 def _raise_on_failure(c: CrossedModule) -> CrossedModule:
-    report = c.validate()
+    report = validate_crossed_module(c)
     if not report.ok:
         raise XmodMismatchError(
             f"{c.name} is not a crossed module: {report.violations[0]}")
@@ -195,14 +192,11 @@ def xm_identity(g: FiniteGroup) -> CrossedModule:
                          name=f"(id: {g.name} -> {g.name})")
 
 
-def xm_trivial_boundary(g: FiniteGroup, e: FiniteGroup, action=None) -> CrossedModule:
-    """Trivial boundary E -> G; needs E abelian (validated, raising on failure).
-
-    With no action supplied, G acts trivially.
-    """
-    if action is None:
-        action = np.broadcast_to(np.arange(e.order, dtype=np.int32),
-                                 (g.order, e.order))
+def xm_trivial_boundary(g: FiniteGroup, e: FiniteGroup) -> CrossedModule:
+    """Trivial boundary E -> G with G acting trivially; needs E abelian
+    (validated, raising on failure)."""
+    action = np.broadcast_to(np.arange(e.order, dtype=np.int32),
+                             (g.order, e.order))
     boundary = GroupHom(e, g, np.full(e.order, g.identity, dtype=np.int32),
                         name=f"1: {e.name} -> {g.name}")
     c = CrossedModule(boundary, action, name=f"(1: {e.name} -> {g.name})")
@@ -282,9 +276,6 @@ class TwoCrossedModule:
         return CrossedModule(self.delta, self.derived_action_table,
                              name=f"derived ({self.l.name} -> {self.e.name})")
 
-    def validate(self, thorough: bool = False) -> ValidationReport:
-        return validate_2xmod(self, thorough=thorough)
-
     def __repr__(self) -> str:
         return f"TwoCrossedModule({self.name})"
 
@@ -302,15 +293,11 @@ class TwoCrossedModule:
         }
 
 
-class BraidedCrossedModule(TwoCrossedModule):
-    """A 2-crossed module whose bottom group is trivial."""
-
-
 def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationReport:
     """Sweep all 2-crossed-module axioms plus the derived crossed module.
 
     The identities that follow from the axioms are swept too, and the
-    braided-case identities when t is a BraidedCrossedModule, so a table
+    braided-case identities when t is braided (G trivial), so a table
     that breaks one of them is reported even where the axiom sweep samples.
     """
     report = ValidationReport(t.name)
@@ -393,7 +380,7 @@ def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationRep
                                check.violations))
     for check in derived_identity_checks(t, thorough):
         report.add(check)
-    if isinstance(t, BraidedCrossedModule):
+    if t.is_braided:
         for check in braided_identity_checks(t, thorough):
             report.add(check)
     return report
@@ -468,7 +455,7 @@ def braided_identity_checks(t: TwoCrossedModule, thorough: bool = False) \
 # ---------------------------------------------------------------------------
 
 def braided_crossed_module(delta: GroupHom, lifting,
-                           name: str | None = None) -> BraidedCrossedModule:
+                           name: str | None = None) -> TwoCrossedModule:
     """Wrap (L -> E -> 1, {,}) with trivial bottom group and actions."""
     one = trivial_group()
     l, e = delta.source, delta.target
@@ -476,8 +463,8 @@ def braided_crossed_module(delta: GroupHom, lifting,
                         name=f"1: {e.name} -> 1")
     act_g_e = np.arange(e.order, dtype=np.int32)[None, :]
     act_g_l = np.arange(l.order, dtype=np.int32)[None, :]
-    return BraidedCrossedModule(delta, boundary, act_g_e, act_g_l, lifting,
-                                name=name or f"({l.name} -> {e.name} -> 1)")
+    return TwoCrossedModule(delta, boundary, act_g_e, act_g_l, lifting,
+                            name=name or f"({l.name} -> {e.name} -> 1)")
 
 
 def least_index_section(projection: GroupHom) -> np.ndarray:
@@ -489,11 +476,12 @@ def least_index_section(projection: GroupHom) -> np.ndarray:
 
 
 def braided_from_central_extension(projection: GroupHom, section=None) \
-        -> BraidedCrossedModule:
+        -> TwoCrossedModule:
     """The braided crossed module of a central extension, {g,h} = [s(g), s(h)].
 
-    `projection` must be surjective with central kernel; `section` is any
-    right inverse of it (least-index preimage when omitted).  The lifting is
+    `projection` must be surjective with central kernel; `section`, an
+    array of one preimage index per element of the base, is any right
+    inverse of it (least-index preimage when omitted).  The lifting is
     checked against one alternate kernel-twisted section, turning the claimed
     section-independence into a verified fact.
     """
@@ -513,10 +501,7 @@ def braided_from_central_extension(projection: GroupHom, section=None) \
     if section is None:
         sec = least_index_section(projection)
     else:
-        if callable(section):
-            sec = np.array([section(g) for g in range(base.order)], dtype=np.int32)
-        else:
-            sec = np.asarray(section, dtype=np.int32)
+        sec = np.asarray(section, dtype=np.int32)
         if sec.shape != (base.order,):
             raise NotASectionError("section must assign one lift per element")
         if not np.array_equal(projection.mapping[sec], np.arange(base.order)):

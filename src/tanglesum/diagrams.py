@@ -410,8 +410,8 @@ class Enhancement:
 # ----------------------------------------------------------------------
 
 
-def single_strand(orientation: str = DOWN) -> SlicedTangleDiagram:
-    return SlicedTangleDiagram((orientation,))
+def single_strand() -> SlicedTangleDiagram:
+    return SlicedTangleDiagram((DOWN,))
 
 
 def braid_word_to_tangle(word: Sequence[int], strands: int) -> SlicedTangleDiagram:

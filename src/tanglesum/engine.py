@@ -515,19 +515,16 @@ class Colouring:
 
 
 def _normalise_enhancement(group, orientations, value, which: str):
-    """Accept an Enhancement, a tuple of indices or labels, or None."""
+    """Accept a tuple of indices or labels, or None for an empty boundary."""
     if value is None:
         if orientations:
             raise EnhancementMismatchError(
                 f"{which} enhancement required for a boundary of width "
                 f"{len(orientations)}")
         return ()
-    if isinstance(value, Enhancement):
-        if value.orientations != tuple(orientations):
-            raise EnhancementMismatchError(
-                f"{which} orientations {value.orientations} do not match the "
-                f"diagram's {tuple(orientations)}")
-        value = value.elements
+    if isinstance(value, str):
+        raise EnhancementMismatchError(
+            f"{which} enhancement must be a tuple of colours, not {value!r}")
     out = tuple(group.element_by_label(v) if isinstance(v, str) else int(v)
                 for v in value)
     if len(out) != len(orientations):
@@ -626,25 +623,22 @@ class InvariantValue:
 
 
 def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
-              bottom="all"):
-    """State sum of d with the given top enhancement, or, when top is
-    "all", with the given bottom enhancement.
+              bottom=None):
+    """State sum of d with the boundary the caller fixes.
 
-    Closed diagram: a single InvariantValue with empty boundary words.
-    Open diagram: a map {bottom colour tuple: InvariantValue} when bottom
-    is "all" (or None), else the single InvariantValue at that bottom,
-    possibly with no terms.
+    Top given, or d closed: the ket reading, one sum seeded on the top.  A
+    closed diagram gives a single InvariantValue with empty boundary words;
+    an open one a map {bottom colour tuple: InvariantValue}, or, when the
+    bottom is given too, the single InvariantValue at that bottom, possibly
+    with no terms.
 
-    With top "all", on either kind of diagram, the bottom enhancement must
-    be given, and the result is a map {top colour tuple: InvariantValue}
-    over the tops that some colouring reaches, from one sum seeded on the
-    bottom.
+    Only the bottom given: the bra reading, a map {top colour tuple:
+    InvariantValue} over the tops that some colouring reaches, from one
+    sum seeded on the bottom.  An open diagram with neither boundary given
+    raises EnhancementMismatchError.
     """
     group = pair.g
-    if isinstance(top, str) and top == "all":
-        if bottom is None or isinstance(bottom, str):
-            raise EnhancementMismatchError(
-                'top "all" needs a fixed bottom enhancement')
+    if top is None and bottom is not None:
         bot_cols = _normalise_enhancement(group, d.bottom, bottom, "bottom")
         dst = Enhancement(d.bottom, bot_cols)
         return {top_cols: InvariantValue(pair, Enhancement(d.top, top_cols),
@@ -662,7 +656,7 @@ def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
         terms = buckets.get((), {})
         return InvariantValue(pair, src, Enhancement((), ()), terms)
 
-    if bottom is None or (isinstance(bottom, str) and bottom == "all"):
+    if bottom is None:
         return {
             bot: InvariantValue(pair, src, Enhancement(d.bottom, bot), terms)
             for bot, terms in sorted(buckets.items())

@@ -39,10 +39,6 @@ class KernelNotCentralError(TangleSumError):
     """A claimed central extension has a non-central kernel."""
 
 
-class NotCentralError(TangleSumError):
-    """A claimed central subset is not central."""
-
-
 class NotASectionError(TangleSumError):
     """A supplied section does not split the projection."""
 

@@ -26,7 +26,6 @@ from .errors import (
     GroupMismatchError,
     InvalidModulusError,
     NotAGroupError,
-    NotCentralError,
     NotClosedError,
     SizeLimitError,
 )
@@ -272,17 +271,17 @@ class FiniteGroup:
 # standard groups
 # ---------------------------------------------------------------------------
 
-def trivial_group(name: str = "1") -> FiniteGroup:
-    return FiniteGroup(name, ("1",), table=np.zeros((1, 1), dtype=np.int32))
+def trivial_group() -> FiniteGroup:
+    return FiniteGroup("1", ("1",), table=np.zeros((1, 1), dtype=np.int32))
 
 
-def cyclic_group(n: int, name: str | None = None) -> FiniteGroup:
+def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise SizeLimitError("cyclic_group needs n >= 1")
     if n > TABLE_LIMIT:
         raise SizeLimitError(f"cyclic_group(n={n}) exceeds the dense-table limit")
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroup(name or f"Z{n}", tuple(str(i) for i in range(n)), table=table)
+    return FiniteGroup(f"Z{n}", tuple(str(i) for i in range(n)), table=table)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -352,7 +351,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
                        identity=g.identity * m + h.identity)
 
 
-def from_cayley_table(table, labels=None, name: str = "G") -> FiniteGroup:
+def from_cayley_table(table, labels=None) -> FiniteGroup:
     """Build and validate a group from an explicit Cayley table.
 
     Raises NotAGroupError with the first failing triple if the table is not
@@ -362,13 +361,13 @@ def from_cayley_table(table, labels=None, name: str = "G") -> FiniteGroup:
     n = table.shape[0]
     if labels is None:
         labels = tuple(f"g{i}" for i in range(n))
-    return FiniteGroup(name, tuple(labels), table=table, validate=True)
+    return FiniteGroup("G", tuple(labels), table=table, validate=True)
 
 
-def from_cayley_csv(path, labels=None, name: str = "G") -> FiniteGroup:
+def from_cayley_csv(path, labels=None) -> FiniteGroup:
     with open(path, newline="") as fh:
         rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    return from_cayley_table(rows, labels=labels, name=name)
+    return from_cayley_table(rows, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +389,6 @@ class GroupHom:
 
     def __call__(self, i: int) -> int:
         return int(self.mapping[i])
-
-    def arr(self, a: np.ndarray) -> np.ndarray:
-        return self.mapping[a]
 
     def first_violation(self) -> tuple[int, int] | None:
         m = self.mapping
@@ -517,17 +513,10 @@ def quotient_by_normal(g: FiniteGroup, normal_indices, name: str = "") \
     return q, proj
 
 
-def central_quotient(g: FiniteGroup, subset=None, name: str = "") \
+def central_quotient(g: FiniteGroup, name: str = "") \
         -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a central subgroup (the full center when subset is None)."""
-    idx = g.center() if subset is None else verify_subgroup(g, subset)
-    t = g.table
-    for z in idx:
-        if not np.array_equal(t[z], t[:, z]):
-            bad = int(np.nonzero(t[z] != t[:, z])[0][0])
-            raise NotCentralError(
-                f"{g.labels[z]} does not commute with {g.labels[bad]}")
-    return quotient_by_normal(g, idx, name=name)
+    """The quotient by the center."""
+    return quotient_by_normal(g, g.center(), name=name)
 
 
 def pgl2(p: int) -> tuple[FiniteGroup, GroupHom]:

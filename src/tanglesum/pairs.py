@@ -97,12 +97,6 @@ class ReidemeisterPair:
         self.meta = meta
         self._transfer: CrossingTransfer | None = None
 
-    def psi_at(self, x: int, y: int) -> int:
-        return int(self.psi[x, y])
-
-    def phi_at(self, x: int, y: int) -> int:
-        return int(self.phi[x, y])
-
     def transfer(self) -> "CrossingTransfer":
         if self._transfer is None:
             self._transfer = build_transfer(self)
@@ -358,8 +352,7 @@ def _rack_tables(r: Rack, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     return psi, phi
 
 
-def pair_from_rack(r: Rack, group: FiniteGroup, name: str | None = None) \
-        -> ReidemeisterPair:
+def pair_from_rack(r: Rack, group: FiniteGroup) -> ReidemeisterPair:
     """psi(B,A) = B A B^{-1} (B|>A)^{-1}, phi(B,A) = A B (A<|B)^{-1} B^{-1}.
 
     The group structure on the rack carrier is arbitrary; the crossed module
@@ -372,12 +365,12 @@ def pair_from_rack(r: Rack, group: FiniteGroup, name: str | None = None) \
     psi, phi = _rack_tables(r, group)
     mode = "unframed" if r.is_quandle else "framed"
     return ReidemeisterPair(xm_identity(group), psi, phi, mode,
-                            name=name or f"rack({r.name}; {group.name})",
+                            name=f"rack({r.name}; {group.name})",
                             rack=r)
 
 
-def pair_from_rack_cocycle(c: RackCocycle, group: FiniteGroup,
-                           name: str | None = None) -> ReidemeisterPair:
+def pair_from_rack_cocycle(c: RackCocycle,
+                           group: FiniteGroup) -> ReidemeisterPair:
     """The rack pair decorated with cocycle weights in the module component.
 
     Over the crossed module G x V -> G: psi(B,A) carries +w(B|>A, B) and
@@ -398,7 +391,7 @@ def pair_from_rack_cocycle(c: RackCocycle, group: FiniteGroup,
                            and (c.w[diag, diag] == c.v.identity).all())
     mode = "unframed" if quandle_cocycle else "framed"
     return ReidemeisterPair(xmod, psi, phi, mode,
-                            name=name or f"cocycle({c.name}; {group.name})",
+                            name=f"cocycle({c.name}; {group.name})",
                             cocycle=c)
 
 
@@ -407,8 +400,8 @@ def pair_from_rack_cocycle(c: RackCocycle, group: FiniteGroup,
 # ---------------------------------------------------------------------------
 
 
-def pair_eisermann(g: FiniteGroup, x, carrier: str = "commutator",
-                   name: str | None = None) -> ReidemeisterPair:
+def pair_eisermann(g: FiniteGroup, x,
+                   carrier: str = "commutator") -> ReidemeisterPair:
     """The commutator pair phi(L,M) = [Mx^{-1}, Lx^{-1}] over conjugation.
 
     psi(L,M) = [L,M][ML^{-1},x].  It is the rack pair of the twisted
@@ -420,8 +413,8 @@ def pair_eisermann(g: FiniteGroup, x, carrier: str = "commutator",
     quandle, base = _eisermann(g, xi, carrier)
     psi, phi = _rack_tables(quandle, base)
     return ReidemeisterPair(xm_identity(base), psi, phi, "unframed",
-                            name=name or
-                            f"eisermann({g.name}, {g.label(xi)}, {carrier})",
+                            name=f"eisermann({g.name}, {g.label(xi)}, "
+                            f"{carrier})",
                             group=g, x=xi, carrier=carrier)
 
 
@@ -430,8 +423,7 @@ def pair_eisermann(g: FiniteGroup, x, carrier: str = "commutator",
 # ---------------------------------------------------------------------------
 
 
-def pair_from_2xmod(t: TwoCrossedModule, name: str | None = None) \
-        -> ReidemeisterPair:
+def pair_from_2xmod(t: TwoCrossedModule) -> ReidemeisterPair:
     """psi(A,B) = {A,B} and phi(A,B) = A |>' {A^{-1},B}, a framed pair.
 
     The pair lives over the derived crossed module (delta: L -> E, |>') of
@@ -441,7 +433,7 @@ def pair_from_2xmod(t: TwoCrossedModule, name: str | None = None) \
     psi = t.lifting[A, B]
     phi = t.derived_action_table[A, t.lifting[t.e.inv_arr(A), B]]
     return ReidemeisterPair(t.derived_xmod(), psi, phi, "framed",
-                            name=name or f"peiffer({t.name})", source=t)
+                            name=f"peiffer({t.name})", source=t)
 
 
 def _braided_tables(b: TwoCrossedModule):
@@ -451,8 +443,7 @@ def _braided_tables(b: TwoCrossedModule):
     return b.e, b.l, b.lifting
 
 
-def pair_eisermann_lift_unframed(b: TwoCrossedModule, x,
-                                 name: str | None = None) -> ReidemeisterPair:
+def pair_eisermann_lift_unframed(b: TwoCrossedModule, x) -> ReidemeisterPair:
     """phi(L,M) = {Mx^{-1}, Lx^{-1}}, psi(L,M) = {L,M}{ML^{-1},x}; unframed.
 
     Needs the braiding's boundary to be surjective (this is what makes
@@ -470,13 +461,11 @@ def pair_eisermann_lift_unframed(b: TwoCrossedModule, x,
     psi = top.mul_arr(lifting[L, M],
                       lifting[mid.mul_arr(M, mid.inv_arr(L)), xi])
     return ReidemeisterPair(b.derived_xmod(), psi, phi, "unframed",
-                            name=name or f"lift_unframed({b.name}, "
-                            f"{mid.label(xi)})",
+                            name=f"lift_unframed({b.name}, {mid.label(xi)})",
                             source=b, x=xi)
 
 
-def pair_eisermann_lift_framed(b: TwoCrossedModule, x,
-                               name: str | None = None) -> ReidemeisterPair:
+def pair_eisermann_lift_framed(b: TwoCrossedModule, x) -> ReidemeisterPair:
     """phi(L,M) = {Mx^{-1}, Lx^{-1}}, psi(L,M) = {xML^{-1}x^{-1}Lx^{-1}, Lx^{-1}}^{-1}.
 
     A framed pair whose kink maps are both the identity of G.
@@ -491,8 +480,7 @@ def pair_eisermann_lift_framed(b: TwoCrossedModule, x,
                         mid.mul_arr(xinv, lx))
     psi = top.inv_arr(lifting[first, lx])
     return ReidemeisterPair(b.derived_xmod(), psi, phi, "framed",
-                            name=name or f"lift_framed({b.name}, "
-                            f"{mid.label(xi)})",
+                            name=f"lift_framed({b.name}, {mid.label(xi)})",
                             source=b, x=xi)
 
 
@@ -507,19 +495,17 @@ def boundary_shadow(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:
     return bnd[p.psi], bnd[p.phi]
 
 
-def lifting_shadow_check(p: ReidemeisterPair, x=None,
+def lifting_shadow_check(p: ReidemeisterPair,
                          thorough: bool = False) -> ValidationReport:
     """Check d(phi(L,M)) = [Mx^{-1},Lx^{-1}] and d(psi(L,M)) = [L,M][ML^{-1},x].
 
-    This is the defining property of a lifting of the commutator pair; x
-    defaults to the one stored at construction.
+    This is the defining property of a lifting of the commutator pair, with
+    the x stored at construction.
     """
     g = p.g
-    if x is None:
-        x = p.meta.get("x")
-        if x is None:
-            raise TangleSumError("no x stored on the pair; pass one explicitly")
-    xi = g.element_by_label(x) if isinstance(x, str) else int(x)
+    xi = p.meta.get("x")
+    if xi is None:
+        raise TangleSumError("no x stored on the pair")
     n = g.order
     shadow_psi, shadow_phi = boundary_shadow(p)
     report = ValidationReport(f"lifting shadow of {p.name}")

@@ -33,7 +33,6 @@ ones) as a formal sum over V.
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
@@ -209,7 +208,7 @@ def _on_carrier(g: FiniteGroup, elems: np.ndarray, tables, what: str):
     return mapped
 
 
-def conjugation_quandle(g: FiniteGroup, subset=None, name: str | None = None) -> Rack:
+def conjugation_quandle(g: FiniteGroup, subset=None) -> Rack:
     """The quandle h <| g = g^-1 h g on a conjugation-closed subset.
 
     `subset` is an iterable of element indices (default: the whole group).
@@ -225,11 +224,11 @@ def conjugation_quandle(g: FiniteGroup, subset=None, name: str | None = None) ->
                    g.conj_arr(g.inv_arr(b), a)),      # a <| b = b^-1 a b
         "subset not closed under conjugation")
     return Rack(left=left, right=right, labels=map(g.label, elems.tolist()),
-                name=name or f"Conj({g.name})")
+                name=f"Conj({g.name})")
 
 
-def _eisermann(g: FiniteGroup, xi: int, carrier: str,
-               name: str | None = None) -> tuple[Rack, FiniteGroup]:
+def _eisermann(g: FiniteGroup, xi: int,
+               carrier: str) -> tuple[Rack, FiniteGroup]:
     """The twisted conjugation quandle of eisermann_quandle, together with
     its carrier as a group (the commutator subgroup or g itself)."""
     if carrier == "commutator":
@@ -252,12 +251,11 @@ def _eisermann(g: FiniteGroup, xi: int, carrier: str,
         "carrier not closed")
     # lo[h, a] = a |> h and ro[h, a] = h <| a
     quandle = Rack(left=lo.T, right=ro, labels=map(g.label, elems.tolist()),
-                   name=name or f"Eis({g.name}, {g.label(xi)})")
+                   name=f"Eis({g.name}, {g.label(xi)})")
     return quandle, base
 
 
-def eisermann_quandle(g: FiniteGroup, x, carrier: str = "commutator",
-                      name: str | None = None) -> Rack:
+def eisermann_quandle(g: FiniteGroup, x, carrier: str = "commutator") -> Rack:
     """The twisted conjugation quandle h <| g = x^-1 h g^-1 x g.
 
     The left action is g |> h = x h g^-1 x^-1 g.  `carrier` selects the
@@ -265,7 +263,7 @@ def eisermann_quandle(g: FiniteGroup, x, carrier: str = "commutator",
     or the whole group.  `x` is an element index or label of g.
     """
     xi = g.element_by_label(x) if isinstance(x, str) else int(x)
-    return _eisermann(g, xi, carrier, name)[0]
+    return _eisermann(g, xi, carrier)[0]
 
 
 def dihedral_quandle(n: int) -> Rack:
@@ -277,8 +275,8 @@ def dihedral_quandle(n: int) -> Rack:
     return Rack(right=right, name=f"R_{n}")
 
 
-def rack_from_csv(path, side: str = "left", labels=None, name: str = "R") -> Rack:
-    """Read one dense operation table (rows of comma-separated indices)."""
+def rack_from_csv(path) -> Rack:
+    """Read the left table a |> y (rows of comma-separated indices)."""
     rows = []
     with open(path, newline="") as fh:
         for line in fh:
@@ -286,11 +284,7 @@ def rack_from_csv(path, side: str = "left", labels=None, name: str = "R") -> Rac
             if not line or line.startswith("#"):
                 continue
             rows.append([int(part) for part in line.split(",")])
-    if side == "left":
-        return Rack(left=rows, labels=labels, name=name)
-    if side == "right":
-        return Rack(right=rows, labels=labels, name=name)
-    raise TangleSumError(f"side must be 'left' or 'right', got {side!r}")
+    return Rack(left=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +315,42 @@ class RackCocycle:
                 "v": self.v.to_json(), "table": self.w.tolist()}
 
 
-def cocycle_from_function(rack: Rack, v: FiniteGroup, fn, name: str = "w") -> RackCocycle:
+def cocycle_from_function(rack: Rack, v: FiniteGroup, fn) -> RackCocycle:
     """Tabulate w(x, y) = fn(x, y) (returning V indices)."""
     n = rack.size
     w = np.fromiter((fn(x, y) for x in range(n) for y in range(n)),
                     dtype=np.int64, count=n * n).reshape(n, n)
-    return RackCocycle(rack, v, w, name=name)
+    return RackCocycle(rack, v, w)
 
 
-def cocycle_from_json(rack: Rack, source, name: str | None = None) -> RackCocycle:
-    """Load a cocycle from a JSON file or dict.
+def _json_ints(data: dict, key: str, ndim: int) -> np.ndarray:
+    """data[key], lists of integers nested ndim deep, as an int64 array; a
+    TangleSumError names the key when it is missing or holds anything
+    else."""
+    if key not in data:
+        raise TangleSumError(f"cocycle JSON needs {key!r}")
+    try:
+        value = np.array(data[key])
+    except ValueError:  # ragged nesting
+        value = np.array(None)
+    if value.ndim != ndim or value.size and value.dtype.kind not in "iu":
+        raise TangleSumError(f"cocycle JSON {key!r} must be lists of integers "
+                             f"nested {ndim} deep, got {data[key]!r}")
+    return value.astype(np.int64)
 
-    Expected keys: "table" (dense rack-size square of V indices) and either
-    "v_modulus" (single cyclic factor) or "v_moduli" (product of cyclics).
+
+def cocycle_from_json(rack: Rack, data: dict) -> RackCocycle:
+    """Build a cocycle from its JSON object.
+
+    Keys: "v_moduli", the moduli of the cyclic factors of V, and "table",
+    the dense rack-size square of V indices; "name" is optional.  A
+    missing key or a non-integer value raises TangleSumError naming the
+    key.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "read"):
-        if hasattr(source, "read"):
-            data = json.load(source)
-        else:
-            with open(source) as fh:
-                data = json.load(fh)
-    else:
-        data = dict(source)
     from .abelian import product_of_cyclics
-    from .groups import cyclic_group
-    if "v_modulus" in data:
-        v = cyclic_group(int(data["v_modulus"]))
-    elif "v_moduli" in data:
-        v = product_of_cyclics([int(m) for m in data["v_moduli"]])
-    else:
-        raise TangleSumError("cocycle JSON needs 'v_modulus' or 'v_moduli'")
-    if "table" not in data:
-        raise TangleSumError("cocycle JSON needs 'table'")
-    return RackCocycle(rack, v, data["table"], name=name or data.get("name", "w"))
+    v = product_of_cyclics(_json_ints(data, "v_moduli", 1).tolist())
+    return RackCocycle(rack, v, _json_ints(data, "table", 2),
+                       name=data.get("name", "w"))
 
 
 def validate_cocycle(c: RackCocycle, thorough: bool = False) -> ValidationReport:

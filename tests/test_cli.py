@@ -214,6 +214,19 @@ def test_invariant_bra_direction_is_seeded_on_the_bottom(capsys):
         assert terms == ({g.identity: 1} if top == ident else {})
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--json"), ("invariant", "--framed"),
+    ("invariant", "--thorough"), ("moves", "--json"), ("moves", "--thorough"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command,
+                                                               flag):
+    # a subcommand takes only the flags it reads, so none is silently ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--pair", RACK_PAIR, "--diagram", "unknot_closed", flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_invariant_missing_diagram(capsys):
     assert main(["invariant", "--diagram", "no_such_knot",
                  "--pair", RACK_PAIR]) == 2
@@ -245,6 +258,16 @@ def test_invariant_bad_pair_json(capsys):
                   '{"kind": "cocycle", "rack": "dihedral:3", '
                   '"values": {"v_moduli": [3]}}'],
                  "'table'", id="no-table"),
+    pytest.param(["invariant", "--pair",
+                  '{"kind": "cocycle", "rack": "dihedral:3", '
+                  '"values": {"v_moduli": ["a"], '
+                  '"table": [[0,0,0],[0,0,0],[0,0,0]]}}'],
+                 "'v_moduli'", id="non-integer-modulus"),
+    pytest.param(["invariant", "--pair",
+                  '{"kind": "cocycle", "rack": "dihedral:3", '
+                  '"values": {"v_moduli": [3], '
+                  '"table": [[0,0,0],[0,"a",0],[0,0,0]]}}'],
+                 "'table'", id="non-integer-table-entry"),
     pytest.param(["validate", "--rack", "dihedral:abc"],
                  "'dihedral:abc'", id="bad-rack-order"),
 ])

@@ -14,6 +14,7 @@ from tanglesum.crossed_modules import (
     CGMorphism,
     CrossedModule,
     least_index_section,
+    TwoCrossedModule,
     validate_2xmod,
     validate_crossed_module,
     xm_identity,
@@ -43,7 +44,7 @@ from tanglesum.groups import (
 def test_identity_crossed_module():
     s3 = symmetric_group(3)
     xm = xm_identity(s3)
-    assert xm.validate().ok
+    assert validate_crossed_module(xm).ok
     g = s3.element_by_label("(1 2)")
     h = s3.element_by_label("(1 2 3)")
     assert xm.act(g, h) == s3.conj(g, h)
@@ -54,7 +55,7 @@ def test_trivial_boundary_module():
     z3 = cyclic_group(3)
     s3 = symmetric_group(3)
     xm = xm_trivial_boundary(s3, z3)
-    assert xm.validate().ok
+    assert validate_crossed_module(xm).ok
     assert len(xm.kernel()) == 3
 
 
@@ -63,7 +64,7 @@ def test_pair_with_module():
     z2 = cyclic_group(2)
     xm = xm_pair_with_module(s3, z2)
     assert xm.e.order == 12
-    assert xm.validate().ok
+    assert validate_crossed_module(xm).ok
     assert xm.module is z2
 
 
@@ -154,7 +155,7 @@ def test_abelianisation_tensor_2xmod():
     t = abelianisation_tensor_2xmod(s3)
     assert validate_2xmod(t).ok
     assert not t.is_braided  # bottom group is S3 itself
-    assert t.derived_xmod().validate().ok
+    assert validate_crossed_module(t.derived_xmod()).ok
     a = s3.element_by_label("(1 2)")
     b = s3.element_by_label("(1 3)")
     c = s3.element_by_label("(1 2 3)")
@@ -195,6 +196,16 @@ def test_validate_2xmod_sweeps_the_identities():
     assert report.ok
     failed = {c.axiom for c in braided_identity_checks(t) if not c.ok}
     assert failed == {"lifting boundary is the plain commutator"}
+
+
+def test_a_braided_object_built_by_hand_gets_the_braided_checks():
+    # braided means a trivial bottom group, however the object was built
+    b = d4_extension()
+    plain = TwoCrossedModule(b.delta, b.boundary, b.act_g_e, b.act_g_l,
+                             b.lifting)
+    checks = [c.axiom for c in validate_2xmod(plain).checks]
+    assert checks == [c.axiom for c in validate_2xmod(b).checks]
+    assert BRAIDED_IDENTITIES <= set(checks)
 
 
 def test_validate_2xmod_catches_a_perturbed_lifting_entry():

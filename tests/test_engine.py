@@ -52,6 +52,7 @@ from tanglesum.errors import (
     NonComposableError,
     NotClosedError,
     SizeLimitError,
+    TangleSumError,
 )
 from tanglesum.groups import cyclic_group, symmetric_group, trivial_group
 from tanglesum.pairs import (
@@ -112,7 +113,7 @@ def test_single_positive_crossing_morphism():
             bottom = tuple(col.arc_colours[a] for a in d.levels[-1])
             assert bottom == (over, under_out)
             m = evaluate(col)
-            assert m.elt == p.psi_at(over, under_out)
+            assert m.elt == p.psi[over, under_out]
             assert m.src == g.mul(under_in, over)
             # boundary identity: d(elt) e(top) = e(bottom)
             assert m.tgt == g.mul(over, under_out)
@@ -431,13 +432,19 @@ def test_enhancement_mismatch_raises():
     with pytest.raises(EnhancementMismatchError):
         invariant(d, p, top=(17,))
     with pytest.raises(EnhancementMismatchError):
-        invariant(d, p)  # open boundary needs an explicit top
-    # the bra reading sums over every top, so it needs a fixed bottom
-    for bottom in ("all", None):
-        with pytest.raises(EnhancementMismatchError):
-            invariant(d, p, top="all", bottom=bottom)
+        invariant(d, p)  # an open diagram needs a fixed boundary
     with pytest.raises(EnhancementMismatchError):
-        invariant(d, p, top="all", bottom=(0, 1))
+        invariant(d, p, bottom=(0, 1))
+
+
+@pytest.mark.parametrize("top, bottom", [
+    ("all", (0,)), ("all", "all"), ("all", None), ((0,), "all")])
+def test_the_all_sentinel_is_refused(top, bottom):
+    # the bra reading is spelled by giving the bottom alone; the old "all"
+    # spelling must fail rather than compute something
+    with pytest.raises(TangleSumError):
+        invariant(load_catalog("trefoil_plus_string"), rack_pair(3),
+                  top=top, bottom=bottom)
 
 
 def test_bra_reading_buckets_the_bottom_seeded_sum_by_top():
@@ -446,7 +453,7 @@ def test_bra_reading_buckets_the_bottom_seeded_sum_by_top():
     n = p.g.order
     matrix = invariant_matrix(d, p)
     for bottom in itertools.product(range(n), repeat=3):
-        bra = invariant(d, p, top="all", bottom=bottom)
+        bra = invariant(d, p, bottom=bottom)
         assert {top: iv.terms for top, iv in bra.items()} == {
             top: terms for (top, bot), terms in matrix.items()
             if bot == bottom}
@@ -456,7 +463,7 @@ def test_bra_reading_buckets_the_bottom_seeded_sum_by_top():
             assert iv.check_boundary()
     # a closed diagram has one empty top
     closed = load_catalog("trefoil_plus_closed")
-    bra = invariant(closed, p, top="all", bottom=())
+    bra = invariant(closed, p, bottom=())
     assert list(bra) == [()]
     assert bra[()].terms == invariant(closed, p).terms
 

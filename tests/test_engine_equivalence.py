@@ -77,13 +77,13 @@ def _check_bra_readings(d, pair, oracle: dict) -> None:
     for (top, bottom), terms in oracle.items():
         by_bottom.setdefault(bottom, {})[top] = terms
     for bottom, column in by_bottom.items():
-        bra = invariant(d, pair, top="all", bottom=bottom)
+        bra = invariant(d, pair, bottom=bottom)
         assert {top: iv.terms for top, iv in bra.items()} == column, bottom
     unreached = next((b for b in itertools.product(range(pair.g.order),
                                                    repeat=len(d.bottom))
                       if b not in by_bottom), None)
     if unreached is not None:
-        assert invariant(d, pair, top="all", bottom=unreached) == {}
+        assert invariant(d, pair, bottom=unreached) == {}
 
 
 @pytest.mark.parametrize("tag", sorted(pairs()))
@@ -179,7 +179,7 @@ def test_bra_reading_drops_bottoms_that_split_a_repeated_bottom_arc(
     oracle = oracle_matrix(d, pair)
     split = 0
     for bottom in itertools.product(range(pair.g.order), repeat=len(bottoms)):
-        bra = invariant(d, pair, top="all", bottom=bottom)
+        bra = invariant(d, pair, bottom=bottom)
         assert {t: iv.terms for t, iv in bra.items()} == {
             t: terms for (t, b), terms in oracle.items() if b == bottom}
         if len({(a, c) for a, c in zip(bottoms, bottom)}) > len(set(bottoms)):

@@ -10,12 +10,15 @@ class in src/tanglesum must be read by some other top-level statement of
 src/, tests/ or bench/, as a name, an attribute, an imported name or a
 string equal to it (monkeypatch.setattr and the bench's trace points look
 functions up by name).  The __init__ re-exports count for nothing, so a
-public name needs a caller too.
+public name needs a caller too.  A third scan does the same for the
+methods of package classes: each one, dunders aside, must be read as an
+attribute, or named in an identifier string, outside its own def.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,3 +110,38 @@ def _unread_definitions() -> list[str]:
 def test_every_package_definition_is_read():
     assert any(p.parent.name == "bench" for p in READERS)
     assert not _unread_definitions()
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    """How often each name is read as an attribute, or written as an
+    identifier string, under node."""
+    return Counter(
+        n.attr if isinstance(n, ast.Attribute) else n.value
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Constant) and isinstance(n.value, str)
+        and n.value.isidentifier())
+
+
+def _unread_methods() -> list[str]:
+    """module.Class.method of each non-dunder method of a top-level package
+    class that READERS read only inside the method's own def."""
+    reads: Counter = Counter()
+    methods = []
+    for path in READERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads.update(_attribute_reads(tree))
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (f"{path.stem}.{cls.name}.{f.name}", f) for f in cls.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (f.name.startswith("__") and f.name.endswith("__"))]
+    return [name for name, f in methods
+            if reads[f.name] <= _attribute_reads(f)[f.name]]
+
+
+def test_every_package_method_is_read():
+    assert not _unread_methods()

@@ -131,8 +131,8 @@ def test_eisermann_pair_with_trivial_twist_is_conjugation():
     # x = id kills the twist: phi(L,M) = [M,L], psi(L,M) = [L,M]
     for l in range(6):
         for m in range(6):
-            assert p.phi_at(l, m) == s3.comm(m, l)
-            assert p.psi_at(l, m) == s3.comm(l, m)
+            assert p.phi[l, m] == s3.comm(m, l)
+            assert p.psi[l, m] == s3.comm(l, m)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,9 @@ def test_packed_crossing_tables_match_the_scalar_lookups(tag):
     for x in range(n):
         for z in range(n):
             y = t.under_out_plus(x, z)
-            assert decode(t.packed_plus[x, z]) == [y, p.psi_at(x, y)]
+            assert decode(t.packed_plus[x, z]) == [y, p.psi[x, y]]
             y = t.under_out_minus(x, z)
-            assert decode(t.packed_minus[x, z]) == [y, p.phi_at(x, y)]
+            assert decode(t.packed_minus[x, z]) == [y, p.phi[x, y]]
 
 
 def test_broken_pair_fails_r2_via_transfer():

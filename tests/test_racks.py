@@ -98,7 +98,7 @@ def test_rack_csv_round_trip(tmp_path):
     path = tmp_path / "r4.csv"
     with open(path, "w") as fh:
         fh.write("\n".join(",".join(str(v) for v in row) for row in r.left))
-    back = rack_from_csv(path, side="left")
+    back = rack_from_csv(path)
     assert np.array_equal(back.left, r.left)
     assert np.array_equal(back.right, r.right)
 
