@@ -36,10 +36,7 @@ from .diagrams import (
     move_neighbours,
     parse_tangle,
     serialize_tangle,
-    single_strand,
     trace_closure,
-    trefoil_minus_string,
-    trefoil_plus_string,
 )
 from .engine import (
     AbelianisationComparison,
@@ -86,7 +83,6 @@ from .racks import (
     Rack,
     RackCocycle,
     cjkls_state_sum,
-    cocycle_from_function,
     cocycle_from_json,
     conjugation_quandle,
     dihedral_quandle,
@@ -114,8 +110,7 @@ __all__ = [
     # diagrams
     "Enhancement", "MovePair", "SlicedTangleDiagram", "braid_word_to_tangle",
     "catalog_names", "load_catalog", "move_neighbours", "parse_tangle",
-    "serialize_tangle", "single_strand", "trace_closure",
-    "trefoil_minus_string", "trefoil_plus_string",
+    "serialize_tangle", "trace_closure",
     # engine
     "AbelianisationComparison", "Colouring", "InvariantValue",
     "abelianisation_framed_invariant", "enumerate_colourings", "evaluate",
@@ -133,10 +128,10 @@ __all__ = [
     "pair_eisermann_lift_unframed", "pair_from_2xmod", "pair_from_rack",
     "pair_from_rack_cocycle", "validate_pair",
     # racks
-    "Rack", "RackCocycle", "cjkls_state_sum", "cocycle_from_function",
-    "cocycle_from_json", "conjugation_quandle", "dihedral_quandle",
-    "eisermann_quandle", "rack_colouring_count", "rack_from_csv",
-    "validate_cocycle", "validate_rack",
+    "Rack", "RackCocycle", "cjkls_state_sum", "cocycle_from_json",
+    "conjugation_quandle", "dihedral_quandle", "eisermann_quandle",
+    "rack_colouring_count", "rack_from_csv", "validate_cocycle",
+    "validate_rack",
     # tables
     "compute_cell", "diff_table", "expected_cell",
     # validation

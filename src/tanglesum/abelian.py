@@ -130,10 +130,7 @@ def product_of_cyclics(moduli: tuple[int, ...], name: str | None = None) -> Fini
         enc = enc * moduli[pos] + summed[:, :, pos]
     labels = tuple("(" + ",".join(str(d) for d in row) + ")" for row in digits) \
         if moduli else ("0",)
-    g = FiniteGroup(name, labels, table=enc.astype(np.int32), identity=0)
-    g.moduli = tuple(moduli)
-    g.digits = digits
-    return g
+    return FiniteGroup(name, labels, table=enc.astype(np.int32), identity=0)
 
 
 class TensorSquare:

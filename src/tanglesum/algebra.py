@@ -57,13 +57,12 @@ class GroupAlgebraElement:
                 out[self.group.mul(a, b)] += ca * cb
         return GroupAlgebraElement(self.group, out)
 
-    def scale(self, k: int) -> "GroupAlgebraElement":
-        if k < 0:
-            raise ValueError("coefficients must stay natural")
-        return GroupAlgebraElement(self.group, {e: c * k for e, c in self.terms.items()})
-
     def map_elements(self, fn, target: FiniteGroup) -> "GroupAlgebraElement":
-        """Push forward along an element map, e.g. a boundary morphism."""
+        """Push forward along an element map, e.g. a boundary morphism.
+
+        Tests read it to project invariants, from GL(2, p) onto PGL(2, p)
+        and from G x V onto V, before comparing them with other values.
+        """
         out = Counter()
         for e, c in self.terms.items():
             out[fn(e)] += c

@@ -38,6 +38,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     abelianization,
+    direct_product,
     identity_hom,
     trivial_group,
 )
@@ -77,15 +78,6 @@ class CrossedModule:
 
     def __repr__(self) -> str:
         return f"CrossedModule({self.name})"
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "G": self.g.to_json(),
-            "E": self.e.to_json(),
-            "boundary": self.boundary.mapping.tolist(),
-            "action": self.action.tolist(),
-        }
 
 
 def validate_crossed_module(c: CrossedModule, thorough: bool = False) \
@@ -207,8 +199,7 @@ def xm_pair_with_module(g: FiniteGroup, v: FiniteGroup) -> CrossedModule:
     """E = G x V with d(h, v) = h and g • (h, v) = (g h g^{-1}, v); V abelian."""
     if not v.is_abelian:
         raise NotAGroupError(f"{v.name} must be abelian")
-    from .groups import direct_product
-    e = direct_product(g, v, name=f"{g.name}x{v.name}")
+    e = direct_product(g, v)
     m = v.order
     eidx = np.arange(e.order)
     h_part, v_part = eidx // m, eidx % m
@@ -278,19 +269,6 @@ class TwoCrossedModule:
 
     def __repr__(self) -> str:
         return f"TwoCrossedModule({self.name})"
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "L": self.l.to_json(),
-            "E": self.e.to_json(),
-            "G": self.g.to_json(),
-            "delta": self.delta.mapping.tolist(),
-            "boundary": self.boundary.mapping.tolist(),
-            "action_on_E": self.act_g_e.tolist(),
-            "action_on_L": self.act_g_l.tolist(),
-            "lifting": self.lifting.tolist(),
-        }
 
 
 def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationReport:

@@ -363,13 +363,12 @@ def parse_tangle(text: str) -> SlicedTangleDiagram:
         slices.append(Slice(gen, pos))
     if top is None:
         raise ParseError("missing 'top:' header")
-    try:
-        return SlicedTangleDiagram(top, slices)
-    except (WidthMismatchError, OrientationMismatchError) as exc:
-        raise type(exc)(f"{exc}") from None
+    return SlicedTangleDiagram(top, slices)
 
 
 def serialize_tangle(d: SlicedTangleDiagram) -> str:
+    """The line format parse_tangle reads.  Tests read it: the catalog
+    round trip, and the frozen move-neighbour fingerprints."""
     lines = ["top: " + " ".join(d.top) if d.top else "top:"]
     lines += [f"{s.gen} @{s.pos}" for s in d.slices]
     return "\n".join(lines) + "\n"
@@ -410,10 +409,6 @@ class Enhancement:
 # ----------------------------------------------------------------------
 
 
-def single_strand() -> SlicedTangleDiagram:
-    return SlicedTangleDiagram((DOWN,))
-
-
 def braid_word_to_tangle(word: Sequence[int], strands: int) -> SlicedTangleDiagram:
     """Braid word to diagram: i > 0 puts X+ at position i-1, i < 0 puts X-."""
     if strands < 1:
@@ -452,18 +447,6 @@ def trace_closure(d: SlicedTangleDiagram, keep: int = 0) -> SlicedTangleDiagram:
         for i in reversed(range(keep, n))
     ]
     return SlicedTangleDiagram(d.top[:keep], cups + list(d.slices) + caps)
-
-
-def trefoil_plus_string() -> SlicedTangleDiagram:
-    """String trefoil with three positive crossings (writhe +3)."""
-    slices = [Slice("cupR", 1), Slice("X+", 0), Slice("X+", 0), Slice("X+", 0), Slice("capR", 1)]
-    return SlicedTangleDiagram((DOWN,), slices)
-
-
-def trefoil_minus_string() -> SlicedTangleDiagram:
-    """Mirror string trefoil with three negative crossings (writhe -3)."""
-    slices = [Slice("cupR", 1), Slice("X-", 0), Slice("X-", 0), Slice("X-", 0), Slice("capR", 1)]
-    return SlicedTangleDiagram((DOWN,), slices)
 
 
 def catalog_names() -> list[str]:

@@ -515,7 +515,7 @@ class Colouring:
 
 
 def _normalise_enhancement(group, orientations, value, which: str):
-    """Accept a tuple of indices or labels, or None for an empty boundary."""
+    """Accept a tuple of element indices, or None for an empty boundary."""
     if value is None:
         if orientations:
             raise EnhancementMismatchError(
@@ -525,8 +525,7 @@ def _normalise_enhancement(group, orientations, value, which: str):
     if isinstance(value, str):
         raise EnhancementMismatchError(
             f"{which} enhancement must be a tuple of colours, not {value!r}")
-    out = tuple(group.element_by_label(v) if isinstance(v, str) else int(v)
-                for v in value)
+    out = tuple(int(v) for v in value)
     if len(out) != len(orientations):
         raise EnhancementMismatchError(
             f"{which} enhancement has {len(out)} colours for "

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import re
 
 import numpy as np
 
@@ -39,7 +38,10 @@ ASSOC_EXHAUSTIVE_LIMIT = 200
 # ---------------------------------------------------------------------------
 
 def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Left factor first: (p*q)(i) = q(p(i))."""
+    """Left factor first: (p*q)(i) = q(p(i)).
+
+    A scalar oracle: tests check symmetric_group's table against it.
+    """
     return tuple(q[p[i]] for i in range(len(p)))
 
 
@@ -60,30 +62,6 @@ def cycle_label(p: tuple[int, ...]) -> str:
             j = p[j]
         parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
     return "".join(parts) if parts else "id"
-
-
-def parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """Parse cycle notation like "(1 2 3)(4 5)" into a permutation of 0..n-1.
-
-    Cycles may also be comma-separated.  "id", "e" and "()" denote the
-    identity.  Several cycles are composed left factor first (irrelevant for
-    the usual disjoint case).
-    """
-    text = text.strip()
-    if text in {"id", "e", "()", "1"}:
-        return tuple(range(n))
-    if not re.fullmatch(r"(\(\s*\d+(?:[\s,]+\d+)*\s*\))+", text):
-        raise NotAGroupError(f"cannot parse permutation {text!r}")
-    perm = tuple(range(n))
-    for group in re.findall(r"\(([^)]*)\)", text):
-        entries = [int(t) - 1 for t in re.split(r"[\s,]+", group.strip()) if t]
-        if len(set(entries)) != len(entries) or any(not 0 <= i < n for i in entries):
-            raise NotAGroupError(f"bad cycle {group!r} for degree {n}")
-        cyc = list(range(n))
-        for a, b in zip(entries, entries[1:] + entries[:1]):
-            cyc[a] = b
-        perm = perm_compose(perm, tuple(cyc))
-    return perm
 
 
 def mat_label(m: tuple[int, int, int, int]) -> str:
@@ -263,9 +241,6 @@ class FiniteGroup:
     def __hash__(self) -> int:
         return id(self)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "order": self.order, "labels": list(self.labels)}
-
 
 # ---------------------------------------------------------------------------
 # standard groups
@@ -339,7 +314,7 @@ def gl2(p: int) -> FiniteGroup:
                        identity=mats.index((1, 0, 0, 1)))
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     n, m = g.order, h.order
     if n * m > TABLE_LIMIT:
         raise SizeLimitError("direct product exceeds the dense-table limit")
@@ -347,7 +322,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, name: str | None = None) -> F
     gi = np.repeat(np.arange(n), m)
     hj = np.tile(np.arange(m), n)
     table = (g.table[gi[:, None], gi[None, :]] * m + h.table[hj[:, None], hj[None, :]])
-    return FiniteGroup(name or f"{g.name}x{h.name}", labels, table=table,
+    return FiniteGroup(f"{g.name}x{h.name}", labels, table=table,
                        identity=g.identity * m + h.identity)
 
 

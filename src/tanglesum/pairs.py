@@ -105,15 +105,6 @@ class ReidemeisterPair:
     def __repr__(self) -> str:
         return f"<{self.mode} pair {self.name} over {self.xmod.name}>"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "xmod": self.xmod.to_json(),
-            "psi": self.psi.tolist(),
-            "phi": self.phi.tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # validation
@@ -414,8 +405,7 @@ def pair_eisermann(g: FiniteGroup, x,
     psi, phi = _rack_tables(quandle, base)
     return ReidemeisterPair(xm_identity(base), psi, phi, "unframed",
                             name=f"eisermann({g.name}, {g.label(xi)}, "
-                            f"{carrier})",
-                            group=g, x=xi, carrier=carrier)
+                            f"{carrier})", x=xi)
 
 
 # ---------------------------------------------------------------------------

@@ -151,14 +151,6 @@ class Rack:
     def __hash__(self) -> int:
         return hash((self.size, self.left.tobytes()))
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "size": self.size,
-            "left": self.left.tolist(),
-            "labels": list(self.labels),
-        }
-
 
 def validate_rack(r: Rack, thorough: bool = False) -> ValidationReport:
     """Check the rack axioms, with witnesses on failure."""
@@ -293,13 +285,17 @@ def rack_from_csv(path) -> Rack:
 
 
 class RackCocycle:
-    """A rack 2-cocycle: weights w[x, y] in an abelian group V."""
+    """A rack 2-cocycle: weights w[x, y] in an abelian group V.
 
-    def __init__(self, rack: Rack, v: FiniteGroup, w, name: str = "w"):
+    Reports and pair names call every cocycle by its weights' name, w.
+    """
+
+    name = "w"
+
+    def __init__(self, rack: Rack, v: FiniteGroup, w):
         self.rack = rack
         self.v = v
         self.w = np.asarray(w, dtype=np.int64)
-        self.name = name
         n = rack.size
         if self.w.shape != (n, n):
             raise TangleSumError(
@@ -309,18 +305,6 @@ class RackCocycle:
 
     def __repr__(self) -> str:
         return f"<cocycle {self.name} on {self.rack.name} with values in {self.v.name}>"
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "rack": self.rack.to_json(),
-                "v": self.v.to_json(), "table": self.w.tolist()}
-
-
-def cocycle_from_function(rack: Rack, v: FiniteGroup, fn) -> RackCocycle:
-    """Tabulate w(x, y) = fn(x, y) (returning V indices)."""
-    n = rack.size
-    w = np.fromiter((fn(x, y) for x in range(n) for y in range(n)),
-                    dtype=np.int64, count=n * n).reshape(n, n)
-    return RackCocycle(rack, v, w)
 
 
 def _json_ints(data: dict, key: str, ndim: int) -> np.ndarray:
@@ -343,14 +327,13 @@ def cocycle_from_json(rack: Rack, data: dict) -> RackCocycle:
     """Build a cocycle from its JSON object.
 
     Keys: "v_moduli", the moduli of the cyclic factors of V, and "table",
-    the dense rack-size square of V indices; "name" is optional.  A
+    the dense rack-size square of V indices; any other key is ignored.  A
     missing key or a non-integer value raises TangleSumError naming the
     key.
     """
     from .abelian import product_of_cyclics
     v = product_of_cyclics(_json_ints(data, "v_moduli", 1).tolist())
-    return RackCocycle(rack, v, _json_ints(data, "table", 2),
-                       name=data.get("name", "w"))
+    return RackCocycle(rack, v, _json_ints(data, "table", 2))
 
 
 def validate_cocycle(c: RackCocycle, thorough: bool = False) -> ValidationReport:

@@ -117,6 +117,22 @@ def test_validate_unknown_group_spec(capsys):
     assert main(["validate", "--group", "e8"]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("top: v\nX+ @0\n", "slice 0: X+ at 0 beyond width 1",
+                 id="out-of-width"),
+    pytest.param("top: v v\ncapR @0\n",
+                 "slice 0: capR expects ('v', '^') at 0, found ('v', 'v')",
+                 id="wrong-orientation"),
+])
+def test_validate_a_diagram_file_with_a_bad_slice_is_a_usage_error(
+        capsys, tmp_path, text, message):
+    path = tmp_path / "bad.tng"
+    path.write_text(text)
+    assert main(["validate", "--diagram", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # invariant
 # ---------------------------------------------------------------------------

@@ -11,17 +11,15 @@ from tanglesum.diagrams import (
     _relation_images,
     braid_word_to_tangle,
     catalog_names,
+    DOWN,
     Enhancement,
     load_catalog,
     move_neighbours,
     parse_tangle,
     serialize_tangle,
-    single_strand,
     Slice,
     SlicedTangleDiagram,
     trace_closure,
-    trefoil_minus_string,
-    trefoil_plus_string,
 )
 from tanglesum.errors import (
     DiagramError,
@@ -73,11 +71,6 @@ def test_catalog_statistics():
     assert stats["braid_sigma1_sigma2_sigma1"][3] is False
 
 
-def test_string_trefoils_match_builders():
-    assert load_catalog("trefoil_plus_string").slices == trefoil_plus_string().slices
-    assert load_catalog("trefoil_minus_string").slices == trefoil_minus_string().slices
-
-
 def test_catalog_diagrams_are_parsed_once():
     from importlib import resources
 
@@ -122,6 +115,16 @@ SLICE_ERRORS = [
 def test_slice_errors_name_the_first_bad_slice(top, slices, error, message):
     with pytest.raises(error) as info:
         SlicedTangleDiagram(top, slices)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("top, slices, error, message", SLICE_ERRORS)
+def test_parse_tangle_raises_the_constructors_slice_error(top, slices, error,
+                                                          message):
+    text = "\n".join([f"top: {' '.join(top)}"]
+                     + [f"{gen} @{pos}" for gen, pos in slices])
+    with pytest.raises(error) as info:
+        parse_tangle(text)
     assert str(info.value) == message
 
 
@@ -220,7 +223,7 @@ def test_then_and_split():
     assert upper.slices == a.slices and lower.slices == b.slices
     assert upper.bottom == lower.top
     with pytest.raises(NonClosableError):
-        a.then(single_strand())
+        a.then(SlicedTangleDiagram((DOWN,)))
     with pytest.raises(DiagramError):
         d.split(9)
 

@@ -11,12 +11,12 @@ from tanglesum.errors import NotClosedError, SizeLimitError
 from tanglesum.groups import commutator_subgroup, cyclic_group, symmetric_group
 from tanglesum.racks import (
     cjkls_state_sum,
-    cocycle_from_function,
     cocycle_from_json,
     conjugation_quandle,
     dihedral_quandle,
     eisermann_quandle,
     Rack,
+    RackCocycle,
     rack_colouring_count,
     rack_from_csv,
     validate_cocycle,
@@ -137,7 +137,7 @@ def test_quandle_cocycle_diagonal_vanishes():
     # for quandles the R1 compatibility forces w(x, x) = 0
     r3 = dihedral_quandle(3)
     z3 = cyclic_group(3)
-    c = cocycle_from_function(r3, z3, lambda x, y: (x * y) % 3)
+    c = RackCocycle(r3, z3, [[(x * y) % 3 for y in range(3)] for x in range(3)])
     report = validate_cocycle(c)
     assert not report.ok
 
