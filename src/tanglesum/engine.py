@@ -19,22 +19,24 @@ PROGRAM_CACHE_SIZE programs: sweeps that hold a diagram fixed and vary the
 pair compile it once, and a cache hit never builds its arc table.  A
 planner picks a small set of seed arcs from which the two rules colour
 every arc not on the seeded boundary; each seed is a branch event, placed
-where it is first needed.
-A derive event colours an arc ahead of its crossing with one gather from
-fplus or fminus.  A crossing event, in top-down order, computes the
-outgoing under-colour, trusts it when a derive event used its relation,
-or checks it.  The program runs as one numpy sweep over an intp frontier
-of partial colourings, one row each, whose last column holds the
-E-element folded so far, so every column indexes the tables with no
-cast: a branch repeats every row once per colour of G, a crossing reads
-the outgoing under-colour and its E-colour together, with one gather of
-whole columns from the pair's packed crossing table for its sign (one
-int64 per entry, both halves decoded straight to intp), and a check drops
-the rows it contradicts.  The frontier is processed depth-first in slices
-of at most SWEEP_CHUNK_ROWS rows, so memory stays bounded however many
-branches the program has.  Finished rows are bucketed by their boundary
-colours and E-element in one collections.Counter, which costs far less
-than numpy set-up on the few rows a small diagram yields.
+where it is first needed.  The planner returns the seeds alone, and the
+compiler replays their closure once to learn how every other arc is
+derived.  A derive event colours an arc ahead of its crossing with one
+gather from fplus or fminus.  A crossing event, in top-down order, reads
+the outgoing under-colour and its E-colour together, with one gather at
+(over, in) from the pair's packed crossing table for its sign (one int64
+per entry, both halves decoded straight to intp).  It derives the
+outgoing colour, checks it against the one already there, or, where a
+derive event used its relation, trusts it and keeps the E-colour alone.
+The program runs as one numpy sweep over an intp frontier of partial
+colourings, one row each, whose last column holds the E-element folded
+so far, so every column indexes the tables with no cast: a branch
+repeats every row once per colour of G, and a check drops the rows it
+contradicts.  The frontier is processed depth-first in slices of at most
+SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches the
+program has.  Finished rows are bucketed by their boundary colours and
+E-element in one collections.Counter, which costs far less than numpy
+set-up on the few rows a small diagram yields.
 
 A coloured diagram evaluates to a morphism of the categorical group of the
 crossed module: a slice whose crossing sits at position p with colour e
@@ -116,10 +118,11 @@ DERIVE, CHECK, TRUST = 0, 1, 2
 class CrossingEvent(NamedTuple):
     """One crossing of a compiled program, in arc indices.
 
-    out: DERIVE colours the outgoing under-arc from (over, in); CHECK drops
-    the rows where an earlier event coloured it otherwise; TRUST means a
-    DeriveEvent already used this crossing's relation, so it holds, and
-    the crossing reads its E-colour, psi or phi at (over, out), alone.
+    Every crossing reads its E-colour and its outgoing under-colour at
+    (over, in) from the packed table for its sign.  out: DERIVE colours the
+    outgoing under-arc; CHECK drops the rows where an earlier event
+    coloured it otherwise; TRUST leaves it, since a DeriveEvent already used
+    this crossing's relation.
     prefix: the arcs left of the crossing on the level above, each with
     True where the strand runs upwards.
     """
@@ -150,9 +153,9 @@ class EventProgram(NamedTuple):
     events holds an arc index for each branch event, a DeriveEvent for each
     arc colour derived ahead of its crossing, and a CrossingEvent for each
     crossing, the crossings in top-down order.  seed_arcs are the boundary
-    arcs that _seed colours, top_arcs or bottom_arcs; seed_repeats is True
-    when some arc is met twice along that boundary.  branch_arcs are the
-    planned seed arcs, in the order the program branches on them.
+    arcs that _sweep colours first, top_arcs or bottom_arcs; seed_repeats
+    is True when some arc is met twice along that boundary.  branch_arcs
+    are the planned seed arcs, in the order the program branches on them.
     """
 
     n_arcs: int
@@ -195,17 +198,18 @@ def _closure(known: int, new, touching, how=None) -> int:
     return known
 
 
-def _plan_seeds(n_arcs: int, known, rules, touching, how: dict) -> list[int]:
+def _plan_seeds(n_arcs: int, known, rules, touching) -> list[int]:
     """Seed arcs whose closure with known is every arc.
 
     rules lists (crossing, over, in, out), and touching[a] the rules arc a
     takes part in.  A max-gain greedy pass picks the seeds, then a prune
     drops each seed the others still cover; the count is the least
-    possible on every catalog diagram and its move neighbours.  how gets
-    the derivation of every arc outside known and the seeds.
+    possible on every catalog diagram and its move neighbours.  Only the
+    seeds are returned: _compile replays the closure to learn how each
+    other arc is derived.
     """
     full = (1 << n_arcs) - 1
-    base = mask = _closure(0, known, touching, how) if known else 0
+    base = mask = _closure(0, known, touching)
     seeds = []
     while mask != full:
         # only an arc that lets some crossing fire gains more than itself:
@@ -225,14 +229,12 @@ def _plan_seeds(n_arcs: int, known, rules, touching, how: dict) -> list[int]:
             best = tried = mask
             for a in sorted(fire):
                 if not tried >> a & 1:
-                    got: dict = {}
-                    m = _closure(mask, (a,), touching, got)
+                    m = _closure(mask, (a,), touching)
                     tried |= m
                     if m.bit_count() > best.bit_count():
-                        seed, best, derived = a, m, got
+                        seed, best = a, m
                         if m == full:
                             break
-            how.update(derived)
             mask = best
         else:
             free = full & ~mask
@@ -245,39 +247,7 @@ def _plan_seeds(n_arcs: int, known, rules, touching, how: dict) -> list[int]:
         rest = [t for t in seeds if t != s]
         if _closure(base, rest, touching) == full:
             seeds = rest
-            how.clear()
-            _closure(_closure(0, known, touching, how), seeds, touching, how)
     return seeds
-
-
-def _need(a: int, known: set, seeds, how, rules, crossings, events,
-          used) -> None:
-    """Colour arc a and, first, every arc its derivation reads.
-
-    A seed gets a branch event, any other arc a DeriveEvent through the
-    crossing that how names, which joins used.  Depth-first with a stack:
-    derivation chains can be as long as the diagram.
-    """
-    stack = [a]
-    while stack:
-        a = stack[-1]
-        if a in known:
-            stack.pop()
-            continue
-        if a in seeds:
-            events.append(a)
-        else:
-            k, up = how[a]
-            _, o, i, u = rules[k]
-            src = u if up else i
-            if o not in known or src not in known:
-                stack += (src, o)
-                continue
-            plus = up == (crossings[k].sign > 0)
-            events.append(DeriveEvent(plus, o, src, a))
-            used.add(k)
-        known.add(a)
-        stack.pop()
 
 
 _PROGRAMS: OrderedDict = OrderedDict()  # content key -> program, LRU first
@@ -319,14 +289,16 @@ def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
     seed arcs: with them every arc follows from the crossing relations,
     each of which, given the over-colour, fixes the outgoing under-colour
     from the incoming one and the incoming one from the outgoing one.
-    Seeds are the only branch events.  Crossing
-    events stay in top-down order, which the E-fold needs; before each one,
-    every arc it reads is made ready, a seed by branching and any other arc
-    by the derivation the planner recorded, as late as possible.  A
-    crossing then derives its outgoing under-colour if it is still
-    uncoloured, trusts its relation if a derive event used it, and checks
-    it otherwise.  Seeded on the bottom, a crossing above the bottom arcs
-    is reached by the same derivations upwards, and checks its outgoing
+    Seeds are the only branch events.  Replaying the closure of the
+    seeded boundary seed by seed, in the planner's order, records the
+    crossing and direction that derive every other arc, once.
+    Crossing events stay in top-down order, which the E-fold needs;
+    before each one, every arc it reads is made ready, a seed by branching
+    and any other arc by its derivation, as late as possible.  A crossing
+    then derives its outgoing under-colour if it is still uncoloured,
+    trusts its relation if a derive event used it, and checks it
+    otherwise.  Seeded on the bottom, a crossing above the bottom arcs is
+    reached by the same derivations upwards, and checks its outgoing
     under-colour where the bottom fixed it.
     """
     top_arcs, bottom_arcs = d.boundary_arcs()
@@ -342,17 +314,47 @@ def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
         touching[r[1]].append(r)
         touching[r[2]].append(r)
         touching[r[3]].append(r)
+    plan = _plan_seeds(n_arcs, known, rules, touching)
     how: dict[int, tuple[int, bool]] = {}
-    seeds = set(_plan_seeds(n_arcs, known, rules, touching, how))
+    mask = _closure(0, known, touching, how)
+    for a in plan:
+        mask = _closure(mask, (a,), touching, how)
+    seeds = set(plan)
     events: list = []
     used: set[int] = set()
+
+    def need(a: int) -> None:
+        # colour arc a and, first, every arc its derivation reads (a seed
+        # by branching, any other arc through the crossing how names, which
+        # joins used), with a stack: chains can be as long as the diagram
+        stack = [a]
+        while stack:
+            a = stack[-1]
+            if a in known:
+                stack.pop()
+                continue
+            if a in seeds:
+                events.append(a)
+            else:
+                k, up = how[a]
+                _, o, i, u = rules[k]
+                src = u if up else i
+                if o not in known or src not in known:
+                    stack += (src, o)
+                    continue
+                plus = up == (crossings[k].sign > 0)
+                events.append(DeriveEvent(plus, o, src, a))
+                used.add(k)
+            known.add(a)
+            stack.pop()
+
     levels, words = d.levels, d.words
     for k, c in enumerate(crossings):
         left = levels[c.row][:c.pos]
         o, i, u = c.over_arc, c.under_in_arc, c.under_out_arc
         if not (o in known and i in known and known.issuperset(left)):
             for a in (o, *left, i):
-                _need(a, known, seeds, how, rules, crossings, events, used)
+                need(a)
         if k in used:
             out = TRUST
         elif u in known:
@@ -365,49 +367,40 @@ def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
             tuple(zip(left, map(UP.__eq__, words[c.row])))))
     if len(known) < n_arcs:
         for a in range(n_arcs):
-            _need(a, known, seeds, how, rules, crossings, events, used)
+            need(a)
     return EventProgram(n_arcs, top_arcs, bottom_arcs, tuple(events),
                         tuple(ev for ev in events if type(ev) is int),
                         seed_arcs, len(set(seed_arcs)) < len(seed_arcs))
 
 
-def _seed(prog: EventProgram, cols: np.ndarray) -> np.ndarray:
-    """Frontier rows for the colour tuples in cols (one per row) on the
-    program's seeded boundary, with the last column free for the E-element
-    that _sweep folds.
-
-    A row whose colours differ on an arc met twice along that boundary
-    violates the arc identification and is dropped.
-    """
-    rows = np.zeros((len(cols), prog.n_arcs + 1), dtype=np.intp)
-    rows[:, prog.seed_arcs] = cols
-    if prog.seed_repeats:
-        rows = rows[(rows[:, prog.seed_arcs] == cols).all(axis=1)]
-    return rows
-
-
 def _sweep(prog: EventProgram, transfer: CrossingTransfer,
-           rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Run prog over the frontier rows; return the finished chunks.
+           cols: np.ndarray) -> Iterator[np.ndarray]:
+    """Run prog from the colour tuples in cols, one per row, on its seeded
+    boundary; return the finished chunks.
 
-    rows is an intp array with one column per arc and a last column that
-    the sweep sets to the identity of E and folds each row's E-element
-    into.  Each chunk is such an array of complete colourings.  Keeping
-    the E-element in the frontier makes it intp too, and lets one repeat
-    or one filter carry it with the colours: numpy casts any index array
-    that is not intp before each gather, which costs more than the gather
-    itself on a small frontier.  The cap bounds the real work, every
-    seeded row times every branch, and is checked here, before any work.
+    The frontier is an intp array with one column per arc and a last one,
+    set to the identity of E, that each row's E-element is folded into; a
+    row whose colours differ on an arc met twice along the seeded boundary
+    is dropped.  Each chunk is such an array of complete colourings.  With
+    the E-element in the frontier, one repeat or one filter carries it
+    with the colours, and no gather pays numpy's cast of a non-intp index
+    array, which costs more than the gather on a small frontier.  The cap
+    bounds the real work, every seeded row times every branch, and is
+    checked last here, still before any work.
     """
     pair = transfer.pair
     n = pair.g.order
+    rows = np.zeros((len(cols), prog.n_arcs + 1), dtype=np.intp)
+    rows[:, prog.seed_arcs] = cols
+    rows[:, -1] = pair.e.identity
+    if prog.seed_repeats:
+        rows = rows[(rows[:, prog.seed_arcs] == cols).all(axis=1)]
     branches = prog.branch_arcs
     if len(rows) * n ** len(branches) > STATE_SUM_BRANCH_CAP:
         raise SizeLimitError(
             f"{len(rows)} seeded rows x {n}^{len(branches)} branches (on arcs "
             f"{list(branches)}) exceed the state-sum cap of "
             f"{STATE_SUM_BRANCH_CAP}")
-    rows[:, -1] = pair.e.identity
     return _run(prog.events, transfer.sweep_tables, n, rows)
 
 
@@ -415,7 +408,7 @@ def _run(events, tables, n: int, rows):
     # depth-first over tasks (event, rows, colours): colours, if set, are
     # the values that the branch event k gives each row
     (g_mul, g_inv, e_mul, act, packed_plus, packed_minus,
-     fplus, fminus, psi, phi) = tables
+     fplus, fminus) = tables
     colours = np.arange(n, dtype=np.intp)
     step = SWEEP_CHUNK_ROWS
     width = rows.shape[1]
@@ -443,18 +436,15 @@ def _run(events, tables, n: int, rows):
                                                            rows[:, src]]
                 continue
             sign, o, i, u, out, prefix = ev
-            if out == TRUST:
-                e = (psi if sign > 0 else phi)[rows[:, o], rows[:, u]]
-            else:
-                # one gather reads the packed (y, e), both decoded as intp
-                v = (packed_plus if sign > 0 else packed_minus)[rows[:, o],
-                                                                rows[:, i]]
-                y, e = v & 0xFFFFFFFF, v >> 32
-                if out == CHECK:
-                    keep = rows[:, u] == y
-                    rows, e = rows[keep], e[keep]
-                else:
-                    rows[:, u] = y
+            # one gather reads the packed (y, e), both decoded as intp
+            v = (packed_plus if sign > 0 else packed_minus)[rows[:, o],
+                                                            rows[:, i]]
+            e = v >> 32
+            if out == CHECK:
+                keep = rows[:, u] == (v & 0xFFFFFFFF)
+                rows, e = rows[keep], e[keep]
+            elif out == DERIVE:
+                rows[:, u] = v & 0xFFFFFFFF
             if prefix:
                 p = None
                 for a, up in prefix:
@@ -481,7 +471,7 @@ def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
     k = len(prog.top_arcs)
     keys = list(prog.top_arcs + prog.bottom_arcs + (prog.n_arcs,))
     counts: Counter = Counter()
-    for rows in _sweep(prog, pair.transfer(), _seed(prog, seeds)):
+    for rows in _sweep(prog, pair.transfer(), seeds):
         counts.update(map(tuple, rows.take(keys, axis=1).tolist()))
     # sorting (boundary colours, elt) sorts the keys and each key's terms
     out: dict[tuple, dict[int, int]] = {}
@@ -548,7 +538,7 @@ def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
     top_cols = _normalise_enhancement(pair.g, d.top, top, "top")
     prog = compile_program(d)
     tops = np.array([top_cols], dtype=np.intp)
-    for rows in _sweep(prog, transfer, _seed(prog, tops)):
+    for rows in _sweep(prog, transfer, tops):
         for *arcs, elt in rows.tolist():
             yield Colouring(d, pair, tuple(arcs), elt)
 
@@ -620,7 +610,6 @@ class InvariantValue:
         return f"InvariantValue({self.display()})"
 
 
-
 def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
               bottom=None):
     """State sum of d with the boundary the caller fixes.
@@ -637,32 +626,26 @@ def invariant(d: SlicedTangleDiagram, pair: ReidemeisterPair, top=None,
     raises EnhancementMismatchError.
     """
     group = pair.g
-    if top is None and bottom is not None:
+    bra = top is None and bottom is not None
+    if not bra:
+        top_cols = _normalise_enhancement(group, d.top, top, "top")
+    if bottom is not None:
         bot_cols = _normalise_enhancement(group, d.bottom, bottom, "bottom")
-        dst = Enhancement(d.bottom, bot_cols)
-        return {top_cols: InvariantValue(pair, Enhancement(d.top, top_cols),
-                                         dst, terms)
-                for (top_cols, _), terms in _state_sum(
-                    compile_program(d, from_bottom=True), pair,
-                    np.array([bot_cols], dtype=np.intp)).items()}
-    top_cols = _normalise_enhancement(group, d.top, top, "top")
-    src = Enhancement(d.top, top_cols)
-    buckets = {bot: terms for (_, bot), terms in _state_sum(
-        compile_program(d), pair,
-        np.array([top_cols], dtype=np.intp)).items()}
+    seed = np.array([bot_cols if bra else top_cols], dtype=np.intp)
+    sums = _state_sum(compile_program(d, from_bottom=bra), pair, seed)
 
+    def value(key) -> InvariantValue:
+        return InvariantValue(pair, Enhancement(d.top, key[0]),
+                              Enhancement(d.bottom, key[1]),
+                              sums.get(key, {}))
+
+    if bra:
+        return {t: value((t, b)) for t, b in sums}
     if d.is_closed:
-        terms = buckets.get((), {})
-        return InvariantValue(pair, src, Enhancement((), ()), terms)
-
+        return value(((), ()))
     if bottom is None:
-        return {
-            bot: InvariantValue(pair, src, Enhancement(d.bottom, bot), terms)
-            for bot, terms in sorted(buckets.items())
-        }
-    bot_cols = _normalise_enhancement(group, d.bottom, bottom, "bottom")
-    return InvariantValue(pair, src, Enhancement(d.bottom, bot_cols),
-                          buckets.get(bot_cols, {}))
+        return {b: value((t, b)) for t, b in sums}
+    return value((top_cols, bot_cols))
 
 
 @functools.cache

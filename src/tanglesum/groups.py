@@ -326,23 +326,22 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
                        identity=g.identity * m + h.identity)
 
 
-def from_cayley_table(table, labels=None) -> FiniteGroup:
-    """Build and validate a group from an explicit Cayley table.
+def from_cayley_table(table) -> FiniteGroup:
+    """Build and validate a group from an explicit Cayley table, its
+    elements labelled g0, g1, ...
 
     Raises NotAGroupError with the first failing triple if the table is not
     a group.
     """
     table = np.asarray(table, dtype=np.int32)
-    n = table.shape[0]
-    if labels is None:
-        labels = tuple(f"g{i}" for i in range(n))
-    return FiniteGroup("G", tuple(labels), table=table, validate=True)
+    labels = tuple(f"g{i}" for i in range(table.shape[0]))
+    return FiniteGroup("G", labels, table=table, validate=True)
 
 
-def from_cayley_csv(path, labels=None) -> FiniteGroup:
+def from_cayley_csv(path) -> FiniteGroup:
     with open(path, newline="") as fh:
         rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    return from_cayley_table(rows, labels=labels)
+    return from_cayley_table(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,13 @@ class CrossingTransfer:
     negative ones.  Each entry is one int64, Y | (E-colour << 32), so an n
     x n table takes the bytes of an int32 n x n x 2 one, and the sweep
     decodes Y = v & 0xFFFFFFFF and the E-colour v >> 32 straight into
-    index arrays.  sweep_tables holds every table the sweep reads, in the
-    order engine._run unpacks them, built once here rather than on every
-    state sum.
+    index arrays.  Every crossing of a sweep reads its E-colour there,
+    even one whose outgoing under-colour is already known.  sweep_tables
+    holds the eight tables the sweep reads, in the order engine._run
+    unpacks them: the multiplication and inversion tables of G, the
+    multiplication table of E, the action, the two packed tables, fplus
+    and fminus.  They are built once here rather than on every state sum.
+    There are no scalar lookups: a caller indexes these tables.
     """
 
     def __init__(self, pair: ReidemeisterPair, fplus: np.ndarray,
@@ -252,24 +256,7 @@ class CrossingTransfer:
         self.packed_minus = _pack(fplus, pair.phi[x, fplus])
         self.sweep_tables = (
             pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
-            self.packed_plus, self.packed_minus, fplus, fminus,
-            pair.psi, pair.phi)
-
-    def under_out_plus(self, over: int, under_in: int) -> int:
-        """Downward propagation at a positive crossing (inverse of fplus).
-
-        Kept as the scalar oracle that
-        test_packed_crossing_tables_match_the_scalar_lookups reads every
-        entry of packed_plus against."""
-        return int(self.fminus[over, under_in])
-
-    def under_out_minus(self, over: int, under_in: int) -> int:
-        """Downward propagation at a negative crossing (inverse of fminus).
-
-        Kept as the scalar oracle that
-        test_packed_crossing_tables_match_the_scalar_lookups reads every
-        entry of packed_minus against."""
-        return int(self.fplus[over, under_in])
+            self.packed_plus, self.packed_minus, fplus, fminus)
 
     def __repr__(self) -> str:
         return f"<crossing transfer for {self.pair.name}>"

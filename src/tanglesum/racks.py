@@ -130,15 +130,6 @@ class Rack:
         against it."""
         return int(self.right[x, b])
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
-
-    def element_by_label(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise TangleSumError(f"no rack element labelled {label!r}") from None
-
     def __repr__(self) -> str:
         kind = "quandle" if self.is_quandle else "rack"
         return f"<{kind} {self.name} of size {self.size}>"
@@ -413,54 +404,29 @@ def _enumerate_colourings(d: SlicedTangleDiagram, r: Rack):
             yield colour
 
 
-def _check_enhancement(r: Rack, enh, width: int, which: str):
-    if enh is None:
-        return None
-    out = tuple(r.element_by_label(e) if isinstance(e, str) else int(e) for e in enh)
-    if len(out) != width:
-        raise EnhancementMismatchError(
-            f"{which} enhancement has {len(out)} colours for {width} strands")
-    for e in out:
-        if not 0 <= e < r.size:
-            raise EnhancementMismatchError(f"{which} colour {e} out of range")
-    return out
-
-
-def rack_colouring_count(d: SlicedTangleDiagram, r: Rack, top=None, bottom=None):
-    """Count rack colourings of d, optionally with fixed boundary colours.
-
-    Closed diagram: a single count.  Open diagram: an integer when both
-    boundary enhancements are given, otherwise a dict keyed by the missing
-    enhancement(s) containing only nonzero counts.
-    """
-    top = _check_enhancement(r, top, len(d.top), "top")
-    bottom = _check_enhancement(r, bottom, len(d.bottom), "bottom")
-    if d.is_closed:
-        if top is not None or bottom is not None:
-            raise EnhancementMismatchError("closed diagram takes no boundary colours")
-        return sum(1 for _ in _enumerate_colourings(d, r))
-
-    top_arcs, bottom_arcs = d.boundary_arcs()
-    counts: dict = {}
-    for colour in _enumerate_colourings(d, r):
-        t = tuple(colour[a] for a in top_arcs)
-        b = tuple(colour[a] for a in bottom_arcs)
-        if top is not None and t != top:
+def rack_colouring_count(d: SlicedTangleDiagram, r: Rack, top=None,
+                         bottom=None) -> int:
+    """Number of rack colourings of d whose top and bottom colours equal
+    the given tuples of element indices; a boundary left as None is summed
+    over."""
+    fixed = []
+    for arcs, cols, which in zip(d.boundary_arcs(), (top, bottom),
+                                 ("top", "bottom")):
+        if cols is None:
             continue
-        if bottom is not None and b != bottom:
-            continue
-        if top is None and bottom is None:
-            key = (t, b)
-        elif top is None:
-            key = t
-        elif bottom is None:
-            key = b
-        else:
-            key = None
-        counts[key] = counts.get(key, 0) + 1
-    if top is not None and bottom is not None:
-        return counts.get(None, 0)
-    return counts
+        cols = tuple(int(c) for c in cols)
+        if len(cols) != len(arcs):
+            raise EnhancementMismatchError(
+                f"{which} enhancement has {len(cols)} colours for "
+                f"{len(arcs)} strands")
+        for c in cols:
+            if not 0 <= c < r.size:
+                raise EnhancementMismatchError(
+                    f"{which} colour {c} out of range")
+        fixed.append((arcs, cols))
+    return sum(all(tuple(colour[a] for a in arcs) == cols
+                   for arcs, cols in fixed)
+               for colour in _enumerate_colourings(d, r))
 
 
 def cjkls_state_sum(d: SlicedTangleDiagram, c: RackCocycle) -> GroupAlgebraElement:

@@ -100,6 +100,13 @@ def test_validate_eisermann_pair(capsys):
     assert main(["validate", "--pair", EISERMANN_S3]) == 0
 
 
+def test_validate_checks_the_group_beside_a_pair(capsys):
+    assert main(["validate", "--group", "s4", "--pair", EISERMANN_S3]) == 0
+    out = capsys.readouterr().out
+    assert "group S4: order 24" in out
+    assert "validation of unframed pair" in out
+
+
 def test_validate_nothing_given_is_a_usage_error(capsys):
     assert main(["validate"]) == 2
 
@@ -233,6 +240,8 @@ def test_invariant_bra_direction_is_seeded_on_the_bottom(capsys):
 @pytest.mark.parametrize("command, flag", [
     ("validate", "--json"), ("invariant", "--framed"),
     ("invariant", "--thorough"), ("moves", "--json"), ("moves", "--thorough"),
+    ("validate", "--x"), ("invariant", "--x"), ("invariant", "--group"),
+    ("moves", "--x"), ("moves", "--group"),
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, command,
                                                                flag):
@@ -328,3 +337,27 @@ def test_moves_with_eisermann_pair(capsys):
     rc = main(["moves", "--diagram", "unknot_string",
                "--pair", EISERMANN_S3])
     assert rc == 0
+
+
+EISERMANN_S4 = ('{"kind": "eisermann", "group": "s4", "x": "(1 2 3 4)", '
+                '"carrier": "group"}')
+
+
+def test_moves_on_one_diagram_over_the_cap_is_an_error(capsys):
+    # 24^3 top enhancements exceed the matrix cap: the one diagram asked for
+    # is not checked, so the command must not report success
+    assert main(["moves", "--pair", EISERMANN_S4,
+                 "--diagram", "braid_sigma1_sigma2_sigma1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert lines == ["error: 24^3 top enhancements exceed 4096"]
+
+
+def test_moves_over_the_catalog_skips_a_diagram_over_the_cap(capsys):
+    assert main(["moves", "--pair", EISERMANN_S4]) == 0
+    captured = capsys.readouterr()
+    assert ("braid_sigma1_sigma2_sigma1: skipped (24^3 top enhancements "
+            "exceed 4096)") in captured.err.splitlines()
+    assert "unknot_closed: " in captured.out

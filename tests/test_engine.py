@@ -103,13 +103,18 @@ def test_single_positive_crossing_morphism():
     g = p.g
     d = SlicedTangleDiagram(("v", "v"), [("X+", 0)])
     t = p.transfer()
+    bnd = p.xmod.boundary.mapping
     for under_in in range(6):
         for over in range(6):
             # the over strand enters top right and leaves bottom left
             cols = list(enumerate_colourings(d, t, top=(under_in, over)))
             assert len(cols) == 1
             col = cols[0]
-            under_out = t.under_out_plus(over, under_in)
+            # the y with under_in = bd(psi(over, y))^-1 over y over^-1
+            [under_out] = [
+                y for y in range(6)
+                if g.mul(g.mul(g.inv(int(bnd[p.psi[over, y]])),
+                               g.mul(over, y)), g.inv(over)) == under_in]
             bottom = tuple(col.arc_colours[a] for a in d.levels[-1])
             assert bottom == (over, under_out)
             m = evaluate(col)
@@ -437,6 +442,17 @@ def test_enhancement_mismatch_raises():
         invariant(d, p, bottom=(0, 1))
 
 
+def test_a_closed_diagram_refuses_a_bottom_it_does_not_have():
+    # a closed diagram's bottom is empty, in the ket reading as in the bra
+    p = rack_pair(3)
+    d = load_catalog("trefoil_plus_closed")
+    assert invariant(d, p, top=(), bottom=()).total == 9
+    for top in ((), None):
+        with pytest.raises(EnhancementMismatchError,
+                           match="bottom enhancement has 2 colours for 0"):
+            invariant(d, p, top=top, bottom=(7, 8))
+
+
 @pytest.mark.parametrize("top, bottom", [
     ("all", (0,)), ("all", "all"), ("all", None), ((0,), "all")])
 def test_the_all_sentinel_is_refused(top, bottom):
@@ -626,6 +642,31 @@ def test_eisermann_a6_figure_eight_is_move_invariant():
     assert {"R0A", "R0B", "R1", "R2A", "R2C"} <= set(first)
     for tag, after in first.items():
         assert invariant(after, p).total == value.total, tag
+
+
+def _plain(x):
+    """x with every tuple in it, NamedTuples included, a plain tuple."""
+    return tuple(map(_plain, x)) if isinstance(x, tuple) else x
+
+
+def test_compiled_programs_are_frozen():
+    # every program of the catalog diagrams and all their neighbours in
+    # both move sets, seeded on the top and on the bottom: a change to the
+    # planner or the compiler that moves, adds or drops one event shows
+    # here
+    digest = hashlib.sha256()
+    count = 0
+    for name in catalog_names():
+        d = load_catalog(name)
+        for e in [d] + [mp.after for moves in ("unframed", "framed")
+                        for mp in move_neighbours(d, moves)]:
+            for from_bottom in (False, True):
+                prog = _plain(engine._compile(e, from_bottom))
+                digest.update(repr(prog).encode())
+                count += 1
+    assert count == 4508
+    assert digest.hexdigest() == (
+        "1ec614815aaae89eba6dab79416141e2eec8619f7506bee1a25eee2cc42d3403")
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,12 @@ def test_rack_pair_transfer_reproduces_rack_propagation():
     r = dihedral_quandle(5)
     p = pair_from_rack(r, cyclic_group(5))
     t = p.transfer()
+    # downwards through a crossing over X: fminus[X, Z] at a positive one,
+    # fplus[X, Z] at a negative one
     for over in range(5):
         for under_in in range(5):
-            assert t.under_out_plus(over, under_in) == r.rop(under_in, over)
-            assert t.under_out_minus(over, under_in) == r.lop(over, under_in)
+            assert t.fminus[over, under_in] == r.rop(under_in, over)
+            assert t.fplus[over, under_in] == r.lop(over, under_in)
 
 
 def test_rack_pair_rejects_size_mismatch():
@@ -221,10 +223,13 @@ def moves_set_pairs() -> dict:
 def test_packed_crossing_tables_match_the_scalar_lookups(tag):
     # packed_plus[x, z] = y | psi(x, y) << 32 with y the under-out colour at
     # a positive crossing; packed_minus[x, z] likewise with phi at a
-    # negative one
+    # negative one.  y is found by search over G with the scalar group
+    # operations: the y with z = bd(psi(x,y))^-1 x y x^-1, resp.
+    # z = x^-1 bd(phi(x,y))^-1 y x, which must be unique
     p = moves_set_pairs()[tag]
     t = p.transfer()
-    n = p.g.order
+    g = p.g
+    n = g.order
     for packed in (t.packed_plus, t.packed_minus):
         assert packed.dtype == np.int64
         assert packed.shape == (n, n)
@@ -233,11 +238,21 @@ def test_packed_crossing_tables_match_the_scalar_lookups(tag):
         v = int(v)
         return [v & 0xFFFFFFFF, v >> 32]
 
+    def bd(e):
+        return int(p.xmod.boundary.mapping[e])
+
     for x in range(n):
+        plus: dict = {}
+        minus: dict = {}
+        for y in range(n):
+            z = g.mul(g.mul(g.inv(bd(p.psi[x, y])), g.mul(x, y)), g.inv(x))
+            plus.setdefault(z, []).append(y)
+            z = g.mul(g.mul(g.inv(x), g.inv(bd(p.phi[x, y]))), g.mul(y, x))
+            minus.setdefault(z, []).append(y)
         for z in range(n):
-            y = t.under_out_plus(x, z)
+            [y] = plus[z]
             assert decode(t.packed_plus[x, z]) == [y, p.psi[x, y]]
-            y = t.under_out_minus(x, z)
+            [y] = minus[z]
             assert decode(t.packed_minus[x, z]) == [y, p.phi[x, y]]
 
 

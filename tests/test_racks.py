@@ -7,7 +7,11 @@ import pytest
 
 from named_examples import R3_COCYCLE, shift_rack
 from tanglesum.diagrams import load_catalog
-from tanglesum.errors import NotClosedError, SizeLimitError
+from tanglesum.errors import (
+    EnhancementMismatchError,
+    NotClosedError,
+    SizeLimitError,
+)
 from tanglesum.groups import commutator_subgroup, cyclic_group, symmetric_group
 from tanglesum.racks import (
     cjkls_state_sum,
@@ -187,6 +191,27 @@ def test_colouring_count_with_boundary():
     for c in range(3):
         assert rack_colouring_count(d, r3, top=(c,), bottom=(c,)) == 3
         assert rack_colouring_count(d, r3, top=(c,), bottom=((c + 1) % 3,)) == 0
+
+
+def test_colouring_count_sums_over_a_boundary_left_open():
+    r3 = dihedral_quandle(3)
+    d = load_catalog("trefoil_plus_string")
+    assert rack_colouring_count(d, r3) == 9
+    for c in range(3):
+        assert rack_colouring_count(d, r3, top=(c,)) == 3
+        assert rack_colouring_count(d, r3, bottom=(c,)) == 3
+    closed = load_catalog("trefoil_plus_closed")
+    assert rack_colouring_count(closed, r3, top=(), bottom=()) == 9
+
+
+@pytest.mark.parametrize("top, bottom, message", [
+    ((0, 0), None, "top enhancement has 2 colours for 1 strands"),
+    (None, (3,), "bottom colour 3 out of range"),
+])
+def test_colouring_count_checks_the_boundary(top, bottom, message):
+    d = load_catalog("trefoil_plus_string")
+    with pytest.raises(EnhancementMismatchError, match=message):
+        rack_colouring_count(d, dihedral_quandle(3), top=top, bottom=bottom)
 
 
 def test_colouring_count_size_limit():
