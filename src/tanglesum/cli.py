@@ -238,9 +238,10 @@ def cmd_validate(args) -> int:
         reports.append(validate_rack(r, thorough=args.thorough))
     if args.pair:
         pair = build_pair(_pair_descriptor(args))
-        reports.append(validate_crossed_module(pair.xmod,
-                                               thorough=args.thorough))
         meta = pair.meta
+        if "source" not in meta:  # else validate_2xmod sweeps pair.xmod
+            reports.append(validate_crossed_module(pair.xmod,
+                                                   thorough=args.thorough))
         if "rack" in meta:
             reports.append(validate_rack(meta["rack"], thorough=args.thorough))
         if "cocycle" in meta:

@@ -23,6 +23,8 @@ axioms with the budgeted grid checker from the validation module.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .abelian import TensorSquare
@@ -42,7 +44,7 @@ from .groups import (
     identity_hom,
     trivial_group,
 )
-from .validation import CheckResult, ValidationReport, grid_check
+from .validation import SAMPLE_SEED, CheckResult, ValidationReport, grid_check
 
 
 # ---------------------------------------------------------------------------
@@ -80,30 +82,50 @@ class CrossedModule:
         return f"CrossedModule({self.name})"
 
 
+def conjugation_table(g: FiniteGroup) -> np.ndarray:
+    """conj[a, b] = a b a^{-1}: G acting on itself by conjugation."""
+    return g.conj_arr(*np.ogrid[:g.order, :g.order])
+
+
+def action_checks(g: FiniteGroup, x: FiniteGroup, act, thorough: bool,
+                  on: str = "") -> list[CheckResult]:
+    """Sweep the axioms of a left action act[a, e] of g on x by
+    automorphisms; `on` ("E") names x in the check names."""
+    tg, tx = g.table, x.table
+    who, where = (f"G-action on {on}", f" on {on}") if on else ("action", "")
+    return [
+        grid_check(f"identity acts trivially{where}", (x.order,),
+                   lambda e: (act[g.identity, e], e), thorough),
+        grid_check(f"{who} distributes over products",
+                   (g.order, x.order, x.order),
+                   lambda a, e, f: (act[a, tx[e, f]],
+                                    tx[act[a, e], act[a, f]]), thorough),
+        grid_check(f"{who} composes", (g.order, g.order, x.order),
+                   lambda a, b, e: (act[tg[a, b], e], act[a, act[b, e]]),
+                   thorough),
+    ]
+
+
+def equivariance_check(axiom: str, hom: GroupHom, source_act, target_act,
+                       thorough: bool) -> CheckResult:
+    """Sweep hom(a > e) = a > hom(e) over (a, e), where source_act[a, e] and
+    target_act[a, h] are actions of one group on hom's source and target."""
+    m = hom.mapping
+    return grid_check(axiom, source_act.shape,
+                      lambda a, e: (m[source_act[a, e]], target_act[a, m[e]]),
+                      thorough)
+
+
 def validate_crossed_module(c: CrossedModule, thorough: bool = False) \
         -> ValidationReport:
     """Sweep the crossed-module axioms; witnesses instead of exceptions."""
     report = ValidationReport(c.name)
-    te, tg = c.e.table, c.g.table
-    bm = c.boundary.mapping
-    act = c.action
-    inv_g = c.g.inv_table
-
-    report.add(grid_check(
-        "boundary is a homomorphism", (c.e.order, c.e.order),
-        lambda e, f: (bm[te[e, f]], tg[bm[e], bm[f]]), thorough))
-    report.add(grid_check(
-        "identity acts trivially", (c.e.order,),
-        lambda e: (act[c.g.identity, e], e), thorough))
-    report.add(grid_check(
-        "action distributes over products", (c.g.order, c.e.order, c.e.order),
-        lambda g, e, f: (act[g, te[e, f]], te[act[g, e], act[g, f]]), thorough))
-    report.add(grid_check(
-        "action composes", (c.g.order, c.g.order, c.e.order),
-        lambda g, h, e: (act[tg[g, h], e], act[g, act[h, e]]), thorough))
-    report.add(grid_check(
-        "first Peiffer equation", (c.g.order, c.e.order),
-        lambda g, e: (bm[act[g, e]], tg[tg[g, bm[e]], inv_g[g]]), thorough))
+    te, bm, act = c.e.table, c.boundary.mapping, c.action
+    report.add(c.boundary.homomorphism_check("boundary is a homomorphism",
+                                             thorough))
+    report.checks += action_checks(c.g, c.e, act, thorough)
+    report.add(equivariance_check("first Peiffer equation", c.boundary, act,
+                                  conjugation_table(c.g), thorough))
     report.add(grid_check(
         "second Peiffer equation", (c.e.order, c.e.order),
         lambda e, f: (act[bm[e], f], te[te[e, f], c.e.inv_table[e]]), thorough))
@@ -179,8 +201,7 @@ def _raise_on_failure(c: CrossedModule) -> CrossedModule:
 
 def xm_identity(g: FiniteGroup) -> CrossedModule:
     """(id: G -> G) with G acting on itself by conjugation."""
-    G, H = np.ogrid[:g.order, :g.order]
-    return CrossedModule(identity_hom(g), g.conj_arr(G, H),
+    return CrossedModule(identity_hom(g), conjugation_table(g),
                          name=f"(id: {g.name} -> {g.name})")
 
 
@@ -279,46 +300,28 @@ def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationRep
     that breaks one of them is reported even where the axiom sweep samples.
     """
     report = ValidationReport(t.name)
-    tl, te, tg = t.l.table, t.e.table, t.g.table
-    inv_l, inv_e, inv_g = t.l.inv_table, t.e.inv_table, t.g.inv_table
+    tl, te = t.l.table, t.e.table
+    inv_l, inv_e = t.l.inv_table, t.e.inv_table
     dm, bm = t.delta.mapping, t.boundary.mapping
     ae, al, lift = t.act_g_e, t.act_g_l, t.lifting
     nl, ne, ng = t.l.order, t.e.order, t.g.order
     dact = t.derived_action_table
 
-    report.add(grid_check(
-        "delta is a homomorphism", (nl, nl),
-        lambda l, k: (dm[tl[l, k]], te[dm[l], dm[k]]), thorough))
-    report.add(grid_check(
-        "boundary is a homomorphism", (ne, ne),
-        lambda e, f: (bm[te[e, f]], tg[bm[e], bm[f]]), thorough))
+    report.add(t.delta.homomorphism_check("delta is a homomorphism",
+                                          thorough))
+    report.add(t.boundary.homomorphism_check("boundary is a homomorphism",
+                                             thorough))
     report.add(grid_check(
         "chain condition", (nl,),
         lambda l: (bm[dm[l]], t.g.identity), thorough))
-    report.add(grid_check(
-        "identity acts trivially on E", (ne,),
-        lambda e: (ae[t.g.identity, e], e), thorough))
-    report.add(grid_check(
-        "identity acts trivially on L", (nl,),
-        lambda l: (al[t.g.identity, l], l), thorough))
-    report.add(grid_check(
-        "G-action on E distributes over products", (ng, ne, ne),
-        lambda g, e, f: (ae[g, te[e, f]], te[ae[g, e], ae[g, f]]), thorough))
-    report.add(grid_check(
-        "G-action on L distributes over products", (ng, nl, nl),
-        lambda g, l, k: (al[g, tl[l, k]], tl[al[g, l], al[g, k]]), thorough))
-    report.add(grid_check(
-        "G-action on E composes", (ng, ng, ne),
-        lambda g, h, e: (ae[tg[g, h], e], ae[g, ae[h, e]]), thorough))
-    report.add(grid_check(
-        "G-action on L composes", (ng, ng, nl),
-        lambda g, h, l: (al[tg[g, h], l], al[g, al[h, l]]), thorough))
-    report.add(grid_check(
-        "delta is G-equivariant", (ng, nl),
-        lambda g, l: (dm[al[g, l]], ae[g, dm[l]]), thorough))
-    report.add(grid_check(
-        "boundary is G-equivariant", (ng, ne),
-        lambda g, e: (bm[ae[g, e]], tg[tg[g, bm[e]], inv_g[g]]), thorough))
+    # both identities, then both distributivities, then both compositions
+    for on_e, on_l in zip(action_checks(t.g, t.e, ae, thorough, on="E"),
+                          action_checks(t.g, t.l, al, thorough, on="L")):
+        report.checks += [on_e, on_l]
+    report.add(equivariance_check("delta is G-equivariant", t.delta, al, ae,
+                                  thorough))
+    report.add(equivariance_check("boundary is G-equivariant", t.boundary, ae,
+                                  conjugation_table(t.g), thorough))
     report.add(grid_check(
         "lifting hits the Peiffer commutator", (ne, ne),
         lambda e, f: (dm[lift[e, f]],
@@ -352,15 +355,12 @@ def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationRep
         thorough))
 
     derived = validate_crossed_module(t.derived_xmod(), thorough=thorough)
-    for check in derived.checks:
-        report.add(CheckResult("derived crossed module: " + check.axiom,
-                               check.domain_size, check.checked, check.mode,
-                               check.violations))
-    for check in derived_identity_checks(t, thorough):
-        report.add(check)
+    report.checks += [
+        replace(check, axiom="derived crossed module: " + check.axiom)
+        for check in derived.checks]
+    report.checks += derived_identity_checks(t, thorough)
     if t.is_braided:
-        for check in braided_identity_checks(t, thorough):
-            report.add(check)
+        report.checks += braided_identity_checks(t, thorough)
     return report
 
 
@@ -493,7 +493,7 @@ def braided_from_central_extension(projection: GroupHom, section=None) \
     lifting = ext.comm_arr(sec[gi[:, None]], sec[gi[None, :]])
 
     if len(kernel) > 1:
-        rng = np.random.default_rng(20_240_501)
+        rng = np.random.default_rng(SAMPLE_SEED)
         twist = np.array(kernel, dtype=np.int32)[
             rng.integers(0, len(kernel), base.order)]
         sec2 = ext.mul_arr(sec, twist)
@@ -520,7 +520,6 @@ def abelianisation_tensor_2xmod(g: FiniteGroup) -> TwoCrossedModule:
     delta = GroupHom(lgrp, g, np.full(lgrp.order, g.identity, dtype=np.int32),
                      name=f"1: {lgrp.name} -> {g.name}")
     idx = np.arange(g.order)
-    conj = g.conj_arr(idx[:, None], idx[None, :])
     act_g_l = np.broadcast_to(np.arange(lgrp.order, dtype=np.int32),
                               (g.order, lgrp.order))
     pure = np.empty((gab.order, gab.order), dtype=np.int32)
@@ -528,7 +527,8 @@ def abelianisation_tensor_2xmod(g: FiniteGroup) -> TwoCrossedModule:
         for b in range(gab.order):
             pure[a, b] = ts.pure(a, b)
     lifting = pure[proj.mapping[idx[:, None]], proj.mapping[idx[None, :]]]
-    t = TwoCrossedModule(delta, identity_hom(g), conj, act_g_l, lifting,
+    t = TwoCrossedModule(delta, identity_hom(g), conjugation_table(g),
+                         act_g_l, lifting,
                          name=f"({lgrp.name} -> {g.name} -> {g.name})")
     t.tensor_square = ts
     t.abelianisation = proj

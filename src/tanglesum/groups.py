@@ -5,7 +5,9 @@ display labels; multiplication is a dense n x n Cayley table (numpy int32).
 Factories refuse groups of order above TABLE_LIMIT before they build any
 elements.  Every higher layer (crossed modules, racks, Reidemeister pairs,
 the state-sum engine) speaks this index language only, so all exact
-arithmetic reduces to integer table lookups.
+arithmetic reduces to integer table lookups.  validate_axioms sweeps the
+group axioms through validation.grid_check, like every axiom sweep of the
+package, and decides associativity exactly at every order (Light's test).
 
 Composition convention for permutations: apply the LEFT factor first,
 (p * q)(i) = q(p(i)).  Cycle labels are 1-based, e.g. "(1 2 3)(4 5)".
@@ -28,9 +30,9 @@ from .errors import (
     NotClosedError,
     SizeLimitError,
 )
+from .validation import CheckResult, grid_check
 
 TABLE_LIMIT = 1000
-ASSOC_EXHAUSTIVE_LIMIT = 200
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +85,7 @@ class FiniteGroup:
     """
 
     def __init__(self, name: str, labels: tuple[str, ...], table,
-                 identity: int | None = None, validate: bool = False):
+                 identity: int | None = None):
         self.name = name
         self.labels = tuple(labels)
         self.order = len(self.labels)
@@ -102,8 +104,6 @@ class FiniteGroup:
         inv[rows] = cols
         inv.setflags(write=False)
         self.inv_table = inv
-        if validate:
-            self.validate_axioms()
 
     # -- construction helpers ------------------------------------------------
 
@@ -116,8 +116,15 @@ class FiniteGroup:
 
     def validate_axioms(self) -> None:
         """Raise NotAGroupError unless the table is a Latin square and
-        associative (exhaustively up to ASSOC_EXHAUSTIVE_LIMIT, sampled above)."""
-        t = self.table
+        associative.
+
+        Associativity is exact by Light's test: the middles s with
+        (x s) y = x (s y) for all x, y are closed under the product, so one
+        sweep per generator suffices.  Each generator is the least element
+        outside the closure of those before it, so a group has at most
+        log2(order) of them.
+        """
+        t, lab = self.table, self.labels
         n = self.order
         if t.min() < 0 or t.max() >= n:
             raise NotAGroupError("table entries out of range")
@@ -128,28 +135,20 @@ class FiniteGroup:
                 raise NotAGroupError(f"row {g} ({self.labels[g]}) is not a bijection")
             if not np.array_equal(np.sort(t[:, g]), idx):
                 raise NotAGroupError(f"column {g} ({self.labels[g]}) is not a bijection")
-        # Associativity: exhaustive up to a budget, sampled above.
-        if n <= ASSOC_EXHAUSTIVE_LIMIT:
-            lhs = t[t, :]          # lhs[a,b,c] = (ab)c
-            rhs = t[:, t]          # rhs[a,b,c] = a(bc)
-            bad = np.argwhere(lhs != rhs)
-            if len(bad):
-                self._associativity_failure(*bad[0])
-        else:
-            rng = np.random.default_rng(0)
-            a, b, c = (rng.integers(0, n, 100_000) for _ in range(3))
-            bad = np.nonzero(t[t[a, b], c] != t[a, t[b, c]])[0]
-            if len(bad):
-                i = bad[0]
-                self._associativity_failure(a[i], b[i], c[i])
-
-    def _associativity_failure(self, a, b, c):
-        t, lab = self.table, self.labels
-        a, b, c = int(a), int(b), int(c)
-        raise NotAGroupError(
-            f"associativity fails at ({lab[a]}, {lab[b]}, {lab[c]}): "
-            f"({lab[a]}*{lab[b]})*{lab[c]} = {lab[t[t[a, b], c]]} but "
-            f"{lab[a]}*({lab[b]}*{lab[c]}) = {lab[t[a, t[b, c]]]}")
+        closure = (self.identity,)
+        while len(closure) < n:
+            s = int(np.setdiff1d(idx, closure)[0])
+            closure = subgroup_closure(self, closure + (s,))
+            check = grid_check(
+                "associativity", (n, n),
+                lambda x, y: (t[t[x, s], y], t[x, t[s, y]]), thorough=True)
+            if not check.ok:
+                x, y = check.violations[0].witness
+                a, b, c = lab[x], lab[s], lab[y]
+                raise NotAGroupError(
+                    f"associativity fails at ({a}, {b}, {c}): "
+                    f"({a}*{b})*{c} = {lab[t[t[x, s], y]]} but "
+                    f"{a}*({b}*{c}) = {lab[t[x, t[s, y]]]}")
 
     # -- basic operations ----------------------------------------------------
 
@@ -330,12 +329,14 @@ def from_cayley_table(table) -> FiniteGroup:
     """Build and validate a group from an explicit Cayley table, its
     elements labelled g0, g1, ...
 
-    Raises NotAGroupError with the first failing triple if the table is not
-    a group.
+    Raises NotAGroupError naming a failing row, column or triple if the
+    table is not a group.
     """
     table = np.asarray(table, dtype=np.int32)
     labels = tuple(f"g{i}" for i in range(table.shape[0]))
-    return FiniteGroup("G", labels, table=table, validate=True)
+    g = FiniteGroup("G", labels, table=table)
+    g.validate_axioms()
+    return g
 
 
 def from_cayley_csv(path) -> FiniteGroup:
@@ -364,23 +365,25 @@ class GroupHom:
     def __call__(self, i: int) -> int:
         return int(self.mapping[i])
 
-    def first_violation(self) -> tuple[int, int] | None:
-        m = self.mapping
-        lhs = m[self.source.table]
-        rhs = self.target.table[m[:, None], m[None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            return int(bad[0][0]), int(bad[0][1])
-        return None
+    def homomorphism_check(self, axiom: str,
+                           thorough: bool = False) -> CheckResult:
+        """Sweep m(a b) = m(a) m(b) over pairs (a, b) of the source, as the
+        check named `axiom`."""
+        m, ts, tt = self.mapping, self.source.table, self.target.table
+        n = self.source.order
+        return grid_check(axiom, (n, n),
+                          lambda a, b: (m[ts[a, b]], tt[m[a], m[b]]), thorough)
 
     def assert_valid(self) -> None:
+        name = self.name or "hom"
         if int(self.mapping[self.source.identity]) != self.target.identity:
-            raise GroupMismatchError(f"{self.name or 'hom'} does not fix the identity")
-        bad = self.first_violation()
-        if bad is not None:
-            a, b = bad
+            raise GroupMismatchError(f"{name} does not fix the identity")
+        check = self.homomorphism_check(f"{name} is a homomorphism",
+                                        thorough=True)
+        if not check.ok:
+            a, b = check.violations[0].witness
             raise GroupMismatchError(
-                f"{self.name or 'hom'} fails multiplicativity at "
+                f"{name} fails multiplicativity at "
                 f"({self.source.labels[a]}, {self.source.labels[b]})")
 
     def then(self, other: "GroupHom") -> "GroupHom":

@@ -364,10 +364,7 @@ def pair_from_rack_cocycle(c: RackCocycle,
     psi_g, phi_g = _rack_tables(r, group)
     psi = psi_g * m + c.w[r.left[B, A], B]
     phi = phi_g * m + c.v.inv_arr(c.w[A, B])
-    diag = np.arange(r.size)
-    quandle_cocycle = bool(r.is_quandle
-                           and (c.w[diag, diag] == c.v.identity).all())
-    mode = "unframed" if quandle_cocycle else "framed"
+    mode = "unframed" if c.is_quandle_cocycle else "framed"
     return ReidemeisterPair(xmod, psi, phi, mode,
                             name=f"cocycle({c.name}; {group.name})",
                             cocycle=c)
@@ -378,7 +375,7 @@ def pair_from_rack_cocycle(c: RackCocycle,
 # ---------------------------------------------------------------------------
 
 
-def pair_eisermann(g: FiniteGroup, x,
+def pair_eisermann(g: FiniteGroup, x: int,
                    carrier: str = "commutator") -> ReidemeisterPair:
     """The commutator pair phi(L,M) = [Mx^{-1}, Lx^{-1}] over conjugation.
 
@@ -386,13 +383,13 @@ def pair_eisermann(g: FiniteGroup, x,
     conjugation quandle of x over its carrier, the commutator subgroup
     (where both tables land even when x does not) or the whole group; the
     crossed module is the identity with the adjoint action.  Unframed.
+    `x` is an element index of g.
     """
-    xi = g.element_by_label(x) if isinstance(x, str) else int(x)
-    quandle, base = _eisermann(g, xi, carrier)
+    quandle, base = _eisermann(g, x, carrier)
     psi, phi = _rack_tables(quandle, base)
     return ReidemeisterPair(xm_identity(base), psi, phi, "unframed",
-                            name=f"eisermann({g.name}, {g.label(xi)}, "
-                            f"{carrier})", x=xi)
+                            name=f"eisermann({g.name}, {g.label(x)}, "
+                            f"{carrier})", x=x)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +417,8 @@ def _braided_tables(b: TwoCrossedModule):
     return b.e, b.l, b.lifting
 
 
-def pair_eisermann_lift_unframed(b: TwoCrossedModule, x) -> ReidemeisterPair:
+def pair_eisermann_lift_unframed(b: TwoCrossedModule,
+                                 x: int) -> ReidemeisterPair:
     """phi(L,M) = {Mx^{-1}, Lx^{-1}}, psi(L,M) = {L,M}{ML^{-1},x}; unframed.
 
     Needs the braiding's boundary to be surjective (this is what makes
@@ -431,34 +429,33 @@ def pair_eisermann_lift_unframed(b: TwoCrossedModule, x) -> ReidemeisterPair:
         raise NotSurjectiveError(
             f"{b.delta.name or 'delta'} is not surjective; "
             "the unframed lifting needs every colour to lift")
-    xi = mid.element_by_label(x) if isinstance(x, str) else int(x)
     L, M = np.ogrid[:mid.order, :mid.order]
-    xinv = mid.inv(xi)
+    xinv = mid.inv(x)
     phi = lifting[mid.mul_arr(M, xinv), mid.mul_arr(L, xinv)]
     psi = top.mul_arr(lifting[L, M],
-                      lifting[mid.mul_arr(M, mid.inv_arr(L)), xi])
+                      lifting[mid.mul_arr(M, mid.inv_arr(L)), x])
     return ReidemeisterPair(b.derived_xmod(), psi, phi, "unframed",
-                            name=f"lift_unframed({b.name}, {mid.label(xi)})",
-                            source=b, x=xi)
+                            name=f"lift_unframed({b.name}, {mid.label(x)})",
+                            source=b, x=x)
 
 
-def pair_eisermann_lift_framed(b: TwoCrossedModule, x) -> ReidemeisterPair:
+def pair_eisermann_lift_framed(b: TwoCrossedModule,
+                               x: int) -> ReidemeisterPair:
     """phi(L,M) = {Mx^{-1}, Lx^{-1}}, psi(L,M) = {xML^{-1}x^{-1}Lx^{-1}, Lx^{-1}}^{-1}.
 
     A framed pair whose kink maps are both the identity of G.
     """
     mid, top, lifting = _braided_tables(b)
-    xi = mid.element_by_label(x) if isinstance(x, str) else int(x)
     L, M = np.ogrid[:mid.order, :mid.order]
-    xinv = mid.inv(xi)
+    xinv = mid.inv(x)
     lx = mid.mul_arr(L, xinv)
     phi = lifting[mid.mul_arr(M, xinv), lx]
-    first = mid.mul_arr(mid.mul_arr(xi, mid.mul_arr(M, mid.inv_arr(L))),
+    first = mid.mul_arr(mid.mul_arr(x, mid.mul_arr(M, mid.inv_arr(L))),
                         mid.mul_arr(xinv, lx))
     psi = top.inv_arr(lifting[first, lx])
     return ReidemeisterPair(b.derived_xmod(), psi, phi, "framed",
-                            name=f"lift_framed({b.name}, {mid.label(xi)})",
-                            source=b, x=xi)
+                            name=f"lift_framed({b.name}, {mid.label(x)})",
+                            source=b, x=x)
 
 
 # ---------------------------------------------------------------------------

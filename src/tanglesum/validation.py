@@ -1,9 +1,11 @@
 """Validation reports for axiom sweeps.
 
-Axiom checks over finite domains run either exhaustively or, above a budget,
-on a fixed-seed pseudo-random sample.  A report records, per axiom, the mode
-that ran, how many tuples were checked, and up to a handful of violation
-witnesses, so a failed validation is always reproducible and explainable.
+Every axiom sweep of the package runs through grid_check (only the framed
+kink maps, which solve an equation, and constructor preconditions that
+raise at once do not): exhaustively or, above a budget, on a fixed-seed
+pseudo-random sample.  A report records, per axiom, the mode that ran, how
+many tuples were checked, and up to a handful of violation witnesses, so a
+failed validation is always reproducible and explainable.
 
 An exhaustive sweep runs its blocks on the CPUs this process may use, one
 block per worker at a time, so at most workers x GRID_CHUNK points are in

@@ -57,24 +57,17 @@ def test_validate_group_checks_built_in_groups(monkeypatch, capsys, which):
     assert "error:" in captured.err
 
 
-@pytest.mark.parametrize("exhaustive_limit, message", [
-    (None, "associativity fails at (g1, g1, g2): "
-           "(g1*g1)*g2 = g2 but g1*(g1*g2) = g4"),
-    (0, "associativity fails at (g1, g2, g4): "
-        "(g1*g2)*g4 = g1 but g1*(g2*g4) = g4"),
-])
-def test_validate_group_names_the_associativity_failure(monkeypatch, capsys,
-                                                        exhaustive_limit, message):
+def test_validate_group_names_the_associativity_failure(monkeypatch, capsys):
     from tanglesum import cli, groups
 
     table = BROKEN_TABLES["not associative"]
     loop = groups.FiniteGroup("loop", tuple(f"g{i}" for i in range(5)), table,
                               identity=0)
     monkeypatch.setattr(cli, "symmetric_group", lambda n: loop)
-    if exhaustive_limit is not None:
-        monkeypatch.setattr(groups, "ASSOC_EXHAUSTIVE_LIMIT", exhaustive_limit)
     assert main(["validate", "--group", "s5"]) != 0
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == (
+        "error: associativity fails at (g1, g1, g2): "
+        "(g1*g1)*g2 = g2 but g1*(g1*g2) = g4\n")
 
 
 def test_validate_rack(capsys):
@@ -94,6 +87,30 @@ def test_validate_perturbed_cocycle_fails_with_witness(capsys):
     assert main(["validate", "--pair", BAD_COCYCLE]) == 1
     err = capsys.readouterr().err
     assert "fails at" in err
+
+
+def test_validate_rack_cocycle_on_a_quandle(capsys):
+    pair = ('{"kind": "cocycle", "rack": "dihedral:3", "values": '
+            '{"v_moduli": [3], "table": [[1,1,1],[1,1,1],[1,1,1]]}}')
+    assert main(["validate", "--pair", pair, "--thorough"]) == 0
+    out = capsys.readouterr().out
+    assert "validation of rack cocycle w: OK" in out
+    assert "w(x,x) = 0" not in out
+    assert "validation of framed pair" in out
+
+
+@pytest.mark.parametrize("pair", [
+    '{"kind": "2xmod", "group": "s3"}',
+    '{"kind": "lift_framed", "modulus": 3, "x": "(2 0; 0 1)"}',
+])
+def test_validate_sweeps_the_derived_crossed_module_once(capsys, pair):
+    assert main(["validate", "--pair", pair]) == 0
+    out = capsys.readouterr().out
+    names = [line.strip().split(": ok [")[0] for line in out.splitlines()
+             if ": ok [" in line]
+    assert "derived crossed module: second Peiffer equation" in names
+    assert "second Peiffer equation" not in names
+    assert len(names) == len(set(names))
 
 
 def test_validate_eisermann_pair(capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tanglesum import groups
+from tanglesum.abelian import TensorSquare, product_of_cyclics
 from tanglesum.errors import (
     GroupMismatchError,
     NotAGroupError,
@@ -23,6 +24,7 @@ from tanglesum.groups import (
     cycle_label,
     direct_product,
     from_cayley_csv,
+    FiniteGroup,
     from_cayley_table,
     gl2,
     GroupHom,
@@ -186,6 +188,106 @@ def test_from_cayley_table_rejects_non_groups():
         )
 
 
+# a Latin square with identity 0 (a loop) that is not associative
+NOT_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and column are 0..n-1, as
+    int32 arrays: the tables of the loops on 0..n-1 with identity 0."""
+    square = [list(range(n))] + [[i] + [-1] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield np.array(square, dtype=np.int32)
+            return
+        i, j = cells[k]
+        used = {*square[i][:j], *(square[r][j] for r in range(i))}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                yield from fill(k + 1)
+        square[i][j] = -1
+
+    yield from fill(0)
+
+
+def _passes_light(table) -> bool:
+    """validate_axioms' verdict on a Latin square with identity 0."""
+    loop = FiniteGroup("L", tuple(f"g{i}" for i in range(len(table))), table,
+                       identity=0)
+    try:
+        loop.validate_axioms()
+    except NotAGroupError as exc:
+        assert str(exc).startswith("associativity fails at")
+        return False
+    return True
+
+
+def _associative_by_cube(t) -> bool:
+    """The brute-force oracle: (ab)c = a(bc) on all n^3 triples."""
+    return bool(np.array_equal(t[t, :], t[:, t]))
+
+
+# every loop of order 4 is a group; of order 5, only the 6 labellings of Z5
+@pytest.mark.parametrize("n, count, n_groups", [(4, 4, 4), (5, 56, 6)])
+def test_light_test_agrees_with_the_cube_on_every_reduced_latin_square(
+        n, count, n_groups):
+    squares = list(reduced_latin_squares(n))
+    assert len(squares) == count
+    verdicts = [_passes_light(t) for t in squares]
+    assert verdicts == [_associative_by_cube(t) for t in squares]
+    assert sum(verdicts) == n_groups
+
+
+def test_light_test_agrees_with_the_cube_on_order_6():
+    # every group table of order 6 (the 80 labellings of Z6 and S3 with
+    # identity 0), and a fixed-seed sample of the non-associative loops
+    squares = list(reduced_latin_squares(6))
+    assert len(squares) == 9408
+    groups_ = [t for t in squares if _associative_by_cube(t)]
+    assert len(groups_) == 80
+    assert all(_passes_light(t) for t in groups_)
+    loops = [t for t in squares if not _associative_by_cube(t)]
+    rng = np.random.default_rng(6)
+    for k in rng.choice(len(loops), size=1000, replace=False):
+        assert not _passes_light(loops[k])
+
+
+def test_a_non_associative_loop_of_order_240_is_rejected():
+    loop = FiniteGroup("loop5", tuple(f"g{i}" for i in range(5)),
+                       NOT_ASSOCIATIVE_LOOP, identity=0)
+    big = direct_product(loop, cyclic_group(48))
+    with pytest.raises(NotAGroupError, match="associativity fails at"):
+        big.validate_axioms()
+
+
+GROUP_CONSTRUCTORS = {
+    "trivial": trivial_group,
+    "Z1": lambda: cyclic_group(1),
+    "Z12": lambda: cyclic_group(12),
+    **{f"S{n}": (lambda n=n: symmetric_group(n)) for n in range(1, 7)},
+    "GL(2,2)": lambda: gl2(2),
+    "GL(2,3)": lambda: gl2(3),
+    "GL(2,5)": lambda: gl2(5),
+    "PGL(2,3)": lambda: pgl2(3)[0],
+    "PGL(2,5)": lambda: pgl2(5)[0],
+    "S3xZ4": lambda: direct_product(symmetric_group(3), cyclic_group(4)),
+    "S5'": lambda: commutator_subgroup(symmetric_group(5))[0],
+    "S4^ab": lambda: abelianization(symmetric_group(4))[0],
+    "GL(2,3)/Z": lambda: central_quotient(gl2(3))[0],
+    "Z2xZ4xZ3": lambda: product_of_cyclics((2, 4, 3)),
+    "tensor square": lambda: TensorSquare(product_of_cyclics((2, 4))).group,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CONSTRUCTORS))
+def test_every_group_constructor_builds_a_group(name):
+    GROUP_CONSTRUCTORS[name]().validate_axioms()
+
+
 def test_cayley_csv_round_trip(tmp_path):
     s3 = symmetric_group(3)
     path = tmp_path / "s3.csv"
@@ -216,7 +318,10 @@ def test_hom_validation_kernel_image():
 def test_hom_rejects_non_homomorphism():
     z4 = cyclic_group(4)
     bad = GroupHom(z4, z4, [0, 2, 1, 3])
-    assert bad.first_violation() is not None
+    check = bad.homomorphism_check("bad is a homomorphism")
+    assert (check.axiom, check.checked, check.mode) == (
+        "bad is a homomorphism", 16, "exhaustive")
+    assert not check.ok
     with pytest.raises(GroupMismatchError):
         bad.assert_valid()
 

@@ -381,7 +381,8 @@ def test_validation_report_of_perturbed_rack_pair_is_frozen(which, cell, expecte
 
 
 def test_validation_report_of_perturbed_eisermann_pair_is_frozen():
-    base = pair_eisermann(symmetric_group(5), "(1 2 3)", carrier="group")
+    s5 = symmetric_group(5)
+    base = pair_eisermann(s5, s5.element_by_label("(1 2 3)"), carrier="group")
     phi = base.phi.copy()
     phi[3, 7] = (phi[3, 7] + 1) % 120
     p = ReidemeisterPair(base.xmod, base.psi, phi, "unframed")
@@ -411,7 +412,8 @@ def test_thorough_report_of_perturbed_eisermann_pair_is_frozen(monkeypatch,
                                                                rows_per_block):
     if rows_per_block is not None:
         monkeypatch.setattr(validation, "GRID_CHUNK", rows_per_block * 120 * 120)
-    base = pair_eisermann(symmetric_group(5), "(1 2 3)", carrier="group")
+    s5 = symmetric_group(5)
+    base = pair_eisermann(s5, s5.element_by_label("(1 2 3)"), carrier="group")
     phi = base.phi.copy()
     phi[3, 7] = (phi[3, 7] + 1) % 120
     p = ReidemeisterPair(base.xmod, base.psi, phi, "unframed")
@@ -423,9 +425,8 @@ def test_thorough_report_of_perturbed_eisermann_pair_is_frozen(monkeypatch,
 # ---------------------------------------------------------------------------
 
 
-def eisermann_oracle(g, x, carrier):
+def eisermann_oracle(g, xi, carrier):
     """psi/phi of pair_eisermann, one cell at a time with scalar group ops."""
-    xi = g.element_by_label(x) if isinstance(x, str) else int(x)
     if carrier == "commutator":
         elems = commutator_subgroup(g)[0].parent_indices
     else:
@@ -462,8 +463,9 @@ def test_eisermann_tables_match_scalar_oracle_on_table_columns():
 
     s5 = symmetric_group(5)
     for label in S5_COLUMNS:
-        _assert_matches_oracle(s5, label, "group")
-        _assert_matches_oracle(s5, label, "commutator")
+        x = s5.element_by_label(label)
+        _assert_matches_oracle(s5, x, "group")
+        _assert_matches_oracle(s5, x, "commutator")
     gl, pgl, proj = _gl_pgl()
     for label in PGL_COLUMNS:
         x = int(proj.mapping[gl.element_by_label(label)])

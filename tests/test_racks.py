@@ -13,6 +13,7 @@ from tanglesum.errors import (
     SizeLimitError,
 )
 from tanglesum.groups import commutator_subgroup, cyclic_group, symmetric_group
+from tanglesum.pairs import pair_from_rack_cocycle, validate_pair
 from tanglesum.racks import (
     cjkls_state_sum,
     cocycle_from_json,
@@ -137,20 +138,53 @@ def test_perturbed_cocycle_is_rejected_with_witness():
     assert "fails at" in str(report.violations[0])
 
 
+COCYCLE_IDENTITY = "w(x,y) + w(x<|y, z) = w(x,z) + w(x<|z, y<|z)"
+
+
 def test_quandle_cocycle_diagonal_vanishes():
-    # for quandles the R1 compatibility forces w(x, x) = 0
+    # w(x, x) = 0 is what makes a cocycle on a quandle a quandle cocycle;
+    # this table's diagonal does not vanish, so it is read as a rack
+    # cocycle, and it fails the cocycle identity itself
     r3 = dihedral_quandle(3)
     z3 = cyclic_group(3)
     c = RackCocycle(r3, z3, [[(x * y) % 3 for y in range(3)] for x in range(3)])
+    assert not c.is_quandle_cocycle
     report = validate_cocycle(c)
-    assert not report.ok
+    assert report.subject == "rack cocycle w"
+    assert [ch.axiom for ch in report.checks if not ch.ok] == [COCYCLE_IDENTITY]
+
+
+def test_rack_cocycle_on_a_quandle_validates_and_gives_a_framed_pair():
+    r3 = dihedral_quandle(3)
+    c = cocycle_from_json(r3, {"v_moduli": [3], "table": [[1] * 3] * 3})
+    assert not c.is_quandle_cocycle
+    report = validate_cocycle(c, thorough=True)
+    assert report.ok and report.subject == "rack cocycle w"
+    assert [ch.axiom for ch in report.checks] == ["V abelian", COCYCLE_IDENTITY]
+    pair = pair_from_rack_cocycle(c, cyclic_group(3))
+    assert pair.mode == "framed"
+    assert validate_pair(pair, thorough=True).ok
+
+
+def test_cocycle_values_in_a_nonabelian_group_are_rejected():
+    s3 = symmetric_group(3)
+    c = RackCocycle(dihedral_quandle(3), s3, np.zeros((3, 3), dtype=int))
+    check = validate_cocycle(c).checks[0]
+    assert (check.axiom, check.checked, check.mode) == (
+        "V abelian", 36, "exhaustive")
+    assert not check.ok
+    for v in check.violations:
+        a, b = v.witness
+        assert s3.mul(a, b) != s3.mul(b, a)
 
 
 def test_gf4_fixture_and_state_sums():
     gf4 = Rack(right=np.array(GF4_RIGHT), name="GF4")
     assert validate_rack(gf4, thorough=True).ok and gf4.is_quandle
     c = cocycle_from_json(gf4, {"v_moduli": [2], "table": GF4_COCYCLE})
-    assert validate_cocycle(c).ok
+    assert c.is_quandle_cocycle
+    report = validate_cocycle(c)
+    assert report.ok and report.subject == "quandle cocycle w"
     for name in ("trefoil_plus_closed", "figure_eight_closed"):
         v = cjkls_state_sum(load_catalog(name), c)
         assert v.terms == {0: 4, 1: 12}
@@ -228,7 +262,7 @@ def test_colouring_count_size_limit():
 
 
 def conjugation_oracle(g, subset=None):
-    """(left, right, labels) of conjugation_quandle, one cell at a time."""
+    """(left, right) of conjugation_quandle, one cell at a time."""
     if subset is None:
         carrier = tuple(range(g.order))
     else:
@@ -248,12 +282,11 @@ def conjugation_oracle(g, subset=None):
                 )
             left[i, j] = pos[aba]
             right[i, j] = pos[bab]
-    return left, right, tuple(g.label(i) for i in carrier)
+    return left, right
 
 
-def eisermann_oracle(g, x, carrier):
-    """(left, right, labels) of eisermann_quandle, one cell at a time."""
-    xi = g.element_by_label(x) if isinstance(x, str) else int(x)
+def eisermann_oracle(g, xi, carrier):
+    """(left, right) of eisermann_quandle, one cell at a time."""
     if carrier == "commutator":
         elems = commutator_subgroup(g)[0].parent_indices
     else:
@@ -272,14 +305,13 @@ def eisermann_oracle(g, x, carrier):
                     f"carrier not closed: {g.label(h)} , {g.label(a)}")
             left[j, i] = pos[lo]                        # left[a, h'] = a |> h'
             right[i, j] = pos[ro]                       # right[h, a] = h <| a
-    return left, right, tuple(g.label(i) for i in elems)
+    return left, right
 
 
 def _assert_rack_is(r, oracle):
-    left, right, labels = oracle
+    left, right = oracle
     assert np.array_equal(r.left, left)
     assert np.array_equal(r.right, right)
-    assert r.labels == labels
 
 
 def test_conjugation_quandle_matches_scalar_oracle():
@@ -317,9 +349,10 @@ def test_eisermann_quandle_matches_scalar_oracle_on_table_columns():
 
     s5 = symmetric_group(5)
     gl, pgl, proj = _gl_pgl()
+    s5_columns = [s5.element_by_label(l) for l in S5_COLUMNS]
     pgl_columns = [int(proj.mapping[gl.element_by_label(l)])
                    for l in PGL_COLUMNS]
-    for g, columns in ((s5, S5_COLUMNS), (pgl, pgl_columns)):
+    for g, columns in ((s5, s5_columns), (pgl, pgl_columns)):
         for x in columns:
             for carrier in ("group", "commutator"):
                 _assert_rack_is(eisermann_quandle(g, x, carrier),
