@@ -1,15 +1,17 @@
-"""Structure of small finite abelian groups.
+"""Structure of small finite abelian groups, on index arrays.
 
 Provides a cyclic-basis decomposition A = <g_1> + ... + <g_k> (direct), the
-coordinate map it induces, and the tensor square A (x) A built from the
-classical formula Z_m (x) Z_n = Z_gcd(m,n).  Everything is verified on the
-nose (the coordinate map is checked to be a bijection), so a wrong greedy
-choice can never slip through silently.
+coordinate array it induces, and the tensor square A (x) A built from the
+classical formula Z_m (x) Z_n = Z_gcd(m,n).  All work is whole-array: one
+pass computes every element's powers (and so its order), the coordinate
+array comes from multiplying out the basis powers, and the pure-tensor
+table is one broadcast.  The coordinate map is checked to be a bijection by
+one np.unique, so a wrong greedy choice can never slip through silently.
 """
 
 from __future__ import annotations
 
-from math import gcd
+import math
 
 import numpy as np
 
@@ -32,6 +34,82 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _digits(moduli: tuple[int, ...]) -> np.ndarray:
+    """Every coordinate row of Z_{m_1} + ... + Z_{m_k}, in mixed-radix
+    order (last coordinate fastest), as a (prod m_i, k) array."""
+    digits = np.zeros((math.prod(moduli), len(moduli)), dtype=np.int64)
+    rest = np.arange(len(digits))
+    for pos in range(len(moduli) - 1, -1, -1):
+        digits[:, pos] = rest % moduli[pos]
+        rest //= moduli[pos]
+    return digits
+
+
+def _place_values(moduli: tuple[int, ...]) -> np.ndarray:
+    """Weights w with digits @ w the mixed-radix index of a coordinate row."""
+    return np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))],
+                    dtype=np.int64)
+
+
+def _powers(a: FiniteGroup) -> np.ndarray:
+    """powers[k, g] = g^k for k from 0 up to the exponent of A, whose row is
+    all identity; g's order is the least k >= 1 with powers[k, g] = 1."""
+    rows = [np.full(a.order, a.identity, dtype=np.intp)]
+    every = np.arange(a.order)
+    while True:
+        rows.append(a.table[rows[-1], every])
+        if np.all(rows[-1] == a.identity):
+            return np.stack(rows)
+
+
+def _multiply_out(a: FiniteGroup, powers: np.ndarray,
+                  basis: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, elems): every coordinate row c of the basis, and the index
+    of g_1^c_1 ... g_k^c_k for each."""
+    digits = _digits(tuple(d for _, d in basis))
+    elems = np.full(len(digits), a.identity, dtype=np.intp)
+    for pos, (g, _) in enumerate(basis):
+        elems = a.table[elems, powers[digits[:, pos], g]]
+    return digits, elems
+
+
+def _decompose(a: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """The cyclic basis of cyclic_decomposition and its coordinate array:
+    coords[x] is the coordinate row of element x."""
+    if a.order > DECOMPOSITION_LIMIT:
+        raise SizeLimitError("cyclic_decomposition limited to small groups")
+    if not a.is_abelian:
+        raise NotAGroupError(f"{a.name} is not abelian")
+    powers = _powers(a)
+    orders = (powers[1:] == a.identity).argmax(axis=0) + 1
+    basis: list[tuple[int, int]] = []
+    for p in _prime_factors(a.order):
+        # the p-component has order p_part; its non-identity elements are
+        # those whose order divides p_part
+        p_part = math.gcd(a.order, p ** a.order.bit_length())
+        component = np.flatnonzero((orders > 1) & (p_part % orders == 0))
+        chosen: list[tuple[int, int]] = []
+        while True:
+            in_span = np.zeros(a.order, dtype=bool)
+            in_span[_multiply_out(a, powers, chosen)[1]] = True
+            if in_span.sum() == p_part:
+                break
+            # order of each element modulo the span; take the first maximal
+            qorders = in_span[powers[1:, component]].argmax(axis=0) + 1
+            best, q = component[qorders.argmax()], int(qorders.max())
+            # order-preserving coset representative best*s, least s first
+            reps = a.table[best, np.flatnonzero(in_span)]
+            chosen.append((int(reps[(orders[reps] == q).argmax()]), q))
+        basis += chosen
+    digits, elems = _multiply_out(a, powers, basis)
+    if len(elems) != a.order or len(np.unique(elems)) != a.order:
+        raise NotAGroupError(
+            f"claimed cyclic basis of {a.name} is not a direct decomposition")
+    coords = np.empty_like(digits)
+    coords[elems] = digits
+    return basis, coords
+
+
 def cyclic_decomposition(a: FiniteGroup) -> list[tuple[int, int]]:
     """A list of (generator index, order) with A the direct sum of the <g_i>.
 
@@ -41,117 +119,41 @@ def cyclic_decomposition(a: FiniteGroup) -> list[tuple[int, int]]:
     the coordinate bijection, so correctness does not rest on the greedy
     argument alone.
     """
-    if a.order > DECOMPOSITION_LIMIT:
-        raise SizeLimitError("cyclic_decomposition limited to small groups")
-    if not a.is_abelian:
-        raise NotAGroupError(f"{a.name} is not abelian")
-    basis: list[tuple[int, int]] = []
-    for p in _prime_factors(a.order):
-        component = [g for g in range(a.order)
-                     if _is_prime_power_order(a.element_order(g), p)]
-        span = {a.identity}
-        target = len(component) + 1  # the p-torsion subgroup includes 1
-        while len(span) < target:
-            # order of g modulo the current span
-            def qorder(g: int) -> int:
-                k, x = 1, g
-                while x not in span:
-                    x = a.mul(x, g)
-                    k += 1
-                return k
-            best = max(component, key=qorder)
-            q = qorder(best)
-            # order-preserving coset representative: some best*s with s in span
-            rep = next(g for s in span
-                       if a.element_order(g := a.mul(best, s)) == q)
-            basis.append((rep, q))
-            span = {a.mul(s, x) for s in span
-                    for x in _cyclic_span(a, rep)}
-    # verify directness: coordinates must enumerate A exactly once
-    coords_of(a, basis)
-    return basis
-
-
-def _is_prime_power_order(order: int, p: int) -> bool:
-    if order == 1:
-        return False
-    while order % p == 0:
-        order //= p
-    return order == 1
-
-
-def _cyclic_span(a: FiniteGroup, g: int) -> list[int]:
-    out, x = [a.identity], g
-    while x != a.identity:
-        out.append(x)
-        x = a.mul(x, g)
-    return out
-
-
-def coords_of(a: FiniteGroup, basis: list[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
-    """Element index -> coordinate tuple relative to the basis; verified bijective."""
-    coords = {a.identity: (0,) * len(basis)}
-    elems = [a.identity]
-    for pos, (g, order) in enumerate(basis):
-        new_elems = []
-        for e in elems:
-            x = e
-            for k in range(1, order):
-                x = a.mul(x, g)
-                c = list(coords[e])
-                c[pos] = k
-                if x in coords:
-                    raise NotAGroupError("claimed basis is not direct")
-                coords[x] = tuple(c)
-                new_elems.append(x)
-        elems.extend(new_elems)
-    if len(coords) != a.order:
-        raise NotAGroupError("claimed basis does not span")
-    return coords
+    return _decompose(a)[0]
 
 
 def product_of_cyclics(moduli: tuple[int, ...], name: str | None = None) -> FiniteGroup:
     """Z_{m_1} + ... + Z_{m_k} with mixed-radix element encoding."""
+    bad = [m for m in moduli if m < 1]
+    if bad:
+        raise SizeLimitError(f"cyclic factor modulus {bad[0]} is below 1")
     if name is None:
         name = "x".join(f"Z{m}" for m in moduli) or "Z1"
-    n = 1
-    for m in moduli:
-        n *= m
-    if n > DECOMPOSITION_LIMIT:
+    if math.prod(moduli) > DECOMPOSITION_LIMIT:
         raise SizeLimitError("cyclic product exceeds size limit")
-    digits = np.zeros((n, len(moduli)), dtype=np.int64)
-    rest = np.arange(n)
-    for pos in range(len(moduli) - 1, -1, -1):
-        digits[:, pos] = rest % moduli[pos]
-        rest //= moduli[pos]
+    digits = _digits(moduli)
     summed = (digits[:, None, :] + digits[None, :, :]) % np.array(moduli, dtype=np.int64)
-    enc = np.zeros((n, n), dtype=np.int64)
-    for pos in range(len(moduli)):
-        enc = enc * moduli[pos] + summed[:, :, pos]
     labels = tuple("(" + ",".join(str(d) for d in row) + ")" for row in digits) \
         if moduli else ("0",)
-    return FiniteGroup(name, labels, table=enc.astype(np.int32), identity=0)
+    return FiniteGroup(name, labels, table=summed @ _place_values(moduli),
+                       identity=0)
 
 
 class TensorSquare:
-    """A (x) A for a finite abelian A, with the defining bilinear map."""
+    """A (x) A for a finite abelian A, with the defining bilinear map as
+    the table pure[x, y], the index of x (x) y in the tensor-square group."""
 
     def __init__(self, a: FiniteGroup):
         self.base = a
-        self.basis = cyclic_decomposition(a)
-        self.coords = coords_of(a, self.basis)
+        self.basis, self.coords = _decompose(a)
         orders = [d for _, d in self.basis]
-        pairs = [(i, j) for i in range(len(orders)) for j in range(len(orders))]
-        moduli = [gcd(orders[i], orders[j]) for i, j in pairs]
-        keep = [k for k, m in enumerate(moduli) if m > 1]
-        self.pairs = [pairs[k] for k in keep]
-        self.moduli = tuple(moduli[k] for k in keep)
+        pairs = [(i, j) for i in range(len(orders)) for j in range(len(orders))
+                 if math.gcd(orders[i], orders[j]) > 1]
+        self.moduli = tuple(math.gcd(orders[i], orders[j]) for i, j in pairs)
         self.group = product_of_cyclics(self.moduli, f"{a.name}(x){a.name}")
-
-    def pure(self, x: int, y: int) -> int:
-        """Index of x (x) y in the tensor-square group."""
-        cx, cy = self.coords[x], self.coords[y]
-        idx = 0
-        for (i, j), m in zip(self.pairs, self.moduli):
-            idx = idx * m + (cx[i] * cy[j]) % m
-        return idx
+        i, j = np.array(pairs, dtype=np.intp).reshape(len(pairs), 2).T
+        digits = self.coords[:, None, i] * self.coords[None, :, j] \
+            % np.array(self.moduli, dtype=np.int64)
+        pure = (digits @ _place_values(self.moduli)).astype(np.int32)
+        pure.setflags(write=False)
+        self.pure = pure

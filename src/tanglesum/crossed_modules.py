@@ -32,7 +32,6 @@ from .errors import (
     KernelNotCentralError,
     NonComposableError,
     NotAGroupError,
-    NotASectionError,
     NotSurjectiveError,
     XmodMismatchError,
 )
@@ -228,9 +227,8 @@ def xm_pair_with_module(g: FiniteGroup, v: FiniteGroup) -> CrossedModule:
                         name=f"proj: {e.name} -> {g.name}")
     action = g.conj_arr(np.arange(g.order)[:, None], h_part[None, :]) * m \
         + v_part[None, :]
-    c = CrossedModule(boundary, action, name=f"(proj: {e.name} -> {g.name})")
-    c.module = v
-    return _raise_on_failure(c)
+    return _raise_on_failure(
+        CrossedModule(boundary, action, name=f"(proj: {e.name} -> {g.name})"))
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +451,13 @@ def least_index_section(projection: GroupHom) -> np.ndarray:
     return sec
 
 
-def braided_from_central_extension(projection: GroupHom, section=None) \
-        -> TwoCrossedModule:
+def braided_from_central_extension(projection: GroupHom) -> TwoCrossedModule:
     """The braided crossed module of a central extension, {g,h} = [s(g), s(h)].
 
-    `projection` must be surjective with central kernel; `section`, an
-    array of one preimage index per element of the base, is any right
-    inverse of it (least-index preimage when omitted).  The lifting is
-    checked against one alternate kernel-twisted section, turning the claimed
-    section-independence into a verified fact.
+    `projection` must be surjective with central kernel; s is its
+    least-index section.  The lifting is checked against one alternate
+    kernel-twisted section, turning the claimed section-independence into a
+    verified fact.
     """
     ext, base = projection.source, projection.target
     if not projection.is_surjective:
@@ -476,19 +472,7 @@ def braided_from_central_extension(projection: GroupHom, section=None) \
                 f"kernel element {ext.labels[k]} does not commute with "
                 f"{ext.labels[bad]}")
 
-    if section is None:
-        sec = least_index_section(projection)
-    else:
-        sec = np.asarray(section, dtype=np.int32)
-        if sec.shape != (base.order,):
-            raise NotASectionError("section must assign one lift per element")
-        if not np.array_equal(projection.mapping[sec], np.arange(base.order)):
-            bad = int(np.nonzero(projection.mapping[sec]
-                                 != np.arange(base.order))[0][0])
-            raise NotASectionError(
-                f"section fails at {base.labels[bad]}: projects to "
-                f"{base.labels[int(projection.mapping[sec[bad]])]}")
-
+    sec = least_index_section(projection)
     gi = np.arange(base.order)
     lifting = ext.comm_arr(sec[gi[:, None]], sec[gi[None, :]])
 
@@ -522,14 +506,7 @@ def abelianisation_tensor_2xmod(g: FiniteGroup) -> TwoCrossedModule:
     idx = np.arange(g.order)
     act_g_l = np.broadcast_to(np.arange(lgrp.order, dtype=np.int32),
                               (g.order, lgrp.order))
-    pure = np.empty((gab.order, gab.order), dtype=np.int32)
-    for a in range(gab.order):
-        for b in range(gab.order):
-            pure[a, b] = ts.pure(a, b)
-    lifting = pure[proj.mapping[idx[:, None]], proj.mapping[idx[None, :]]]
-    t = TwoCrossedModule(delta, identity_hom(g), conjugation_table(g),
-                         act_g_l, lifting,
-                         name=f"({lgrp.name} -> {g.name} -> {g.name})")
-    t.tensor_square = ts
-    t.abelianisation = proj
-    return t
+    lifting = ts.pure[proj.mapping[idx[:, None]], proj.mapping[idx[None, :]]]
+    return TwoCrossedModule(delta, identity_hom(g), conjugation_table(g),
+                            act_g_l, lifting,
+                            name=f"({lgrp.name} -> {g.name} -> {g.name})")

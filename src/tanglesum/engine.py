@@ -79,6 +79,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .abelian import TensorSquare
 from .algebra import GroupAlgebraElement
 from .crossed_modules import (
     CGMorphism,
@@ -95,6 +96,7 @@ from .errors import (
     SizeLimitError,
     TangleSumError,
 )
+from .groups import abelianization
 from .pairs import CrossingTransfer, ReidemeisterPair, pair_from_2xmod
 from .racks import conjugation_quandle, _enumerate_colourings as _rack_colourings
 from .validation import SAMPLE_SEED
@@ -850,26 +852,29 @@ def abelianisation_framed_invariant(d: SlicedTangleDiagram,
     module.  direct: the sum over conjugation colourings (equivalently,
     homomorphisms f from the knot group to G) of (f(m) (x) f(m))^writhe in
     the tensor square of G^ab, with m any meridian.  The two must agree.
+    The direct sum builds its own G^ab and tensor square, and is read in
+    the engine's group once the two tensor squares have the same name and
+    labels.
     """
     if not d.is_closed:
         raise NotClosedError("the framed comparison needs a closed diagram")
     if d.component_count() != 1:
         raise MultiComponentError(
             "the meridian-based sum needs a single component")
-    t2 = abelianisation_tensor_2xmod(group)
-    p = pair_from_2xmod(t2)
-    engine = invariant(d, p).algebra()
+    engine = invariant(
+        d, pair_from_2xmod(abelianisation_tensor_2xmod(group))).algebra()
 
-    ts = t2.tensor_square
-    proj = t2.abelianisation
-    tgrp = ts.group
-    tw = d.writhe
+    gab, proj = abelianization(group)
+    ts = TensorSquare(gab)
+    if (ts.group.name, ts.group.labels) != (engine.group.name,
+                                            engine.group.labels):
+        raise TangleSumError(
+            f"tensor-square groups diverged: {ts.group.name} against "
+            f"{engine.group.name}")
     counts: dict[int, int] = {}
     for colour in _rack_colourings(d, conjugation_quandle(group)):
-        ab = int(proj.mapping[colour[0]])
-        elt = tgrp.power(ts.pure(ab, ab), tw)
+        ab = proj.mapping[colour[0]]
+        elt = ts.group.power(int(ts.pure[ab, ab]), d.writhe)
         counts[elt] = counts.get(elt, 0) + 1
-    direct = GroupAlgebraElement(tgrp, counts)
-    if engine.group is not direct.group:
-        raise TangleSumError("tensor-square groups diverged")  # pragma: no cover
-    return AbelianisationComparison(engine, direct)
+    return AbelianisationComparison(
+        engine, GroupAlgebraElement(engine.group, counts))

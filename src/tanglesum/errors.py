@@ -39,10 +39,6 @@ class KernelNotCentralError(TangleSumError):
     """A claimed central extension has a non-central kernel."""
 
 
-class NotASectionError(TangleSumError):
-    """A supplied section does not split the projection."""
-
-
 class NotSurjectiveError(TangleSumError):
     """A map that must be onto is not."""
 

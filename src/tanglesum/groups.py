@@ -17,7 +17,6 @@ matrix is labelled "I" and the permutation identity "id".
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 
@@ -29,6 +28,7 @@ from .errors import (
     NotAGroupError,
     NotClosedError,
     SizeLimitError,
+    TangleSumError,
 )
 from .validation import CheckResult, grid_check
 
@@ -95,7 +95,6 @@ class FiniteGroup:
                 f"table shape {table.shape} does not match {self.order} labels")
         table.setflags(write=False)
         self.table = table
-        self._order_memo: dict[int, int] = {}
         if identity is None:
             identity = self._find_identity()
         self.identity = identity
@@ -177,16 +176,6 @@ class FiniteGroup:
             res = self.mul(res, g)
             k -= 1
         return res
-
-    def element_order(self, g: int) -> int:
-        if g in self._order_memo:
-            return self._order_memo[g]
-        k, x = 1, g
-        while x != self.identity:
-            x = self.mul(x, g)
-            k += 1
-        self._order_memo[g] = k
-        return k
 
     def word(self, letters) -> int:
         """Product of an iterable of element indices, left to right."""
@@ -339,10 +328,32 @@ def from_cayley_table(table) -> FiniteGroup:
     return g
 
 
+def read_int_table(path) -> list[list[int]]:
+    """Rows of comma-separated integers from a text file; blank lines and
+    lines starting with # are skipped.  A TangleSumError names the line of
+    a non-integer cell or of a row whose length differs from the first."""
+    rows: list[list[int]] = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                row = [int(cell) for cell in line.split(",")]
+            except ValueError:
+                raise TangleSumError(
+                    f"{path}, line {lineno}: cells must be integers, "
+                    f"got {line!r}") from None
+            if rows and len(row) != len(rows[0]):
+                raise TangleSumError(
+                    f"{path}, line {lineno}: {len(row)} cells where the "
+                    f"first row has {len(rows[0])}")
+            rows.append(row)
+    return rows
+
+
 def from_cayley_csv(path) -> FiniteGroup:
-    with open(path, newline="") as fh:
-        rows = [[int(x) for x in row] for row in csv.reader(fh) if row]
-    return from_cayley_table(rows)
+    return from_cayley_table(read_int_table(path))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +467,6 @@ def subgroup(g: FiniteGroup, indices, name: str = "") -> tuple[FiniteGroup, Grou
                     tuple(g.labels[e] for e in idx),
                     table=pos[g.table[np.ix_(arr, arr)]],
                     identity=int(pos[g.identity]))
-    h.parent_indices = idx
     embed = GroupHom(h, g, arr, name=f"{h.name} into {g.name}")
     return h, embed
 
@@ -512,6 +522,5 @@ def commutator_subgroup(g: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
 
 def abelianization(g: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
     """G / [G, G] with the projection."""
-    derived, _ = commutator_subgroup(g)
-    q, proj = quotient_by_normal(g, derived.parent_indices, name=f"{g.name}^ab")
-    return q, proj
+    _, embed = commutator_subgroup(g)
+    return quotient_by_normal(g, embed.mapping, name=f"{g.name}^ab")

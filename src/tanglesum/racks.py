@@ -45,7 +45,7 @@ from .errors import (
     SizeLimitError,
     TangleSumError,
 )
-from .groups import FiniteGroup, commutator_subgroup
+from .groups import FiniteGroup, commutator_subgroup, read_int_table
 from .validation import ValidationReport, grid_check
 
 # ---------------------------------------------------------------------------
@@ -211,8 +211,8 @@ def _eisermann(g: FiniteGroup, xi: int,
     """The twisted conjugation quandle of eisermann_quandle, together with
     its carrier as a group (the commutator subgroup or g itself)."""
     if carrier == "commutator":
-        base = commutator_subgroup(g)[0]
-        elems = np.array(base.parent_indices, dtype=np.int64)
+        base, embed = commutator_subgroup(g)
+        elems = embed.mapping.astype(np.int64)
     elif carrier == "group":
         base = g
         elems = np.arange(g.order)
@@ -255,14 +255,7 @@ def dihedral_quandle(n: int) -> Rack:
 
 def rack_from_csv(path) -> Rack:
     """Read the left table a |> y (rows of comma-separated indices)."""
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([int(part) for part in line.split(",")])
-    return Rack(left=rows)
+    return Rack(left=read_int_table(path))
 
 
 # ---------------------------------------------------------------------------

@@ -289,7 +289,7 @@ def test_criterion_5_oracle_equivalences():
                 break
         if ok:
             m = int(proj.mapping[colours[0]])
-            t = ts.group.power(ts.pure(m, m), d.writhe)
+            t = ts.group.power(int(ts.pure[m, m]), d.writhe)
             direct = direct + GroupAlgebraElement.single(ts.group, t)
     assert direct.terms == cmp_.engine.terms
     assert direct.terms == {0: 3, 1: 9}

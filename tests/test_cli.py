@@ -157,6 +157,30 @@ def test_validate_a_diagram_file_with_a_bad_slice_is_a_usage_error(
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag", ["--group", "--rack"])
+@pytest.mark.parametrize("text, message", [
+    pytest.param("0,1\n1,x\n", "line 2: cells must be integers",
+                 id="non-integer"),
+    pytest.param("# Z2\n0,1\n\n1\n", "line 4: 1 cells where the first row has 2",
+                 id="ragged"),
+])
+def test_validate_a_malformed_csv_is_a_usage_error(capsys, tmp_path, flag,
+                                                   text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["validate", flag, str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
+def test_validate_csv_skips_comments_and_blank_lines(capsys, tmp_path):
+    path = tmp_path / "z2.csv"
+    path.write_text("# Z2, identity first\n\n0,1\n1,0\n")
+    assert main(["validate", "--group", str(path)]) == 0
+    assert "order 2" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # invariant
 # ---------------------------------------------------------------------------
@@ -310,6 +334,14 @@ def test_invariant_bad_pair_json(capsys):
                   '"values": {"v_moduli": [3], '
                   '"table": [[0,0,0],[0,"a",0],[0,0,0]]}}'],
                  "'table'", id="non-integer-table-entry"),
+    pytest.param(["validate", "--pair",
+                  '{"kind":"cocycle","rack":"dihedral:3","values":'
+                  '{"v_moduli":[-3],"table":[[0,0,0],[0,0,0],[0,0,0]]}}'],
+                 "modulus -3", id="negative-modulus"),
+    pytest.param(["validate", "--pair",
+                  '{"kind":"cocycle","rack":"dihedral:3","values":'
+                  '{"v_moduli":[0],"table":[[0,0,0],[0,0,0],[0,0,0]]}}'],
+                 "modulus 0", id="zero-modulus"),
     pytest.param(["validate", "--rack", "dihedral:abc"],
                  "'dihedral:abc'", id="bad-rack-order"),
 ])

@@ -428,7 +428,7 @@ def test_thorough_report_of_perturbed_eisermann_pair_is_frozen(monkeypatch,
 def eisermann_oracle(g, xi, carrier):
     """psi/phi of pair_eisermann, one cell at a time with scalar group ops."""
     if carrier == "commutator":
-        elems = commutator_subgroup(g)[0].parent_indices
+        elems = commutator_subgroup(g)[1].mapping.tolist()
     else:
         elems = tuple(range(g.order))
     pos = {gi: k for k, gi in enumerate(elems)}

@@ -288,7 +288,7 @@ def conjugation_oracle(g, subset=None):
 def eisermann_oracle(g, xi, carrier):
     """(left, right) of eisermann_quandle, one cell at a time."""
     if carrier == "commutator":
-        elems = commutator_subgroup(g)[0].parent_indices
+        elems = commutator_subgroup(g)[1].mapping.tolist()
     else:
         elems = tuple(range(g.order))
     pos = {gi: k for k, gi in enumerate(elems)}
