@@ -81,11 +81,6 @@ class CrossedModule:
         return f"CrossedModule({self.name})"
 
 
-def conjugation_table(g: FiniteGroup) -> np.ndarray:
-    """conj[a, b] = a b a^{-1}: G acting on itself by conjugation."""
-    return g.conj_arr(*np.ogrid[:g.order, :g.order])
-
-
 def action_checks(g: FiniteGroup, x: FiniteGroup, act, thorough: bool,
                   on: str = "") -> list[CheckResult]:
     """Sweep the axioms of a left action act[a, e] of g on x by
@@ -124,7 +119,7 @@ def validate_crossed_module(c: CrossedModule, thorough: bool = False) \
                                              thorough))
     report.checks += action_checks(c.g, c.e, act, thorough)
     report.add(equivariance_check("first Peiffer equation", c.boundary, act,
-                                  conjugation_table(c.g), thorough))
+                                  c.g.conjugation, thorough))
     report.add(grid_check(
         "second Peiffer equation", (c.e.order, c.e.order),
         lambda e, f: (act[bm[e], f], te[te[e, f], c.e.inv_table[e]]), thorough))
@@ -200,7 +195,7 @@ def _raise_on_failure(c: CrossedModule) -> CrossedModule:
 
 def xm_identity(g: FiniteGroup) -> CrossedModule:
     """(id: G -> G) with G acting on itself by conjugation."""
-    return CrossedModule(identity_hom(g), conjugation_table(g),
+    return CrossedModule(identity_hom(g), g.conjugation,
                          name=f"(id: {g.name} -> {g.name})")
 
 
@@ -272,12 +267,10 @@ class TwoCrossedModule:
     def derived_action_table(self) -> np.ndarray:
         """e >' l = l {delta(l)^{-1}, e}, as an |E| x |L| table."""
         if self._derived_action is None:
-            e_idx = np.arange(self.e.order)
-            l_idx = np.arange(self.l.order)
-            dinv = self.e.inv_table[self.delta.mapping[l_idx]]
-            table = self.l.table[l_idx[None, :],
-                                 self.lifting[dinv[None, :], e_idx[:, None]]]
-            table = np.ascontiguousarray(table.astype(np.int32))
+            dinv = self.e.inv_table[self.delta.mapping]
+            # lifting[dinv].T[e, l] = {delta(l)^{-1}, e}
+            table = np.ascontiguousarray(self.l.mul_arr(
+                np.arange(self.l.order), self.lifting[dinv].T))
             table.setflags(write=False)
             self._derived_action = table
         return self._derived_action
@@ -319,7 +312,7 @@ def validate_2xmod(t: TwoCrossedModule, thorough: bool = False) -> ValidationRep
     report.add(equivariance_check("delta is G-equivariant", t.delta, al, ae,
                                   thorough))
     report.add(equivariance_check("boundary is G-equivariant", t.boundary, ae,
-                                  conjugation_table(t.g), thorough))
+                                  t.g.conjugation, thorough))
     report.add(grid_check(
         "lifting hits the Peiffer commutator", (ne, ne),
         lambda e, f: (dm[lift[e, f]],
@@ -503,10 +496,10 @@ def abelianisation_tensor_2xmod(g: FiniteGroup) -> TwoCrossedModule:
     lgrp = ts.group
     delta = GroupHom(lgrp, g, np.full(lgrp.order, g.identity, dtype=np.int32),
                      name=f"1: {lgrp.name} -> {g.name}")
-    idx = np.arange(g.order)
     act_g_l = np.broadcast_to(np.arange(lgrp.order, dtype=np.int32),
                               (g.order, lgrp.order))
-    lifting = ts.pure[proj.mapping[idx[:, None]], proj.mapping[idx[None, :]]]
-    return TwoCrossedModule(delta, identity_hom(g), conjugation_table(g),
+    pm = proj.mapping
+    lifting = ts.pure.ravel()[pm[:, None] * gab.order + pm]
+    return TwoCrossedModule(delta, identity_hom(g), g.conjugation,
                             act_g_l, lifting,
                             name=f"({lgrp.name} -> {g.name} -> {g.name})")

@@ -2,6 +2,12 @@
 
 Elements of a finite group are plain integers 0..n-1 indexing a tuple of
 display labels; multiplication is a dense n x n Cayley table (numpy int32).
+The vectorised operations (mul_arr, conj_arr, comm_arr) and the n x n
+gathers that build subgroups, quotients and products read the raveled
+table, t.ravel()[a * n + b], one flat gather that costs about half of the
+2-D fancy index t[a, b].  Their operands must be elements: a flat read
+checks only that a * n + b < n * n, so an index outside 0..n-1 reads a
+wrong entry instead of raising IndexError.
 Factories refuse groups of order above TABLE_LIMIT before they build any
 elements.  Every higher layer (crossed modules, racks, Reidemeister pairs,
 the state-sum engine) speaks this index language only, so all exact
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +88,8 @@ class FiniteGroup:
     """A finite group on indices 0..order-1, given by its Cayley table.
 
     table[a, b] is the index of a*b and inv_table[a] that of a^-1; both are
-    read-only int32 arrays.  Instances are immutable.
+    read-only int32 arrays.  Instances are immutable; the conjugation table
+    is computed on first use and then shared by every caller.
     """
 
     def __init__(self, name: str, labels: tuple[str, ...], table,
@@ -95,12 +103,11 @@ class FiniteGroup:
                 f"table shape {table.shape} does not match {self.order} labels")
         table.setflags(write=False)
         self.table = table
+        self._flat = table.ravel()  # a read-only view for the flat gathers
         if identity is None:
             identity = self._find_identity()
         self.identity = identity
-        inv = np.empty(self.order, dtype=np.int32)
-        rows, cols = np.nonzero(table == self.identity)
-        inv[rows] = cols
+        inv = np.argmax(table == self.identity, axis=1).astype(np.int32)
         inv.setflags(write=False)
         self.inv_table = inv
 
@@ -184,21 +191,35 @@ class FiniteGroup:
             res = self.mul(res, g)
         return res
 
-    # vectorized forms
+    # vectorised forms
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.table[a, b]
+        """a*b over operands that broadcast, as an int32 array.
+
+        a and b are Python ints or integer arrays of at least 32 bits, and
+        must be elements, in 0..order-1: the flat read t.ravel()[a * n + b]
+        raises IndexError only at or past n * n, where t[a, b] raised at a
+        value >= n.  conj_arr and comm_arr have the same precondition.
+        """
+        return self._flat[a * self.order + b]
 
     def inv_arr(self, a: np.ndarray) -> np.ndarray:
         return self.inv_table[a]
 
     def conj_arr(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        t = self.table
-        return t[t[g, h], self.inv_table[g]]
+        f, n = self._flat, self.order
+        return f[f[g * n + h] * n + self.inv_table[g]]
 
     def comm_arr(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        t = self.table
-        return t[t[t[g, h], self.inv_table[g]], self.inv_table[h]]
+        f, n, inv = self._flat, self.order, self.inv_table
+        return f[f[f[g * n + h] * n + inv[g]] * n + inv[h]]
+
+    @cached_property
+    def conjugation(self) -> np.ndarray:
+        """conjugation[a, b] = a b a^{-1}: G acting on itself, read-only."""
+        conj = self._flat[self.table * self.order + self.inv_table[:, None]]
+        conj.setflags(write=False)
+        return conj
 
     # -- structure -----------------------------------------------------------
 
@@ -208,8 +229,7 @@ class FiniteGroup:
 
     def center(self) -> tuple[int, ...]:
         t = self.table
-        return tuple(int(g) for g in range(self.order)
-                     if np.array_equal(t[g], t[:, g]))
+        return tuple(int(g) for g in np.flatnonzero((t == t.T).all(axis=1)))
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -258,12 +278,13 @@ def symmetric_group(n: int) -> FiniteGroup:
     elems = tuple(itertools.permutations(range(n)))
     labels = tuple(cycle_label(p) for p in elems)
     # all products at once: (p*q)(k) = q(p(k)), i.e. row i, column j holds
-    # E[j][E[i]]; read each product back in base n, where the lexicographic
-    # order of permutations is numeric order, so searchsorted finds its index
+    # E[j][E[i]]; read each product back in base n and look its index up
     perms = np.array(elems, dtype=np.int32).reshape(len(elems), n)
     products = perms[np.arange(len(elems))[None, :, None], perms[:, None, :]]
     digits = n ** np.arange(n - 1, -1, -1)
-    table = np.searchsorted(perms @ digits, products @ digits).astype(np.int32)
+    index = np.empty(n ** n, dtype=np.int32)
+    index[perms @ digits] = np.arange(len(elems))
+    table = index[products @ digits]
     return FiniteGroup(name, labels, table=table, identity=0)
 
 
@@ -285,18 +306,18 @@ def gl2(p: int) -> FiniteGroup:
             if (a * d - b * c) % p != 0]
     labels = tuple(mat_label(m) for m in mats)
     n = len(mats)
-    arr = np.array(mats, dtype=np.int64)            # (n, 4)
-    a, b, c, d = arr.T
-    # all pairwise products in one broadcast round, then index lookup
-    prod = np.empty((n, n, 4), dtype=np.int64)
-    prod[:, :, 0] = (np.outer(a, a) + np.outer(b, c)) % p
-    prod[:, :, 1] = (np.outer(a, b) + np.outer(b, d)) % p
-    prod[:, :, 2] = (np.outer(c, a) + np.outer(d, c)) % p
-    prod[:, :, 3] = (np.outer(c, b) + np.outer(d, d)) % p
-    enc = ((prod[:, :, 0] * p + prod[:, :, 1]) * p + prod[:, :, 2]) * p + prod[:, :, 3]
-    code_to_idx = -np.ones(p ** 4, dtype=np.int32)
-    codes = ((a * p + b) * p + c) * p + d
-    code_to_idx[codes] = np.arange(n)
+    a, b, c, d = np.array(mats, dtype=np.int32).T
+    # a row (x, y) has code x p + y and a matrix (a b; c d) the code
+    # (a p + b) p^2 + (c p + d) of its two rows.  rows[x p + y, j] is the
+    # code of the row (x, y) times matrix j, so the product of matrices i
+    # and j reads both its rows there, one flat gather each.
+    x, y = np.divmod(np.arange(p * p, dtype=np.int32)[:, None], p)
+    rows = ((x * a + y * c) % p * p + (x * b + y * d) % p).ravel()
+    top, bottom = a * p + b, c * p + d
+    cols = np.arange(n)
+    enc = rows[top[:, None] * n + cols] * (p * p) + rows[bottom[:, None] * n + cols]
+    code_to_idx = np.full(p ** 4, -1, dtype=np.int32)
+    code_to_idx[top * (p * p) + bottom] = np.arange(n)
     table = code_to_idx[enc]
     return FiniteGroup(name, labels, table=table,
                        identity=mats.index((1, 0, 0, 1)))
@@ -309,7 +330,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     labels = tuple(f"({g.labels[i]},{h.labels[j]})" for i in range(n) for j in range(m))
     gi = np.repeat(np.arange(n), m)
     hj = np.tile(np.arange(m), n)
-    table = (g.table[gi[:, None], gi[None, :]] * m + h.table[hj[:, None], hj[None, :]])
+    table = g.mul_arr(gi[:, None], gi) * m + h.mul_arr(hj[:, None], hj)
     return FiniteGroup(f"{g.name}x{h.name}", labels, table=table,
                        identity=g.identity * m + h.identity)
 
@@ -430,7 +451,7 @@ def subgroup_closure(g: FiniteGroup, generators) -> tuple[int, ...]:
     while True:
         idx = np.flatnonzero(closed)
         grown = closed.copy()
-        grown[g.table[np.ix_(idx, idx)]] = True
+        grown[g.mul_arr(idx[:, None], idx)] = True
         if np.array_equal(grown, closed):
             return tuple(int(i) for i in idx)
         closed = grown
@@ -446,7 +467,7 @@ def verify_subgroup(g: FiniteGroup, indices) -> tuple[int, ...]:
     # column 0 is a's inverse, column 1 + j the product a * idx[j]: scanning
     # row by row names the first failure of the element-by-element loop
     bad = np.argwhere(~inside[np.column_stack(
-        [g.inv_table[arr], g.table[np.ix_(arr, arr)]])])
+        [g.inv_table[arr], g.mul_arr(arr[:, None], arr)])])
     if len(bad):
         a, j = idx[bad[0][0]], int(bad[0][1])
         if j == 0:
@@ -465,7 +486,7 @@ def subgroup(g: FiniteGroup, indices, name: str = "") -> tuple[FiniteGroup, Grou
     pos[arr] = np.arange(n)
     h = FiniteGroup(name or f"{g.name}_sub{n}",
                     tuple(g.labels[e] for e in idx),
-                    table=pos[g.table[np.ix_(arr, arr)]],
+                    table=pos[g.mul_arr(arr[:, None], arr)],
                     identity=int(pos[g.identity]))
     embed = GroupHom(h, g, arr, name=f"{h.name} into {g.name}")
     return h, embed
@@ -479,8 +500,7 @@ def quotient_by_normal(g: FiniteGroup, normal_indices, name: str = "") \
     inside = np.zeros(g.order, dtype=bool)
     inside[narr] = True
     # conj[i, x] = x nset[i] x^-1, scanned row by row as nset[i] runs
-    xs = np.arange(g.order)
-    conj = g.table[g.table[xs, narr[:, None]], g.inv_table[xs]]
+    conj = g.conj_arr(np.arange(g.order), narr[:, None])
     bad = np.argwhere(~inside[conj])
     if len(bad):
         h, x = nset[bad[0][0]], int(bad[0][1])
@@ -492,7 +512,7 @@ def quotient_by_normal(g: FiniteGroup, normal_indices, name: str = "") \
     relabel = -np.ones(g.order, dtype=np.int32)
     relabel[reps] = np.arange(len(reps))
     proj_map = relabel[rep]
-    table = proj_map[g.table[reps[:, None], reps[None, :]]]
+    table = proj_map[g.mul_arr(reps[:, None], reps)]
     labels = tuple(f"[{g.labels[int(r)]}]" for r in reps)
     q = FiniteGroup(name or f"{g.name}/N{len(nset)}", labels, table=table,
                     identity=int(relabel[rep[g.identity]]))
@@ -513,10 +533,9 @@ def pgl2(p: int) -> tuple[FiniteGroup, GroupHom]:
 
 def commutator_subgroup(g: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
     """The derived subgroup [G, G] with its embedding into G."""
-    a = np.repeat(np.arange(g.order), g.order)
-    b = np.tile(np.arange(g.order), g.order)
-    gens = np.unique(g.comm_arr(a, b))
-    idx = subgroup_closure(g, (int(x) for x in gens))
+    commutators = np.zeros(g.order, dtype=bool)
+    commutators[g.comm_arr(*np.ogrid[:g.order, :g.order])] = True
+    idx = subgroup_closure(g, np.flatnonzero(commutators))
     return subgroup(g, idx, name=f"{g.name}'")
 
 

@@ -73,7 +73,12 @@ from .validation import (
 
 
 class ReidemeisterPair:
-    """Dense psi/phi tables over a crossed module, with a mode tag."""
+    """Dense psi/phi tables over a crossed module, with a mode tag.
+
+    psi and phi are read-only int32 n x n arrays of E-indices, as narrow as
+    the group tables; entries are checked against E's range before they are
+    narrowed, so no out-of-range entry can wrap into range.
+    """
 
     def __init__(self, xmod: CrossedModule, psi, phi, mode: str,
                  name: str = "pair", **meta):
@@ -83,15 +88,18 @@ class ReidemeisterPair:
         self.g = xmod.g
         self.e = xmod.e
         n = self.g.order
-        self.psi = np.ascontiguousarray(np.asarray(psi, dtype=np.int64))
-        self.phi = np.ascontiguousarray(np.asarray(phi, dtype=np.int64))
-        for tbl, which in ((self.psi, "psi"), (self.phi, "phi")):
+        tables = []
+        for tbl, which in ((psi, "psi"), (phi, "phi")):
+            tbl = np.asarray(tbl)
             if tbl.shape != (n, n):
                 raise XmodMismatchError(
                     f"{which} table shape {tbl.shape} != ({n}, {n})")
             if tbl.min() < 0 or tbl.max() >= self.e.order:
                 raise XmodMismatchError(f"{which} table entries out of E's range")
+            tbl = np.ascontiguousarray(tbl, dtype=np.int32)
             tbl.setflags(write=False)
+            tables.append(tbl)
+        self.psi, self.phi = tables
         self.mode = mode
         self.name = name
         self.meta = meta
@@ -122,7 +130,7 @@ def framed_maps(p: ReidemeisterPair):
     bnd = p.xmod.boundary.mapping
     idx = np.arange(n, dtype=np.int64)
     # vals[a, z] = d(phi(a, z)) a
-    vals = g.mul_arr(bnd[p.phi[idx[:, None], idx[None, :]]], idx[:, None])
+    vals = g.mul_arr(bnd[p.phi], idx[:, None])
     f = np.full(n, -1, dtype=np.int64)
     violations = []
     for z in range(n):
@@ -137,7 +145,7 @@ def framed_maps(p: ReidemeisterPair):
             violations.append(Violation(
                 "framed kink map", (z,),
                 f"solutions {[g.label(int(s)) for s in sols[:3]]} are not unique"))
-    gmap = g.mul_arr(g.inv_arr(bnd[p.psi[idx, idx]]), idx)
+    gmap = g.mul_arr(g.inv_arr(bnd[np.diagonal(p.psi)]), idx)
     return f, gmap, violations
 
 
@@ -237,8 +245,10 @@ class CrossingTransfer:
     negative ones.  Each entry is one int64, Y | (E-colour << 32), so an n
     x n table takes the bytes of an int32 n x n x 2 one, and the sweep
     decodes Y = v & 0xFFFFFFFF and the E-colour v >> 32 straight into
-    index arrays.  Every crossing of a sweep reads its E-colour there,
-    even one whose outgoing under-colour is already known.  sweep_tables
+    index arrays.  The packs read psi and phi by one flat gather each,
+    psi.ravel()[X * n + Y], which is exact because every Y in fplus and
+    fminus is an element, 0 <= Y < n.  Every crossing of a sweep reads its
+    E-colour there, even one whose outgoing under-colour is already known.  sweep_tables
     holds the eight tables the sweep reads, in the order engine._run
     unpacks them: the multiplication and inversion tables of G, the
     multiplication table of E, the action, the two packed tables, fplus
@@ -252,14 +262,21 @@ class CrossingTransfer:
         self.fplus = fplus
         self.fminus = fminus
         x = np.arange(pair.g.order)[:, None]
-        self.packed_plus = _pack(fminus, pair.psi[x, fminus])
-        self.packed_minus = _pack(fplus, pair.phi[x, fplus])
+        self.packed_plus = _pack(fminus, _gather(pair.psi, x, fminus))
+        self.packed_minus = _pack(fplus, _gather(pair.phi, x, fplus))
         self.sweep_tables = (
             pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
             self.packed_plus, self.packed_minus, fplus, fminus)
 
     def __repr__(self) -> str:
         return f"<crossing transfer for {self.pair.name}>"
+
+
+def _gather(t: np.ndarray, rows, cols) -> np.ndarray:
+    """t[rows, cols] for index arrays that broadcast, as one flat gather,
+    which costs about half of the 2-D fancy index; every index must lie
+    inside t's shape, since a flat read checks only the raveled bound."""
+    return t.ravel()[rows * t.shape[1] + cols]
 
 
 def _pack(y: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -274,13 +291,9 @@ def _transfer_tables(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:
     fminus[X, Y] = Z with d(phi(X,Y)) = Y X Z^{-1} X^{-1}.
     """
     g = p.g
-    n = g.order
-    bnd = p.xmod.boundary.mapping
-    X = np.arange(n, dtype=np.int64)[:, None]
-    Y = np.arange(n, dtype=np.int64)[None, :]
-    fplus = g.mul_arr(g.inv_arr(bnd[p.psi]), g.conj_arr(X, Y))
-    fminus = g.mul_arr(g.mul_arr(g.inv_arr(X), g.inv_arr(bnd[p.phi])),
-                       g.mul_arr(Y, X))
+    dinv = g.inv_table[p.xmod.boundary.mapping]     # dinv[e] = d(e)^{-1}
+    fplus = g.mul_arr(dinv[p.psi], g.conjugation)
+    fminus = g.mul_arr(g.mul_arr(g.inv_table[:, None], dinv[p.phi]), g.table.T)
     return fplus, fminus
 
 
@@ -289,27 +302,26 @@ def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
 
     The tables are tabulated once by _transfer_tables, the helper that
     validate_pair shares, and ReidemeisterPair.transfer caches the result.
-    The check runs over the whole table at once; the error names the first
-    overstrand X whose Fplus_X or Fminus_X is not a bijection, or whose
-    Fminus_X is not the inverse of Fplus_X.
+    The error names the first overstrand X whose Fplus_X or Fminus_X is not
+    a bijection, or whose Fminus_X is not the inverse of Fplus_X.  Fminus_X
+    o Fplus_X = id makes both maps bijections, so one sweep over the whole
+    table finds the rows that fail any of the three checks, and only the
+    first of them is sorted to name the check that fails there.
     """
     g = p.g
     fplus, fminus = _transfer_tables(p)
     idx = np.arange(g.order)
-    # failing[check, X]: the three checks, in the order they are reported
-    failing = np.stack([
-        (np.sort(fplus, axis=1) != idx).any(axis=1),
-        (np.sort(fminus, axis=1) != idx).any(axis=1),
-        (np.take_along_axis(fminus, fplus, axis=1) != idx).any(axis=1),
-    ])
-    bad = np.nonzero(failing.any(axis=0))[0]
+    inverse = _gather(fminus, idx[:, None], fplus)
+    bad = np.flatnonzero((inverse != idx).any(axis=1))
     if len(bad):
         x = int(bad[0])
         label = g.label(x)
-        reason = (f"Fplus_{label} is not a bijection of G",
-                  f"Fminus_{label} is not a bijection of G",
-                  f"Fminus_{label} is not the inverse of Fplus_{label}",
-                  )[int(np.argmax(failing[:, x]))]
+        if not np.array_equal(np.sort(fplus[x]), idx):
+            reason = f"Fplus_{label} is not a bijection of G"
+        elif not np.array_equal(np.sort(fminus[x]), idx):
+            reason = f"Fminus_{label} is not a bijection of G"
+        else:
+            reason = f"Fminus_{label} is not the inverse of Fplus_{label}"
         raise NotBijectiveError(f"{reason}; the pair cannot satisfy R2")
     return CrossingTransfer(p, fplus, fminus)
 
@@ -322,11 +334,9 @@ def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
 def _rack_tables(r: Rack, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """The G-valued psi(B,A) = B A B^{-1} (B|>A)^{-1} and
     phi(B,A) = A B (A<|B)^{-1} B^{-1} of the rack pair."""
-    B, A = np.ogrid[:r.size, :r.size]
-    psi = g.mul_arr(g.mul_arr(B, A),
-                    g.mul_arr(g.inv_arr(B), g.inv_arr(r.left[B, A])))
-    phi = g.mul_arr(g.mul_arr(A, B),
-                    g.mul_arr(g.inv_arr(r.right[A, B]), g.inv_arr(B)))
+    inv_b = g.inv_table[:, None]
+    psi = g.mul_arr(g.table, g.mul_arr(inv_b, g.inv_arr(r.left)))
+    phi = g.mul_arr(g.table.T, g.mul_arr(g.inv_arr(r.right.T), inv_b))
     return psi, phi
 
 
@@ -360,10 +370,9 @@ def pair_from_rack_cocycle(c: RackCocycle,
             f"group order {group.order} != rack size {r.size}")
     xmod = xm_pair_with_module(group, c.v)
     m = c.v.order
-    B, A = np.ogrid[:r.size, :r.size]
     psi_g, phi_g = _rack_tables(r, group)
-    psi = psi_g * m + c.w[r.left[B, A], B]
-    phi = phi_g * m + c.v.inv_arr(c.w[A, B])
+    psi = psi_g * m + _gather(c.w, r.left, np.arange(r.size)[:, None])
+    phi = phi_g * m + c.v.inv_arr(c.w.T)
     mode = "unframed" if c.is_quandle_cocycle else "framed"
     return ReidemeisterPair(xmod, psi, phi, mode,
                             name=f"cocycle({c.name}; {group.name})",
@@ -403,9 +412,9 @@ def pair_from_2xmod(t: TwoCrossedModule) -> ReidemeisterPair:
     The pair lives over the derived crossed module (delta: L -> E, |>') of
     the 2-crossed module; A and B run over the middle group E.
     """
-    A, B = np.ogrid[:t.e.order, :t.e.order]
-    psi = t.lifting[A, B]
-    phi = t.derived_action_table[A, t.lifting[t.e.inv_arr(A), B]]
+    psi = t.lifting
+    phi = _gather(t.derived_action_table, np.arange(t.e.order)[:, None],
+                  t.lifting[t.e.inv_table])
     return ReidemeisterPair(t.derived_xmod(), psi, phi, "framed",
                             name=f"peiffer({t.name})", source=t)
 
@@ -415,6 +424,12 @@ def _braided_tables(b: TwoCrossedModule):
         raise XmodMismatchError(
             "lifting pairs need a braided object (trivial bottom group)")
     return b.e, b.l, b.lifting
+
+
+def _lift_phi(mid: FiniteGroup, lifting: np.ndarray, x: int) -> np.ndarray:
+    """phi(L,M) = {Mx^{-1}, Lx^{-1}}, shared by both lifting pairs."""
+    rx = mid.table[:, mid.inv(x)]                   # rx[a] = a x^{-1}
+    return _gather(lifting, rx, rx[:, None])
 
 
 def pair_eisermann_lift_unframed(b: TwoCrossedModule,
@@ -429,11 +444,10 @@ def pair_eisermann_lift_unframed(b: TwoCrossedModule,
         raise NotSurjectiveError(
             f"{b.delta.name or 'delta'} is not surjective; "
             "the unframed lifting needs every colour to lift")
-    L, M = np.ogrid[:mid.order, :mid.order]
-    xinv = mid.inv(x)
-    phi = lifting[mid.mul_arr(M, xinv), mid.mul_arr(L, xinv)]
-    psi = top.mul_arr(lifting[L, M],
-                      lifting[mid.mul_arr(M, mid.inv_arr(L)), x])
+    phi = _lift_phi(mid, lifting, x)
+    M = np.arange(mid.order)
+    psi = top.mul_arr(lifting,
+                      lifting[:, x][mid.mul_arr(M, mid.inv_table[:, None])])
     return ReidemeisterPair(b.derived_xmod(), psi, phi, "unframed",
                             name=f"lift_unframed({b.name}, {mid.label(x)})",
                             source=b, x=x)
@@ -446,13 +460,13 @@ def pair_eisermann_lift_framed(b: TwoCrossedModule,
     A framed pair whose kink maps are both the identity of G.
     """
     mid, top, lifting = _braided_tables(b)
-    L, M = np.ogrid[:mid.order, :mid.order]
     xinv = mid.inv(x)
-    lx = mid.mul_arr(L, xinv)
-    phi = lifting[mid.mul_arr(M, xinv), lx]
-    first = mid.mul_arr(mid.mul_arr(x, mid.mul_arr(M, mid.inv_arr(L))),
+    lx = mid.table[:, xinv, None]
+    phi = _lift_phi(mid, lifting, x)
+    M = np.arange(mid.order)
+    first = mid.mul_arr(mid.mul_arr(x, mid.mul_arr(M, mid.inv_table[:, None])),
                         mid.mul_arr(xinv, lx))
-    psi = top.inv_arr(lifting[first, lx])
+    psi = top.inv_arr(_gather(lifting, first, lx))
     return ReidemeisterPair(b.derived_xmod(), psi, phi, "framed",
                             name=f"lift_framed({b.name}, {mid.label(x)})",
                             source=b, x=x)

@@ -10,6 +10,7 @@ import pytest
 
 from tanglesum import groups
 from tanglesum.abelian import TensorSquare, product_of_cyclics
+from tanglesum.crossed_modules import xm_identity
 from tanglesum.errors import (
     GroupMismatchError,
     NotAGroupError,
@@ -80,6 +81,38 @@ def test_symmetric_group_table_equals_the_scalar_fill(n):
     assert g.labels == tuple(map(cycle_label, elems))
     assert g.table.dtype == scalar.dtype and g.table.shape == scalar.shape
     assert g.table.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gl2_table_equals_the_scalar_fill(p):
+    mats = [(a, b, c, d) for a, b, c, d in itertools.product(range(p), repeat=4)
+            if (a * d - b * c) % p]
+    index = {m: i for i, m in enumerate(mats)}
+    scalar = np.empty((len(mats), len(mats)), dtype=np.int32)
+    for i, (a, b, c, d) in enumerate(mats):
+        for j, (e, f, g, h) in enumerate(mats):
+            scalar[i, j] = index[((a * e + b * g) % p, (a * f + b * h) % p,
+                                  (c * e + d * g) % p, (c * f + d * h) % p)]
+    g = gl2(p)
+    assert g.labels == tuple(map(groups.mat_label, mats))
+    assert g.identity == index[(1, 0, 0, 1)]
+    assert g.table.dtype == scalar.dtype and g.table.shape == scalar.shape
+    assert g.table.tobytes() == scalar.tobytes()
+
+
+def test_gl2_allocates_no_array_of_all_matrix_entries():
+    # an (n, n, 4) int64 array of every product's four entries takes
+    # 7.4 MB at p = 5; the whole build must peak below that
+    import tracemalloc
+
+    n = gl2(5).order
+    tracemalloc.start()
+    try:
+        gl2(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 4 * 8
 
 
 def test_symmetric_group_table_of_s6_composes_left_factor_first():
@@ -288,6 +321,53 @@ GROUP_CONSTRUCTORS = {
 @pytest.mark.parametrize("name", sorted(GROUP_CONSTRUCTORS))
 def test_every_group_constructor_builds_a_group(name):
     GROUP_CONSTRUCTORS[name]().validate_axioms()
+
+
+def _center_by_rows_and_columns(g):
+    """The per-element loop center() replaced, kept as its oracle."""
+    t = g.table
+    return tuple(int(x) for x in range(g.order)
+                 if np.array_equal(t[x], t[:, x]))
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CONSTRUCTORS))
+def test_flat_kernels_match_the_scalar_operations(name):
+    g = GROUP_CONSTRUCTORS[name]()
+    n = g.order
+    rng = np.random.default_rng(n)
+    for dtype in (np.int32, np.int64):
+        for k, m in ((1, 1), (3, 5), (7, 1), (1, 6)):
+            a = rng.integers(0, n, size=(k, 1)).astype(dtype)
+            b = rng.integers(0, n, size=(1, m)).astype(dtype)
+            for arr, scalar in ((g.mul_arr, g.mul), (g.conj_arr, g.conj),
+                                (g.comm_arr, g.comm)):
+                got = arr(a, b)
+                assert got.shape == (k, m) and got.dtype == np.int32
+                assert got.tolist() == [[scalar(int(x), int(y)) for y in b[0]]
+                                        for x in a[:, 0]]
+    x = int(rng.integers(0, n))
+    b = np.arange(n)
+    for arr, scalar in ((g.mul_arr, g.mul), (g.conj_arr, g.conj),
+                        (g.comm_arr, g.comm)):
+        assert arr(x, b).tolist() == [scalar(x, y) for y in range(n)]
+        assert arr(b, x).tolist() == [scalar(y, x) for y in range(n)]
+        assert int(arr(x, x)) == scalar(x, x)
+    conj = g.conjugation
+    assert conj.dtype == np.int32 and not conj.flags.writeable
+    assert conj is g.conjugation
+    assert conj.tolist() == [[g.conj(x, y) for y in range(n)]
+                             for x in range(n)]
+    assert g.center() == _center_by_rows_and_columns(g)
+
+
+@pytest.mark.parametrize("name", ["S3", "Z12", "GL(2,3)", "PGL(2,5)"])
+def test_identity_crossed_module_shares_the_conjugation_table(name):
+    g = GROUP_CONSTRUCTORS[name]()
+    action = xm_identity(g).action
+    assert action is g.conjugation
+    assert xm_identity(g).action is action
+    with pytest.raises(ValueError, match="read-only"):
+        action[0, 0] = 0
 
 
 def test_cayley_csv_round_trip(tmp_path):

@@ -256,6 +256,93 @@ def test_packed_crossing_tables_match_the_scalar_lookups(tag):
             assert decode(t.packed_minus[x, z]) == [y, p.phi[x, y]]
 
 
+def _one_pair_per_family() -> dict:
+    s4 = symmetric_group(4)
+    return {
+        **{tag: move_families()[tag] for tag in (
+            "rack quandle R3", "cocycle R3/Z3", "lift unframed D4",
+            "lift framed D4", "peiffer S3")},
+        "eisermann S4": pair_eisermann(s4, s4.element_by_label("(1 2 3 4)")),
+    }
+
+
+@pytest.mark.parametrize("tag", sorted(_one_pair_per_family()))
+def test_transfer_arrays_equal_a_2d_indexed_recomputation(tag):
+    # the transfer formulas with numpy's 2-D fancy indexing t[a, b] on
+    # open grids, where the library reads raveled tables
+    p = _one_pair_per_family()[tag]
+    t, inv = p.g.table, p.g.inv_table
+    bnd = p.xmod.boundary.mapping
+    X, Y = np.ogrid[:p.g.order, :p.g.order]
+    fplus = t[inv[bnd[p.psi]], t[t[X, Y], inv[X]]]
+    fminus = t[t[inv[X], inv[bnd[p.phi]]], t[Y, X]]
+    packed_plus = (fminus.astype(np.int64)
+                   | p.psi[X, fminus].astype(np.int64) << 32)
+    packed_minus = (fplus.astype(np.int64)
+                    | p.phi[X, fplus].astype(np.int64) << 32)
+    tr = p.transfer()
+    for got, want in ((tr.fplus, fplus), (tr.fminus, fminus),
+                      (tr.packed_plus, packed_plus),
+                      (tr.packed_minus, packed_minus)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_pair_constructors_equal_a_2d_indexed_recomputation():
+    # the constructor formulas, each cell read by 2-D fancy indexing
+    fam = move_families()
+    r3 = dihedral_quandle(3)
+    z3 = cyclic_group(3)
+    B, A = np.ogrid[:3, :3]
+    t, inv = z3.table, z3.inv_table
+    rack_psi = t[t[B, A], t[inv[B], inv[r3.left[B, A]]]]
+    rack_phi = t[t[A, B], t[inv[r3.right[A, B]], inv[B]]]
+    p = fam["rack quandle R3"]
+    assert np.array_equal(p.psi, rack_psi) and np.array_equal(p.phi, rack_phi)
+    c = cocycle_from_json(r3, R3_COCYCLE)
+    m = c.v.order
+    p = fam["cocycle R3/Z3"]
+    assert np.array_equal(p.psi, rack_psi * m + c.w[r3.left[B, A], B])
+    assert np.array_equal(p.phi, rack_phi * m + c.v.inv_table[c.w[A, B]])
+
+    peiffer = abelianisation_tensor_2xmod(symmetric_group(3))
+    A, B = np.ogrid[:6, :6]
+    p = fam["peiffer S3"]
+    assert np.array_equal(p.psi, peiffer.lifting[A, B])
+    assert np.array_equal(p.phi, peiffer.derived_action_table[
+        A, peiffer.lifting[peiffer.e.inv_table[A], B]])
+
+    b = d4_extension()
+    mid, top, lifting = b.e, b.l, b.lifting
+    L, M = np.ogrid[:mid.order, :mid.order]
+    t, inv, x = mid.table, mid.inv_table, 1
+    xinv = mid.inv(x)
+    lx = t[L, xinv]
+    phi = lifting[t[M, xinv], lx]
+    p = fam["lift unframed D4"]
+    assert np.array_equal(p.phi, phi)
+    assert np.array_equal(p.psi, top.table[lifting[L, M],
+                                           lifting[t[M, inv[L]], x]])
+    p = fam["lift framed D4"]
+    assert np.array_equal(p.phi, phi)
+    first = t[t[x, t[M, inv[L]]], t[xinv, lx]]
+    assert np.array_equal(p.psi, top.inv_table[lifting[first, lx]])
+
+
+def test_pair_tables_are_narrowed_only_after_the_range_check():
+    z3 = cyclic_group(3)
+    zero = np.zeros((3, 3), dtype=np.int64)
+    p = ReidemeisterPair(xm_identity(z3), zero, zero, "unframed")
+    for tbl in (p.psi, p.phi):
+        assert tbl.dtype == np.int32 and not tbl.flags.writeable
+    wraps = zero.copy()
+    wraps[1, 2] = 2 ** 32  # 0 once cast to int32
+    for psi, phi, which in ((wraps, zero, "psi"), (zero, wraps, "phi")):
+        with pytest.raises(XmodMismatchError,
+                           match=f"^{which} table entries out of E's range"):
+            ReidemeisterPair(xm_identity(z3), psi, phi, "unframed")
+
+
 def test_broken_pair_fails_r2_via_transfer():
     z2 = cyclic_group(2)
     psi = np.array([[0, 1], [0, 0]])  # collapses Fplus_0
