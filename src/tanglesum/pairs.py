@@ -9,13 +9,21 @@ diagram: psi feeds positive crossings and phi negative ones, with arguments
     Z = X^{-1} d(phi(X,Y))^{-1} Y X      (negative crossing)
 
 determine the incoming understrand colour Z from the outgoing one, so each
-overstrand colour X induces transfer permutations Fplus_X and Fminus_X of G;
-the second Reidemeister move forces them to be mutually inverse.
+overstrand colour X induces transfer maps Fplus_X and Fminus_X of G.  The
+second Reidemeister move makes them mutually inverse permutations and fixes
+phi by psi:
 
-The move axioms on the pair are, for all X, Y, T in G:
+    R2:  phi(X,Y) psi(X,Z) = 1              with Z = Fminus_X(Y)
+
+A pair is therefore its psi.  ReidemeisterPair takes psi alone, tabulates
+Fplus from it, inverts each row to get Fminus and derives
+phi(X,Y) = psi(X, Fminus_X(Y))^{-1}, so every pair that can be built
+satisfies R2, and a psi whose Fplus_X is not a permutation of G is refused.
+The constructors below write psi only.
+
+The other move axioms on the pair are, for all X, Y, T in G:
 
     R1:  psi(X,X) = 1
-    R2:  phi(X,Y) psi(X,Z) = 1              with Z = X^{-1} d(phi(X,Y))^{-1} Y X
     R3:  phi(Y,X) . Y|>phi(T,Z) . phi(T,Y)
            = X|>phi(T,Y) . phi(T,X) . T|>phi(V,W)
          with Z = Y^{-1} d(phi(Y,X))^{-1} X Y,
@@ -73,33 +81,48 @@ from .validation import (
 
 
 class ReidemeisterPair:
-    """Dense psi/phi tables over a crossed module, with a mode tag.
+    """A pair given by its psi table over a crossed module, with a mode tag.
 
-    psi and phi are read-only int32 n x n arrays of E-indices, as narrow as
-    the group tables; entries are checked against E's range before they are
-    narrowed, so no out-of-range entry can wrap into range.
+    The constructor is the one place that derives the other three tables:
+    fplus[X, Y] = d(psi(X,Y))^{-1} X Y X^{-1}, its row inverse fminus (one
+    scatter), and phi(X, Y) = psi(X, fminus[X, Y])^{-1}, so the pair
+    satisfies R2 by construction.  A row of fplus that is not a permutation
+    of G raises NotBijectiveError naming the first such X.  All four tables
+    are read-only int32 n x n arrays, as narrow as the group tables; psi's
+    entries are checked against E's range before they are narrowed, so no
+    out-of-range entry can wrap into range.
     """
 
-    def __init__(self, xmod: CrossedModule, psi, phi, mode: str,
+    def __init__(self, xmod: CrossedModule, psi, mode: str,
                  name: str = "pair", **meta):
         if mode not in ("framed", "unframed"):
             raise TangleSumError(f"mode must be 'framed' or 'unframed', got {mode!r}")
         self.xmod = xmod
-        self.g = xmod.g
+        self.g = g = xmod.g
         self.e = xmod.e
-        n = self.g.order
-        tables = []
-        for tbl, which in ((psi, "psi"), (phi, "phi")):
-            tbl = np.asarray(tbl)
-            if tbl.shape != (n, n):
-                raise XmodMismatchError(
-                    f"{which} table shape {tbl.shape} != ({n}, {n})")
-            if tbl.min() < 0 or tbl.max() >= self.e.order:
-                raise XmodMismatchError(f"{which} table entries out of E's range")
-            tbl = np.ascontiguousarray(tbl, dtype=np.int32)
+        n = g.order
+        psi = np.asarray(psi)
+        if psi.shape != (n, n):
+            raise XmodMismatchError(f"psi table shape {psi.shape} != ({n}, {n})")
+        if psi.min() < 0 or psi.max() >= self.e.order:
+            raise XmodMismatchError("psi table entries out of E's range")
+        psi = np.array(psi, dtype=np.int32, order="C")  # a copy, frozen below
+        fplus = g.mul_arr(g.inv_table[xmod.boundary.mapping][psi], g.conjugation)
+        # fminus[X, fplus[X, Y]] = Y; a slot left at -1 marks a row of
+        # fplus that repeats a value, i.e. is not a permutation
+        idx = np.arange(n, dtype=np.int32)
+        fminus = np.full(n * n, -1, dtype=np.int32)
+        fminus[idx[:, None] * n + fplus] = idx
+        fminus = fminus.reshape(n, n)
+        bad = np.flatnonzero((fminus < 0).any(axis=1))
+        if len(bad):
+            raise NotBijectiveError(
+                f"Fplus_{g.label(int(bad[0]))} is not a bijection of G; "
+                "the pair cannot satisfy R2")
+        phi = self.e.inv_table[_gather(psi, idx[:, None], fminus)]
+        for tbl in (psi, phi, fplus, fminus):
             tbl.setflags(write=False)
-            tables.append(tbl)
-        self.psi, self.phi = tables
+        self.psi, self.phi, self.fplus, self.fminus = psi, phi, fplus, fminus
         self.mode = mode
         self.name = name
         self.meta = meta
@@ -153,10 +176,11 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
                   thorough: bool = False) -> ValidationReport:
     """Check the pair axioms in the pair's mode (or an explicit one).
 
-    Every incoming under-colour the axioms need is a lookup into the
-    Fplus/Fminus tables, tabulated once by the same helper build_transfer
-    uses and shared by R2 and both R3 forms; they are not checked for
-    bijectivity here, so a pair that breaks R2 still gets a report.
+    Every incoming under-colour the axioms need is a lookup into the pair's
+    fplus/fminus tables, shared by R2 and both R3 forms.  R2 holds by
+    construction, since phi is derived from psi by it; its check still
+    runs, as a guard on that derivation, so every report keeps the R2
+    check and both R3 forms beside R1 or the kink checks.
     """
     mode = mode or p.mode
     report = ValidationReport(f"{mode} pair {p.name}")
@@ -166,7 +190,7 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
     # every table raveled once to intp and read as t[a * m + b]
     psi, phi, fplus, fminus, act, emul = (
         np.ascontiguousarray(t, dtype=np.intp).ravel()
-        for t in (p.psi, p.phi, *_transfer_tables(p), p.xmod.action, e.table))
+        for t in (p.psi, p.phi, p.fplus, p.fminus, p.xmod.action, e.table))
 
     def mul(a, b):
         return emul[a * ne + b]
@@ -233,10 +257,11 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
 
 
 class CrossingTransfer:
-    """Per-overstrand permutations linking under-arc colours at crossings.
+    """The pair's transfer tables, packed for the state-sum sweep.
 
-    fplus[X, Y] and fminus[X, Y] map the outgoing under-colour Y to the
-    incoming one at positive resp. negative crossings with overstrand X.
+    fplus[X, Y] and fminus[X, Y] (the pair's own tables) map the outgoing
+    under-colour Y to the incoming one at positive resp. negative crossings
+    with overstrand X.
 
     packed_plus[X, Z] and packed_minus[X, Z] are the downward steps the
     state-sum sweep takes, packed so one gather reads both the outgoing
@@ -245,25 +270,25 @@ class CrossingTransfer:
     negative ones.  Each entry is one int64, Y | (E-colour << 32), so an n
     x n table takes the bytes of an int32 n x n x 2 one, and the sweep
     decodes Y = v & 0xFFFFFFFF and the E-colour v >> 32 straight into
-    index arrays.  The packs read psi and phi by one flat gather each,
-    psi.ravel()[X * n + Y], which is exact because every Y in fplus and
-    fminus is an element, 0 <= Y < n.  Every crossing of a sweep reads its
-    E-colour there, even one whose outgoing under-colour is already known.  sweep_tables
-    holds the eight tables the sweep reads, in the order engine._run
-    unpacks them: the multiplication and inversion tables of G, the
-    multiplication table of E, the action, the two packed tables, fplus
-    and fminus.  They are built once here rather than on every state sum.
-    There are no scalar lookups: a caller indexes these tables.
+    index arrays.  Since phi is derived from psi by R2, the E-colours are
+    inverses of the other table read in place: psi(X, fminus[X, Z]) =
+    phi(X, Z)^{-1} and phi(X, fplus[X, Z]) = psi(X, Z)^{-1}.  Every
+    crossing of a sweep reads its E-colour there, even one whose outgoing
+    under-colour is already known.  sweep_tables holds the eight tables the
+    sweep reads, in the order engine._run unpacks them: the multiplication
+    and inversion tables of G, the multiplication table of E, the action,
+    the two packed tables, fplus and fminus.  They are built once here
+    rather than on every state sum.  There are no scalar lookups: a caller
+    indexes these tables.
     """
 
-    def __init__(self, pair: ReidemeisterPair, fplus: np.ndarray,
-                 fminus: np.ndarray):
+    def __init__(self, pair: ReidemeisterPair):
         self.pair = pair
-        self.fplus = fplus
-        self.fminus = fminus
-        x = np.arange(pair.g.order)[:, None]
-        self.packed_plus = _pack(fminus, _gather(pair.psi, x, fminus))
-        self.packed_minus = _pack(fplus, _gather(pair.phi, x, fplus))
+        self.fplus = fplus = pair.fplus
+        self.fminus = fminus = pair.fminus
+        inv = pair.e.inv_table
+        self.packed_plus = _pack(fminus, inv[pair.phi])
+        self.packed_minus = _pack(fplus, inv[pair.psi])
         self.sweep_tables = (
             pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
             self.packed_plus, self.packed_minus, fplus, fminus)
@@ -284,46 +309,11 @@ def _pack(y: np.ndarray, e: np.ndarray) -> np.ndarray:
     return y.astype(np.int64) | e.astype(np.int64) << 32
 
 
-def _transfer_tables(p: ReidemeisterPair) -> tuple[np.ndarray, np.ndarray]:
-    """(Fplus, Fminus) as n x n tables, unchecked.
-
-    fplus[X, Y] = A with d(psi(X,Y)) = X Y X^{-1} A^{-1};
-    fminus[X, Y] = Z with d(phi(X,Y)) = Y X Z^{-1} X^{-1}.
-    """
-    g = p.g
-    dinv = g.inv_table[p.xmod.boundary.mapping]     # dinv[e] = d(e)^{-1}
-    fplus = g.mul_arr(dinv[p.psi], g.conjugation)
-    fminus = g.mul_arr(g.mul_arr(g.inv_table[:, None], dinv[p.phi]), g.table.T)
-    return fplus, fminus
-
-
 def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
-    """Fplus/Fminus, verified to be mutually inverse bijections.
-
-    The tables are tabulated once by _transfer_tables, the helper that
-    validate_pair shares, and ReidemeisterPair.transfer caches the result.
-    The error names the first overstrand X whose Fplus_X or Fminus_X is not
-    a bijection, or whose Fminus_X is not the inverse of Fplus_X.  Fminus_X
-    o Fplus_X = id makes both maps bijections, so one sweep over the whole
-    table finds the rows that fail any of the three checks, and only the
-    first of them is sorted to name the check that fails there.
-    """
-    g = p.g
-    fplus, fminus = _transfer_tables(p)
-    idx = np.arange(g.order)
-    inverse = _gather(fminus, idx[:, None], fplus)
-    bad = np.flatnonzero((inverse != idx).any(axis=1))
-    if len(bad):
-        x = int(bad[0])
-        label = g.label(x)
-        if not np.array_equal(np.sort(fplus[x]), idx):
-            reason = f"Fplus_{label} is not a bijection of G"
-        elif not np.array_equal(np.sort(fminus[x]), idx):
-            reason = f"Fminus_{label} is not a bijection of G"
-        else:
-            reason = f"Fminus_{label} is not the inverse of Fplus_{label}"
-        raise NotBijectiveError(f"{reason}; the pair cannot satisfy R2")
-    return CrossingTransfer(p, fplus, fminus)
+    """The packed transfer of a pair, which ReidemeisterPair.transfer
+    caches.  It only packs: the pair's constructor has already derived
+    fplus and fminus and refused a psi whose Fplus_X is not a bijection."""
+    return CrossingTransfer(p)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +321,13 @@ def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
 # ---------------------------------------------------------------------------
 
 
-def _rack_tables(r: Rack, g: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The G-valued psi(B,A) = B A B^{-1} (B|>A)^{-1} and
-    phi(B,A) = A B (A<|B)^{-1} B^{-1} of the rack pair."""
-    inv_b = g.inv_table[:, None]
-    psi = g.mul_arr(g.table, g.mul_arr(inv_b, g.inv_arr(r.left)))
-    phi = g.mul_arr(g.table.T, g.mul_arr(g.inv_arr(r.right.T), inv_b))
-    return psi, phi
+def _rack_psi(r: Rack, g: FiniteGroup) -> np.ndarray:
+    """The G-valued psi(B,A) = B A B^{-1} (B|>A)^{-1} of the rack pair."""
+    return g.mul_arr(g.table, g.mul_arr(g.inv_table[:, None], g.inv_arr(r.left)))
 
 
 def pair_from_rack(r: Rack, group: FiniteGroup) -> ReidemeisterPair:
-    """psi(B,A) = B A B^{-1} (B|>A)^{-1}, phi(B,A) = A B (A<|B)^{-1} B^{-1}.
+    """psi(B,A) = B A B^{-1} (B|>A)^{-1}; phi(B,A) = A B (A<|B)^{-1} B^{-1}.
 
     The group structure on the rack carrier is arbitrary; the crossed module
     is the identity map with the adjoint action.  Framed for racks, unframed
@@ -350,9 +336,8 @@ def pair_from_rack(r: Rack, group: FiniteGroup) -> ReidemeisterPair:
     if group.order != r.size:
         raise XmodMismatchError(
             f"group order {group.order} != rack size {r.size}")
-    psi, phi = _rack_tables(r, group)
     mode = "unframed" if r.is_quandle else "framed"
-    return ReidemeisterPair(xm_identity(group), psi, phi, mode,
+    return ReidemeisterPair(xm_identity(group), _rack_psi(r, group), mode,
                             name=f"rack({r.name}; {group.name})",
                             rack=r)
 
@@ -361,20 +346,18 @@ def pair_from_rack_cocycle(c: RackCocycle,
                            group: FiniteGroup) -> ReidemeisterPair:
     """The rack pair decorated with cocycle weights in the module component.
 
-    Over the crossed module G x V -> G: psi(B,A) carries +w(B|>A, B) and
-    phi(B,A) carries -w(A,B) in the V slot.
+    Over the crossed module G x V -> G: psi(B,A) carries +w(B|>A, B) in the
+    V slot, so phi(B,A) carries -w(A,B).
     """
     r = c.rack
     if group.order != r.size:
         raise XmodMismatchError(
             f"group order {group.order} != rack size {r.size}")
     xmod = xm_pair_with_module(group, c.v)
-    m = c.v.order
-    psi_g, phi_g = _rack_tables(r, group)
-    psi = psi_g * m + _gather(c.w, r.left, np.arange(r.size)[:, None])
-    phi = phi_g * m + c.v.inv_arr(c.w.T)
+    psi = (_rack_psi(r, group) * c.v.order
+           + _gather(c.w, r.left, np.arange(r.size)[:, None]))
     mode = "unframed" if c.is_quandle_cocycle else "framed"
-    return ReidemeisterPair(xmod, psi, phi, mode,
+    return ReidemeisterPair(xmod, psi, mode,
                             name=f"cocycle({c.name}; {group.name})",
                             cocycle=c)
 
@@ -386,17 +369,17 @@ def pair_from_rack_cocycle(c: RackCocycle,
 
 def pair_eisermann(g: FiniteGroup, x: int,
                    carrier: str = "commutator") -> ReidemeisterPair:
-    """The commutator pair phi(L,M) = [Mx^{-1}, Lx^{-1}] over conjugation.
+    """The commutator pair psi(L,M) = [L,M][ML^{-1},x] over conjugation.
 
-    psi(L,M) = [L,M][ML^{-1},x].  It is the rack pair of the twisted
+    phi(L,M) = [Mx^{-1}, Lx^{-1}].  It is the rack pair of the twisted
     conjugation quandle of x over its carrier, the commutator subgroup
     (where both tables land even when x does not) or the whole group; the
     crossed module is the identity with the adjoint action.  Unframed.
     `x` is an element index of g.
     """
     quandle, base = _eisermann(g, x, carrier)
-    psi, phi = _rack_tables(quandle, base)
-    return ReidemeisterPair(xm_identity(base), psi, phi, "unframed",
+    return ReidemeisterPair(xm_identity(base), _rack_psi(quandle, base),
+                            "unframed",
                             name=f"eisermann({g.name}, {g.label(x)}, "
                             f"{carrier})", x=x)
 
@@ -407,15 +390,12 @@ def pair_eisermann(g: FiniteGroup, x: int,
 
 
 def pair_from_2xmod(t: TwoCrossedModule) -> ReidemeisterPair:
-    """psi(A,B) = {A,B} and phi(A,B) = A |>' {A^{-1},B}, a framed pair.
+    """psi(A,B) = {A,B}; phi(A,B) = A |>' {A^{-1},B}; a framed pair.
 
     The pair lives over the derived crossed module (delta: L -> E, |>') of
     the 2-crossed module; A and B run over the middle group E.
     """
-    psi = t.lifting
-    phi = _gather(t.derived_action_table, np.arange(t.e.order)[:, None],
-                  t.lifting[t.e.inv_table])
-    return ReidemeisterPair(t.derived_xmod(), psi, phi, "framed",
+    return ReidemeisterPair(t.derived_xmod(), t.lifting, "framed",
                             name=f"peiffer({t.name})", source=t)
 
 
@@ -426,15 +406,9 @@ def _braided_tables(b: TwoCrossedModule):
     return b.e, b.l, b.lifting
 
 
-def _lift_phi(mid: FiniteGroup, lifting: np.ndarray, x: int) -> np.ndarray:
-    """phi(L,M) = {Mx^{-1}, Lx^{-1}}, shared by both lifting pairs."""
-    rx = mid.table[:, mid.inv(x)]                   # rx[a] = a x^{-1}
-    return _gather(lifting, rx, rx[:, None])
-
-
 def pair_eisermann_lift_unframed(b: TwoCrossedModule,
                                  x: int) -> ReidemeisterPair:
-    """phi(L,M) = {Mx^{-1}, Lx^{-1}}, psi(L,M) = {L,M}{ML^{-1},x}; unframed.
+    """psi(L,M) = {L,M}{ML^{-1},x}; phi(L,M) = {Mx^{-1}, Lx^{-1}}; unframed.
 
     Needs the braiding's boundary to be surjective (this is what makes
     psi(L,L) = 1).  Its boundary shadow is the commutator pair for the same x.
@@ -444,30 +418,28 @@ def pair_eisermann_lift_unframed(b: TwoCrossedModule,
         raise NotSurjectiveError(
             f"{b.delta.name or 'delta'} is not surjective; "
             "the unframed lifting needs every colour to lift")
-    phi = _lift_phi(mid, lifting, x)
     M = np.arange(mid.order)
     psi = top.mul_arr(lifting,
                       lifting[:, x][mid.mul_arr(M, mid.inv_table[:, None])])
-    return ReidemeisterPair(b.derived_xmod(), psi, phi, "unframed",
+    return ReidemeisterPair(b.derived_xmod(), psi, "unframed",
                             name=f"lift_unframed({b.name}, {mid.label(x)})",
                             source=b, x=x)
 
 
 def pair_eisermann_lift_framed(b: TwoCrossedModule,
                                x: int) -> ReidemeisterPair:
-    """phi(L,M) = {Mx^{-1}, Lx^{-1}}, psi(L,M) = {xML^{-1}x^{-1}Lx^{-1}, Lx^{-1}}^{-1}.
+    """psi(L,M) = {xML^{-1}x^{-1}Lx^{-1}, Lx^{-1}}^{-1}; phi(L,M) = {Mx^{-1}, Lx^{-1}}.
 
     A framed pair whose kink maps are both the identity of G.
     """
     mid, top, lifting = _braided_tables(b)
     xinv = mid.inv(x)
     lx = mid.table[:, xinv, None]
-    phi = _lift_phi(mid, lifting, x)
     M = np.arange(mid.order)
     first = mid.mul_arr(mid.mul_arr(x, mid.mul_arr(M, mid.inv_table[:, None])),
                         mid.mul_arr(xinv, lx))
     psi = top.inv_arr(_gather(lifting, first, lx))
-    return ReidemeisterPair(b.derived_xmod(), psi, phi, "framed",
+    return ReidemeisterPair(b.derived_xmod(), psi, "framed",
                             name=f"lift_framed({b.name}, {mid.label(x)})",
                             source=b, x=x)
 

@@ -45,7 +45,7 @@ from .errors import (
     SizeLimitError,
     TangleSumError,
 )
-from .groups import FiniteGroup, commutator_subgroup, read_int_table
+from .groups import TABLE_LIMIT, FiniteGroup, commutator_subgroup, read_int_table
 from .validation import ValidationReport, grid_check
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,10 @@ def dihedral_quandle(n: int) -> Rack:
     """Z_n with i <| j = 2j - i, the reflection quandle."""
     if n < 2:
         raise TangleSumError(f"dihedral quandle needs n >= 2, got {n}")
+    if n > TABLE_LIMIT:
+        raise SizeLimitError(
+            f"dihedral quandle R_{n} has {n} elements, above "
+            f"TABLE_LIMIT = {TABLE_LIMIT}")
     idx = np.arange(n, dtype=np.int64)
     right = (2 * idx[None, :] - idx[:, None]) % n       # right[i, j] = i <| j
     return Rack(right=right, name=f"R_{n}")

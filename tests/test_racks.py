@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from tanglesum.errors import (
     NotClosedError,
     SizeLimitError,
 )
-from tanglesum.groups import commutator_subgroup, cyclic_group, symmetric_group
+from tanglesum.groups import (
+    commutator_subgroup,
+    cyclic_group,
+    symmetric_group,
+    TABLE_LIMIT,
+)
 from tanglesum.pairs import pair_from_rack_cocycle, validate_pair
 from tanglesum.racks import (
     cjkls_state_sum,
@@ -46,6 +53,18 @@ def test_dihedral_quandles_validate():
         report = validate_rack(r, thorough=True)
         assert report.ok, report.summary()
         assert r.is_quandle
+
+
+def test_dihedral_quandle_above_the_table_limit_is_refused_before_allocating():
+    # two n x n int64 tables at n = TABLE_LIMIT + 1 take 16 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="above TABLE_LIMIT"):
+            dihedral_quandle(TABLE_LIMIT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_left_and_right_actions_are_mutually_inverse():
