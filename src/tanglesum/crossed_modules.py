@@ -24,6 +24,7 @@ axioms with the budgeted grid checker from the validation module.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -254,7 +255,6 @@ class TwoCrossedModule:
         for t in (self.act_g_e, self.act_g_l, self.lifting):
             t.setflags(write=False)
         self.name = name or f"({self.l.name} -> {self.e.name} -> {self.g.name})"
-        self._derived_action: np.ndarray | None = None
 
     def lift(self, e: int, f: int) -> int:
         return int(self.lifting[e, f])
@@ -263,17 +263,15 @@ class TwoCrossedModule:
     def is_braided(self) -> bool:
         return self.g.order == 1
 
-    @property
+    @cached_property
     def derived_action_table(self) -> np.ndarray:
         """e >' l = l {delta(l)^{-1}, e}, as an |E| x |L| table."""
-        if self._derived_action is None:
-            dinv = self.e.inv_table[self.delta.mapping]
-            # lifting[dinv].T[e, l] = {delta(l)^{-1}, e}
-            table = np.ascontiguousarray(self.l.mul_arr(
-                np.arange(self.l.order), self.lifting[dinv].T))
-            table.setflags(write=False)
-            self._derived_action = table
-        return self._derived_action
+        dinv = self.e.inv_table[self.delta.mapping]
+        # lifting[dinv].T[e, l] = {delta(l)^{-1}, e}
+        table = np.ascontiguousarray(self.l.mul_arr(
+            np.arange(self.l.order), self.lifting[dinv].T))
+        table.setflags(write=False)
+        return table
 
     def derived_xmod(self) -> CrossedModule:
         return CrossedModule(self.delta, self.derived_action_table,
@@ -437,10 +435,11 @@ def braided_crossed_module(delta: GroupHom, lifting,
 
 
 def least_index_section(projection: GroupHom) -> np.ndarray:
-    """Section picking, for every target element, its smallest preimage index."""
+    """Section picking, for every target element, its smallest preimage
+    index, or -1 for a target element that nothing maps to."""
     sec = np.full(projection.target.order, -1, dtype=np.int32)
-    for e in range(projection.source.order - 1, -1, -1):
-        sec[projection.mapping[e]] = e
+    hit, first = np.unique(projection.mapping, return_index=True)
+    sec[hit] = first
     return sec
 
 

@@ -73,6 +73,22 @@ def cycle_label(p: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "id"
 
 
+def row_inverse(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, bad_rows) for a square table t with entries in 0..n-1.
+
+    inv[a, t[a, b]] = b, by one flat scatter, in t's dtype: each row of inv
+    inverts the permutation that row of t is.  A row of t that repeats a
+    value leaves a -1 slot in its inverse; bad_rows lists those rows in
+    increasing order.  Invert the columns of t by passing t.T.
+    """
+    n = t.shape[0]
+    idx = np.arange(n, dtype=t.dtype)
+    inv = np.full(n * n, -1, dtype=t.dtype)
+    inv[idx[:, None] * n + t] = idx
+    inv = inv.reshape(n, n)
+    return inv, np.flatnonzero((inv < 0).any(axis=1))
+
+
 def mat_label(m: tuple[int, int, int, int]) -> str:
     if m == (1, 0, 0, 1):
         return "I"
@@ -134,13 +150,15 @@ class FiniteGroup:
         n = self.order
         if t.min() < 0 or t.max() >= n:
             raise NotAGroupError("table entries out of range")
-        # Latin square: every row/column a bijection (gives inverses).
+        # Latin square: every row/column a bijection (gives inverses);
+        # the least such g is named, its row before its column
+        bad = [(int(rows[0]), which) for which, rows in
+               (("row", row_inverse(t)[1]), ("column", row_inverse(t.T)[1]))
+               if len(rows)]
+        if bad:
+            g, which = min(bad, key=lambda b: b[0])
+            raise NotAGroupError(f"{which} {g} ({lab[g]}) is not a bijection")
         idx = np.arange(n)
-        for g in range(n):
-            if not np.array_equal(np.sort(t[g]), idx):
-                raise NotAGroupError(f"row {g} ({self.labels[g]}) is not a bijection")
-            if not np.array_equal(np.sort(t[:, g]), idx):
-                raise NotAGroupError(f"column {g} ({self.labels[g]}) is not a bijection")
         closure = (self.identity,)
         while len(closure) < n:
             s = int(np.setdiff1d(idx, closure)[0])

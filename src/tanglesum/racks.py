@@ -7,9 +7,10 @@ A rack is a set with two mutually inverse binary operations, written x |> y
     x |> (y |> z) = (x |> y) |> (x |> z),
     (x <| y) <| z = (x <| z) <| (y <| z).
 
-A quandle additionally has x |> x = x = x <| x.  Only one table is needed:
-for a fixed acting element a the translations y -> a |> y and y -> y <| a
-are mutually inverse bijections, so either determines the other.  The
+A quandle additionally has x |> x = x = x <| x.  For a fixed acting
+element a the translations y -> a |> y and y -> y <| a are mutually
+inverse bijections, so a rack is given by exactly one table; the other is
+derived by inverting its translations, and x |> x = x implies x <| x = x.  The
 Eisermann pair (pairs.pair_eisermann) is the rack pair of the
 twisted-conjugation quandle h <| a = x^-1 h a^-1 x a over its carrier.
 
@@ -41,7 +42,13 @@ from .errors import (
     SizeLimitError,
     TangleSumError,
 )
-from .groups import TABLE_LIMIT, FiniteGroup, commutator_subgroup, read_int_table
+from .groups import (
+    TABLE_LIMIT,
+    FiniteGroup,
+    commutator_subgroup,
+    read_int_table,
+    row_inverse,
+)
 from .validation import ValidationReport, grid_check
 
 # ---------------------------------------------------------------------------
@@ -49,69 +56,38 @@ from .validation import ValidationReport, grid_check
 # ---------------------------------------------------------------------------
 
 
-def _invert_translations(table: np.ndarray, side: str) -> np.ndarray:
-    """Invert all translations of one operation table to get the other.
-
-    For the left table L[a, y] = a |> y the returned R satisfies
-    R[y, a] = (the z with a |> z = y); for the right table the roles swap.
-    """
-    n = table.shape[0]
-    out = np.empty_like(table)
-    for a in range(n):
-        col = table[a, :] if side == "left" else table[:, a]
-        seen = np.zeros(n, dtype=bool)
-        seen[col] = True
-        if not seen.all():
-            raise NotBijectiveError(
-                f"translation by element {a} of the {side} table is not a bijection"
-            )
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[col] = np.arange(n, dtype=np.int64)
-        if side == "left":
-            out[:, a] = inverse
-        else:
-            out[a, :] = inverse
-    return out
-
-
 class Rack:
-    """A finite rack given by dense operation tables.
+    """A finite rack given by exactly one operation table; the other is
+    derived.
 
-    `left[a, y] = a |> y` and `right[x, b] = x <| b`; either may be omitted
-    and is then derived by inverting the translations of the other.
+    left[a, y] = a |> y and right[x, b] = x <| b, both int64.  Pass one, as
+    left= or right=; the constructor inverts its translations (the rows of
+    the left table, the columns of the right one) to get the other, and
+    raises NotBijectiveError naming the first that is not a bijection.
     """
 
     def __init__(self, left=None, right=None, name: str = "R"):
-        if left is None and right is None:
-            raise TangleSumError("a rack needs at least one operation table")
-        if left is not None:
-            left = np.asarray(left, dtype=np.int64)
-        if right is not None:
-            right = np.asarray(right, dtype=np.int64)
-        base = left if left is not None else right
-        if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise TangleSumError(f"operation table must be square, got {base.shape}")
-        n = base.shape[0]
+        if (left is None) == (right is None):
+            raise TangleSumError(
+                "a rack is given by exactly one operation table, left= or right=")
+        which = "left" if right is None else "right"
+        table = np.asarray(left if right is None else right, dtype=np.int64)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise TangleSumError(f"operation table must be square, got {table.shape}")
+        n = table.shape[0]
         if n == 0:
             raise TangleSumError("empty rack")
-        for tbl, which in ((left, "left"), (right, "right")):
-            if tbl is not None:
-                if tbl.shape != (n, n):
-                    raise TangleSumError("left and right tables disagree in size")
-                if tbl.min() < 0 or tbl.max() >= n:
-                    raise TangleSumError(f"{which} table entries out of range 0..{n - 1}")
-        if right is None:
-            right = _invert_translations(left, "left")
-        if left is None:
-            left = _invert_translations(right, "right")
+        if table.min() < 0 or table.max() >= n:
+            raise TangleSumError(f"{which} table entries out of range 0..{n - 1}")
+        # row a of inv is the translation by a of the other table
+        inv, bad = row_inverse(table if right is None else table.T)
+        if len(bad):
+            raise NotBijectiveError(
+                f"translation by element {bad[0]} of the {which} table is not a bijection")
         self.name = name
         self.size = n
-        self.left = left
-        self.right = right
-        diag = np.arange(n, dtype=np.int64)
-        self.is_quandle = bool(
-            (self.left[diag, diag] == diag).all() and (self.right[diag, diag] == diag).all()
-        )
+        self.left, self.right = (table, inv.T.copy()) if right is None else (inv, table)
+        self.is_quandle = bool((np.diagonal(self.left) == np.arange(n)).all())
 
     def __repr__(self) -> str:
         kind = "quandle" if self.is_quandle else "rack"
@@ -156,19 +132,19 @@ def validate_rack(r: Rack, thorough: bool = False) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def _on_carrier(g: FiniteGroup, elems: np.ndarray, tables, what: str):
-    """Map tables of parent indices, cell (i, j) computed from the carrier
-    pair (elems[i], elems[j]), to carrier indices.
+def _on_carrier(g: FiniteGroup, elems: np.ndarray, left, what: str):
+    """Map the left table of parent indices, cell (i, j) computed from the
+    carrier pair (elems[i], elems[j]), to carrier indices.
 
-    The first pair in row-major order whose value in any table leaves the
-    carrier raises NotClosedError naming it.
+    The first pair in row-major order whose value leaves the carrier raises
+    NotClosedError naming it.  A left-closed carrier is also right-closed,
+    since each left translation is injective on a finite set.
     """
     pos = np.full(g.order, -1, dtype=np.int64)
     pos[elems] = np.arange(len(elems))
-    mapped = [pos[t] for t in tables]
-    off = np.logical_or.reduce([t < 0 for t in mapped])
-    if off.any():
-        i, j = divmod(int(np.argmax(off)), len(elems))
+    mapped = pos[left]
+    if (mapped < 0).any():
+        i, j = divmod(int(np.argmax(mapped < 0)), len(elems))
         raise NotClosedError(
             f"{what}: {g.label(int(elems[i]))} , {g.label(int(elems[j]))}")
     return mapped
@@ -184,12 +160,9 @@ def conjugation_quandle(g: FiniteGroup, subset=None) -> Rack:
     else:
         elems = np.array(list(dict.fromkeys(int(i) for i in subset)),
                          dtype=np.int64)
-    a, b = elems[:, None], elems[None, :]
-    left, right = _on_carrier(
-        g, elems, (g.conj_arr(a, b),                  # a |> b = a b a^-1
-                   g.conj_arr(g.inv_arr(b), a)),      # a <| b = b^-1 a b
-        "subset not closed under conjugation")
-    return Rack(left=left, right=right, name=f"Conj({g.name})")
+    left = _on_carrier(g, elems, g.conj_arr(elems[:, None], elems[None, :]),
+                       "subset not closed under conjugation")  # a b a^-1
+    return Rack(left=left, name=f"Conj({g.name})")
 
 
 def _eisermann(g: FiniteGroup, xi: int,
@@ -204,18 +177,13 @@ def _eisermann(g: FiniteGroup, xi: int,
         elems = np.arange(g.order)
     else:
         raise TangleSumError(f"carrier must be 'commutator' or 'group', got {carrier!r}")
-    # each cell is a row factor x^+-1 h times a column factor a^-1 x^-+1 a
-    ainv = g.inv_arr(elems)
-    xinv = g.inv(xi)
-    lo, ro = _on_carrier(
+    # a |> h = (x h) (a^-1 x^-1 a), a column factor times a row factor
+    left = _on_carrier(
         g, elems,
-        (g.mul_arr(g.mul_arr(xi, elems)[:, None],     # x h a^-1 x^-1 a
-                   g.conj_arr(ainv, xinv)[None, :]),
-         g.mul_arr(g.mul_arr(xinv, elems)[:, None],   # x^-1 h a^-1 x a
-                   g.conj_arr(ainv, xi)[None, :])),
+        g.mul_arr(g.mul_arr(xi, elems)[None, :],
+                  g.conj_arr(g.inv_arr(elems), g.inv(xi))[:, None]),
         "carrier not closed")
-    # lo[h, a] = a |> h and ro[h, a] = h <| a
-    quandle = Rack(left=lo.T, right=ro, name=f"Eis({g.name}, {g.label(xi)})")
+    quandle = Rack(left=left, name=f"Eis({g.name}, {g.label(xi)})")
     return quandle, base
 
 

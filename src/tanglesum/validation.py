@@ -1,9 +1,8 @@
 """Validation reports for axiom sweeps.
 
-Every axiom sweep of the package runs through grid_check (only the framed
-kink maps, which solve an equation, and constructor preconditions that
-raise at once do not): exhaustively or, above a budget, on a fixed-seed
-pseudo-random sample.  A report records, per axiom, the mode that ran, how
+Every axiom sweep of the package runs through grid_check (only constructor
+preconditions that raise at once do not): exhaustively or, above a budget,
+on a fixed-seed pseudo-random sample.  A report records, per axiom, the mode that ran, how
 many tuples were checked, and up to a handful of violation witnesses, so a
 failed validation is always reproducible and explainable.
 

@@ -6,9 +6,9 @@ definition: rack colouring counts and the Carter-Jelsovsky-Kamada-
 Langford-Saito cocycle state sum (Trans. AMS 355, 2003), the Wirtinger
 count of crossed-module colourings, longitudes of string knots, the framed
 abelianisation invariant summed over homomorphisms out of the knot group,
-and the boundary shadow of a lifted pair.  Every sum over colourings runs
-through colourings(), one itertools.product over the n^arcs colourings of
-a diagram's arcs under one cap.
+and the boundary shadow and framed kink maps of a pair.  Every sum over
+colourings runs through colourings(), one itertools.product over the
+n^arcs colourings of a diagram's arcs under one cap.
 """
 
 from __future__ import annotations
@@ -209,3 +209,23 @@ def lifting_shadow_check(p, thorough: bool = False) -> ValidationReport:
                                 g.comm_arr(g.mul_arr(M, g.inv_arr(L)), x))),
         thorough))
     return report
+
+
+def framed_kink_maps(p):
+    """The kink maps of a pair, solved from their definition, one column
+    at a time: f(Z) is the unique A with d(phi(A,Z)) A = Z, or -1 where
+    there is none or more than one, and g(A) = d(psi(A,A))^{-1} A.
+
+    Returns (f, g, ok); ok is the framed kink conditions' verdict, that f
+    is defined everywhere and f and g are mutually inverse.
+    """
+    g, d = p.g, p.xmod.boundary
+    n = g.order
+    f = []
+    for z in range(n):
+        sols = [a for a in range(n) if g.mul(d(int(p.phi[a, z])), a) == z]
+        f.append(sols[0] if len(sols) == 1 else -1)
+    gmap = [g.mul(g.inv(d(int(p.psi[a, a]))), a) for a in range(n)]
+    ok = -1 not in f and all(f[gmap[a]] == a and gmap[f[a]] == a
+                             for a in range(n))
+    return f, gmap, ok

@@ -214,6 +214,15 @@ def test_validate_a_malformed_csv_is_a_usage_error(capsys, tmp_path, flag,
     assert message in lines[0]
 
 
+def test_validate_a_rack_csv_with_a_non_bijective_translation_is_a_usage_error(
+        capsys, tmp_path):
+    path = tmp_path / "rack.csv"
+    path.write_text("0,0,0\n1,1,1\n2,2,2\n")
+    assert main(["validate", "--rack", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: translation by element 0 of the left table is not a bijection\n")
+
+
 def test_validate_csv_skips_comments_and_blank_lines(capsys, tmp_path):
     path = tmp_path / "z2.csv"
     path.write_text("# Z2, identity first\n\n0,1\n1,0\n")

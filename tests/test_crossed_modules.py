@@ -231,6 +231,12 @@ def test_least_index_section():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     proj = GroupHom(z4, z2, [0, 1, 0, 1])
     assert least_index_section(proj).tolist() == [0, 1]
+    # the smallest of several preimages, and -1 where there is none
+    z6 = cyclic_group(6)
+    assert least_index_section(GroupHom(z6, z4, [0, 2] * 3)).tolist() == [
+        0, -1, 1, -1]
+    assert least_index_section(GroupHom(z2, z6, [0, 3])).tolist() == [
+        0, -1, -1, 1, -1, -1]
 
 
 def test_central_extension_rejects_bad_input():

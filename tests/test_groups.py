@@ -224,6 +224,19 @@ def test_from_cayley_table_rejects_non_groups():
         )
 
 
+@pytest.mark.parametrize("table, message", [
+    # row 1 and column 1 both repeat 1: the row is named
+    ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 (a) is not a bijection"),
+    # every row is a permutation, columns 1 and 2 are not
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 (a) is not a bijection"),
+])
+def test_latin_square_check_names_the_first_bad_row_or_column(table, message):
+    t = FiniteGroup("T", ("e", "a", "b"), table, identity=0)
+    with pytest.raises(NotAGroupError) as exc:
+        t.validate_axioms()
+    assert str(exc.value) == message
+
+
 # a Latin square with identity 0 (a loop) that is not associative
 NOT_ASSOCIATIVE_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]

@@ -16,7 +16,7 @@ from named_examples import (
     move_families,
     shift_rack,
 )
-from oracles import boundary_shadow, lifting_shadow_check
+from oracles import boundary_shadow, framed_kink_maps, lifting_shadow_check
 from tanglesum import validation
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
@@ -27,6 +27,7 @@ from tanglesum.crossed_modules import (
 from tanglesum.errors import (
     NotBijectiveError,
     NotSurjectiveError,
+    TangleSumError,
     XmodMismatchError,
 )
 from tanglesum.groups import (
@@ -37,7 +38,6 @@ from tanglesum.groups import (
     trivial_group,
 )
 from tanglesum.pairs import (
-    framed_maps,
     pair_eisermann,
     pair_eisermann_lift_framed,
     pair_eisermann_lift_unframed,
@@ -150,10 +150,10 @@ def test_peiffer_pair_is_framed_with_identity_kink_maps():
     p = pair_from_2xmod(t)
     assert p.mode == "framed"
     assert validate_pair(p, thorough=True).ok
-    f, gmap, violations = framed_maps(p)
-    assert not violations
-    assert f.tolist() == list(range(6))
-    assert gmap.tolist() == list(range(6))
+    f, gmap, ok = framed_kink_maps(p)
+    assert ok
+    assert f == list(range(6))
+    assert gmap == list(range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,79 @@ def test_unframed_lift_requires_surjective_boundary():
         pair_eisermann_lift_unframed(b, 0)
     # the framed lifting has no such constraint
     assert pair_eisermann_lift_framed(b, 0).mode == "framed"
+
+
+# ---------------------------------------------------------------------------
+# the framed kink conditions
+# ---------------------------------------------------------------------------
+
+
+def _kink_check(p):
+    """The kink check of p's framed report."""
+    [check] = [c for c in validate_pair(p, mode="framed").checks
+               if c.axiom.startswith("kink maps")]
+    return check
+
+
+def _psi_is_x():
+    """The framed pair psi(X, Y) = X over xm_identity(Z3): Fplus_X(Y) =
+    Y X^-1 is a permutation, but g(A) = Fplus_A(A) = 1 for every A."""
+    return ReidemeisterPair(xm_identity(cyclic_group(3)),
+                            np.repeat(np.arange(3), 3).reshape(3, 3), "framed")
+
+
+def _framed_cases():
+    """Pairs to read in framed mode: the move families, every framed lift
+    over the D4 extension, seeded random psi over the identity crossed
+    modules of Z3, Z4 and S3, every single-entry psi perturbation of the
+    families that builds, and psi(X, Y) = X over Z3."""
+    fam = move_families()
+    yield from fam.values()
+    b = d4_extension()
+    for x in range(b.e.order):
+        yield pair_eisermann_lift_framed(b, x)
+    rng = np.random.default_rng(29)
+    for g in (cyclic_group(3), cyclic_group(4), symmetric_group(3)):
+        n = g.order
+        X, Y = np.indices((n, n))
+        for _ in range(20):
+            # psi(X,Y) = X Y X^-1 Fplus_X(Y)^-1 for random Fplus rows
+            fplus = np.array([rng.permutation(n) for _ in range(n)])
+            psi = g.mul_arr(g.conj_arr(X, Y), g.inv_arr(fplus))
+            yield ReidemeisterPair(xm_identity(g), psi, "framed")
+    for p in fam.values():
+        for cell in itertools.product(range(p.g.order), repeat=2):
+            for v in range(p.e.order):
+                psi = p.psi.copy()
+                psi[cell] = v
+                try:
+                    yield ReidemeisterPair(p.xmod, psi, "framed")
+                except NotBijectiveError:
+                    pass
+    yield _psi_is_x()
+
+
+def test_kink_check_agrees_with_the_kink_map_solver():
+    verdicts = []
+    for p in _framed_cases():
+        check = _kink_check(p)
+        assert (check.checked, check.mode) == (p.g.order, "exhaustive")
+        assert check.ok == framed_kink_maps(p)[2], p.name
+        verdicts.append(check.ok)
+    assert verdicts.count(False) >= 20
+    assert verdicts.count(True) >= 20
+    assert not verdicts[-1]  # _psi_is_x()
+
+
+def test_validate_pair_refuses_an_unknown_mode():
+    with pytest.raises(TangleSumError, match="mode must be 'framed' or"):
+        validate_pair(move_families()["rack quandle R3"], mode="unfrmaed")
+
+
+def test_kink_check_witnesses_come_in_row_major_order():
+    check = _kink_check(_psi_is_x())
+    assert [v.witness for v in check.violations] == [(0,), (1,), (2,)]
+    assert [v.detail for v in check.violations] == ["lhs=3 rhs=1"] * 3
 
 
 # ---------------------------------------------------------------------------

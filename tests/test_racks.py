@@ -10,8 +10,10 @@ from oracles import cjkls_state_sum, rack_colouring_count
 from tanglesum.diagrams import load_catalog
 from tanglesum.errors import (
     EnhancementMismatchError,
+    NotBijectiveError,
     NotClosedError,
     SizeLimitError,
+    TangleSumError,
 )
 from tanglesum.groups import (
     commutator_subgroup,
@@ -93,6 +95,28 @@ def test_permutation_rack_is_not_a_quandle():
 def test_validate_rack_catches_broken_distributivity():
     bad = Rack(right=np.array([[0, 1, 0], [1, 0, 2], [2, 2, 1]]))
     assert not validate_rack(bad).ok
+
+
+def test_a_rack_is_given_by_exactly_one_table():
+    r = dihedral_quandle(3)
+    with pytest.raises(TangleSumError, match="exactly one operation table"):
+        Rack(left=r.left, right=r.right)
+    with pytest.raises(TangleSumError, match="exactly one operation table"):
+        Rack()
+
+
+def test_non_bijective_translations_are_named(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,0,0\n1,1,1\n2,2,2\n")
+    with pytest.raises(NotBijectiveError) as exc:
+        rack_from_csv(path)
+    assert str(exc.value) == (
+        "translation by element 0 of the left table is not a bijection")
+    # column 1 of the right table, y -> y <| 1, repeats 0
+    with pytest.raises(NotBijectiveError) as exc:
+        Rack(right=np.array([[0, 0, 2], [1, 0, 0], [2, 2, 1]]))
+    assert str(exc.value) == (
+        "translation by element 1 of the right table is not a bijection")
 
 
 def test_rack_csv_round_trip(tmp_path):
