@@ -22,19 +22,20 @@ every arc not on the seeded boundary; each seed is a branch event, placed
 where it is first needed.  The planner returns the seeds alone, and the
 compiler replays their closure once to learn how every other arc is
 derived.  A derive event colours an arc ahead of its crossing with one
-gather from fplus or fminus.  A crossing event, in top-down order, reads
-the outgoing under-colour and its E-colour together, with one gather at
-(over, in) from the pair's packed crossing table for its sign (one int64
-per entry, both halves decoded straight to intp).  It derives the
-outgoing colour, checks it against the one already there, or, where a
-derive event used its relation, trusts it and keeps the E-colour alone.
-The program runs as one numpy sweep over an intp frontier of partial
-colourings, one row each, whose last column holds the E-element folded
-so far, so every column indexes the tables with no cast: a branch
-repeats every row once per colour of G, and a check drops the rows it
-contradicts.  The frontier is processed depth-first in slices of at most
-SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches the
-program has.  Finished rows are bucketed by their boundary colours and
+gather from fplus or fminus.  The program runs as one numpy sweep over an
+intp frontier of partial colourings, one row each, in two passes.  The
+colour pass carries G-colours alone: a branch repeats every row once per
+colour of G; a crossing event, in top-down order, gathers its outgoing
+under-colour at (over, in) from fminus (X+) or fplus (X-) and derives it,
+or checks it against the one already there and drops the rows it
+contradicts, or, where a derive event used its relation, does nothing.
+A colouring is fixed by its G-colours, so the E-pass runs on each
+finished chunk alone: it walks the crossing events top down, reads each
+E-colour from psi (X+) or phi (X-) at (over, out), and folds the product
+into the frontier's last column, so no E-element is computed for a row a
+later check drops.  The frontier is processed depth-first in slices of at
+most SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches
+the program has.  Finished rows are bucketed by their boundary colours and
 E-element in one collections.Counter, which costs far less than numpy
 set-up on the few rows a small diagram yields.
 
@@ -42,8 +43,8 @@ A coloured diagram evaluates to a morphism of the categorical group of the
 crossed module: a slice whose crossing sits at position p with colour e
 contributes u |> e, where u is the product of the colours left of p on the
 level above (upward strands inverted), and slices compose downwards, the
-composite of (U, e) with a following (V, f) being (U, f e).  The sweep
-folds this E-element at each crossing event.  The source is the evaluation
+composite of (U, e) with a following (V, f) being (U, f e).  The E-pass
+folds this E-element, crossing by crossing.  The source is the evaluation
 of the top enhancement; the boundary identity
 
     bd(elt) * e(top colours) = e(bottom colours)
@@ -105,11 +106,13 @@ DERIVE, CHECK, TRUST = 0, 1, 2
 class CrossingEvent(NamedTuple):
     """One crossing of a compiled program, in arc indices.
 
-    Every crossing reads its E-colour and its outgoing under-colour at
-    (over, in) from the packed table for its sign.  out: DERIVE colours the
-    outgoing under-arc; CHECK drops the rows where an earlier event
-    coloured it otherwise; TRUST leaves it, since a DeriveEvent already used
-    this crossing's relation.
+    In the colour pass the crossing gathers its outgoing under-colour at
+    (over, in) from fminus (X+) or fplus (X-).  out: DERIVE colours the
+    outgoing under-arc with it; CHECK drops the rows where an earlier event
+    coloured that arc otherwise; TRUST reads nothing, since a DeriveEvent
+    already used this crossing's relation.  In the E-pass, on finished
+    rows, every crossing reads its E-colour at (over, under_out) from psi
+    (X+) or phi (X-).
     prefix: the arcs left of the crossing on the level above, each with
     True where the strand runs upwards.
     """
@@ -366,12 +369,12 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
     boundary; return the finished chunks.
 
     The frontier is an intp array with one column per arc and a last one,
-    set to the identity of E, that each row's E-element is folded into; a
-    row whose colours differ on an arc met twice along the seeded boundary
-    is dropped.  Each chunk is such an array of complete colourings.  With
-    the E-element in the frontier, one repeat or one filter carries it
-    with the colours, and no gather pays numpy's cast of a non-intp index
-    array, which costs more than the gather on a small frontier.  The cap
+    set to the identity of E, into which the E-pass writes each finished
+    row's E-element; a row whose colours differ on an arc met twice along
+    the seeded boundary is dropped.  Each chunk is such an array of
+    complete colourings.  With intp colours, no colour gather pays numpy's
+    cast of a non-intp index array, which costs more than the gather on a
+    small frontier.  The cap
     bounds the real work, every seeded row times every branch, and is
     checked last here, still before any work.
     """
@@ -394,8 +397,8 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
 def _run(events, tables, n: int, rows):
     # depth-first over tasks (event, rows, colours): colours, if set, are
     # the values that the branch event k gives each row
-    (g_mul, g_inv, e_mul, act, packed_plus, packed_minus,
-     fplus, fminus) = tables
+    fplus, fminus = tables[6:]
+    crossings = [ev for ev in events if type(ev) is CrossingEvent]
     colours = np.arange(n, dtype=np.intp)
     step = SWEEP_CHUNK_ROWS
     width = rows.shape[1]
@@ -422,32 +425,47 @@ def _run(events, tables, n: int, rows):
                 rows[:, dst] = (fplus if plus else fminus)[rows[:, o],
                                                            rows[:, src]]
                 continue
-            sign, o, i, u, out, prefix = ev
-            # one gather reads the packed (y, e), both decoded as intp
-            v = (packed_plus if sign > 0 else packed_minus)[rows[:, o],
-                                                            rows[:, i]]
-            e = v >> 32
+            sign, o, i, u, out, _ = ev
+            if out == TRUST:
+                continue
+            y = (fminus if sign > 0 else fplus)[rows[:, o], rows[:, i]]
             if out == CHECK:
-                keep = rows[:, u] == (v & 0xFFFFFFFF)
-                rows, e = rows[keep], e[keep]
-            elif out == DERIVE:
-                rows[:, u] = v & 0xFFFFFFFF
-            if prefix:
-                p = None
-                for a, up in prefix:
-                    c = g_inv[rows[:, a]] if up else rows[:, a]
-                    p = c if p is None else g_mul[p, c]
-                e = act[p, e]
-            rows[:, -1] = e_mul[e, rows[:, -1]]
+                rows = rows[rows[:, u] == y]
+            else:
+                rows[:, u] = y
         if not len(rows):
             continue
         if k == end:
+            _fold(crossings, tables, rows)
             yield rows
             continue
         # a branch event: split the colours so no chunk exceeds step rows
         per = max(1, step // len(rows))
         for lo in reversed(range(0, n, per)):
             stack.append((k, rows, colours[lo:lo + per]))
+
+
+def _fold(crossings, tables, rows) -> None:
+    """Fold the E-colours of finished colourings into their last column.
+
+    Top down, each crossing contributes u |> e, e = psi(over, out) at a
+    positive crossing and phi(over, out) at a negative one, u the product
+    of the prefix colours; the first crossing's term starts the product,
+    so a diagram with no crossing keeps the identity put there.
+    """
+    g_mul, g_inv, e_mul, act, psi, phi = tables[:6]
+    acc = None
+    for sign, o, _, u, _, prefix in crossings:
+        e = (psi if sign > 0 else phi)[rows[:, o], rows[:, u]]
+        if prefix:
+            p = None
+            for a, up in prefix:
+                c = g_inv[rows[:, a]] if up else rows[:, a]
+                p = c if p is None else g_mul[p, c]
+            e = act[p, e]
+        acc = e if acc is None else e_mul[e, acc]
+    if acc is not None:
+        rows[:, -1] = acc
 
 
 def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
@@ -476,8 +494,9 @@ def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
 class Colouring:
     """One solution of the crossing constraints on a sliced diagram.
 
-    arc_colours[i] is the G-colour of arc i; elt is the E-element that the
-    colouring's sweep row folded over every crossing, top to bottom.
+    arc_colours[i] is the G-colour of arc i, and these fix the rest; elt
+    is the E-element that the sweep's E-pass folded over every crossing,
+    top to bottom, from psi or phi at (over colour, outgoing under-colour).
     """
 
     diagram: SlicedTangleDiagram = field(compare=False)

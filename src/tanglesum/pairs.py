@@ -219,41 +219,29 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
 
 
 class CrossingTransfer:
-    """The pair's transfer tables, packed for the state-sum sweep.
+    """The tables the state-sum sweep reads, all the pair's own.
 
-    fplus[X, Y] and fminus[X, Y] (the pair's own tables) map the outgoing
+    fplus[X, Y] and fminus[X, Y] (the pair's tables) map the outgoing
     under-colour Y to the incoming one at positive resp. negative crossings
-    with overstrand X.
-
-    packed_plus[X, Z] and packed_minus[X, Z] are the downward steps the
-    state-sum sweep takes, packed so one gather reads both the outgoing
-    under-colour Y and the crossing's E-colour: Y = fminus[X, Z] with
-    psi(X, Y) at positive crossings, Y = fplus[X, Z] with phi(X, Y) at
-    negative ones.  Each entry is one int64, Y | (E-colour << 32), so an n
-    x n table takes the bytes of an int32 n x n x 2 one, and the sweep
-    decodes Y = v & 0xFFFFFFFF and the E-colour v >> 32 straight into
-    index arrays.  Since phi is derived from psi by R2, the E-colours are
-    inverses of the other table read in place: psi(X, fminus[X, Z]) =
-    phi(X, Z)^{-1} and phi(X, fplus[X, Z]) = psi(X, Z)^{-1}.  Every
-    crossing of a sweep reads its E-colour there, even one whose outgoing
-    under-colour is already known.  sweep_tables holds the eight tables the
-    sweep reads, in the order engine._run unpacks them: the multiplication
-    and inversion tables of G, the multiplication table of E, the action,
-    the two packed tables, fplus and fminus.  They are built once here
-    rather than on every state sum.  There are no scalar lookups: a caller
-    indexes these tables.
+    with overstrand X, so the sweep steps down a crossing with fminus[X, Z]
+    (positive) or fplus[X, Z] (negative), Z the incoming under-colour.
+    Once a colouring's G-colours are all known, a crossing's E-colour is
+    psi(X, Y) at a positive crossing and phi(X, Y) at a negative one, read
+    at (over, outgoing under) after the sweep, so no table here combines
+    colours and E-colours.  sweep_tables holds the eight arrays the sweep
+    reads, in the order engine._run unpacks them: the multiplication and
+    inversion tables of G, the multiplication table of E, the action, psi,
+    phi, fplus and fminus.  Every one is an array of the pair, its groups
+    or its crossed module, so a transfer allocates no table.
     """
 
     def __init__(self, pair: ReidemeisterPair):
         self.pair = pair
-        self.fplus = fplus = pair.fplus
-        self.fminus = fminus = pair.fminus
-        inv = pair.e.inv_table
-        self.packed_plus = _pack(fminus, inv[pair.phi])
-        self.packed_minus = _pack(fplus, inv[pair.psi])
+        self.fplus = pair.fplus
+        self.fminus = pair.fminus
         self.sweep_tables = (
             pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
-            self.packed_plus, self.packed_minus, fplus, fminus)
+            pair.psi, pair.phi, pair.fplus, pair.fminus)
 
     def __repr__(self) -> str:
         return f"<crossing transfer for {self.pair.name}>"
@@ -266,15 +254,11 @@ def _gather(t: np.ndarray, rows, cols) -> np.ndarray:
     return t.ravel()[rows * t.shape[1] + cols]
 
 
-def _pack(y: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """One int64 per entry: the colour y in the low 32 bits, e above."""
-    return y.astype(np.int64) | e.astype(np.int64) << 32
-
-
 def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
-    """The packed transfer of a pair, which ReidemeisterPair.transfer
-    caches.  It only packs: the pair's constructor has already derived
-    fplus and fminus and refused a psi whose Fplus_X is not a bijection."""
+    """The transfer of a pair, which ReidemeisterPair.transfer caches.  It
+    only gathers references: the pair's constructor has already derived
+    fplus, fminus and phi and refused a psi whose Fplus_X is not a
+    bijection."""
     return CrossingTransfer(p)
 
 

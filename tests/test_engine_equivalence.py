@@ -7,7 +7,10 @@ move must leave it unchanged; the bra reading, one sum seeded on a fixed
 bottom, must equal the oracle's matrix at that bottom.  A catalog sweep
 over S4 covers what those small groups cannot, and the colourings that
 enumerate_colourings streams, counted as a multiset of (top, bottom,
-element), must equal the oracle's matrix too.
+element), must equal the oracle's matrix too.  The fixed diagrams of
+these tests compile to every kind of crossing event, DERIVE, CHECK and
+TRUST at either sign, and one of their CHECK crossings drops rows, so the
+E-fold after the colour pass is compared with the oracle on each kind.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from named_examples import move_families
 from slice_oracle import oracle_matrix
+from tanglesum import engine
 from tanglesum.diagrams import (
     SlicedTangleDiagram,
     braid_word_to_tangle,
@@ -31,6 +35,11 @@ from tanglesum.diagrams import (
     trace_closure,
 )
 from tanglesum.engine import (
+    CHECK,
+    DERIVE,
+    TRUST,
+    CrossingEvent,
+    compile_program,
     enumerate_colourings,
     evaluate,
     invariant,
@@ -206,3 +215,44 @@ def test_single_colourings_equal_the_oracle(tag):
                 elt = evaluate(col).elt
                 terms[elt] = terms.get(elt, 0) + 1
         assert got == oracle_matrix(d, pair), (tag, name)
+
+
+def _fixed_programs():
+    """(diagram, program) for the fixed diagrams above: the catalog seeded
+    on the top, the repeated top arcs on the top and the repeated bottom
+    arcs on the bottom, as their tests read them."""
+    for name in catalog_names():
+        d = load_catalog(name)
+        yield d, compile_program(d)
+    for top, slices in REPEATED_TOP_ARCS:
+        d = SlicedTangleDiagram(top, slices)
+        yield d, compile_program(d)
+    for top, slices in REPEATED_BOTTOM_ARCS:
+        d = SlicedTangleDiagram(top, slices)
+        yield d, compile_program(d, from_bottom=True)
+
+
+def test_the_fixed_diagrams_cover_every_crossing_kind():
+    # kinds: (out, sign) of every crossing event; a CHECK drops rows when
+    # the sweep cut just after it finishes fewer rows than the sweep cut
+    # just before it, over every top of a catalog diagram
+    pair = move_families()["eisermann S3"]
+    transfer = pair.transfer()
+    kinds = set()
+    drops = 0
+    for d, prog in _fixed_programs():
+        for k, ev in enumerate(prog.events):
+            if type(ev) is not CrossingEvent:
+                continue
+            kinds.add((ev.out, ev.sign))
+            if ev.out != CHECK or prog.seed_arcs != prog.top_arcs:
+                continue
+            tops = engine._all_tops(pair.g.order, len(d.top))
+            before, after = (
+                sum(map(len, engine._sweep(prog._replace(events=prog.events[:j]),
+                                           transfer, tops)))
+                for j in (k, k + 1))
+            drops += after < before
+    assert kinds == {(out, sign) for out in (DERIVE, CHECK, TRUST)
+                     for sign in (1, -1)}
+    assert drops

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from tanglesum.groups import (
     trivial_group,
 )
 from tanglesum.pairs import (
+    build_transfer,
     pair_eisermann,
     pair_eisermann_lift_framed,
     pair_eisermann_lift_unframed,
@@ -296,26 +298,24 @@ def moves_set_pairs() -> dict:
 
 
 @pytest.mark.parametrize("tag", sorted(moves_set_pairs()))
-def test_packed_crossing_tables_match_the_scalar_lookups(tag):
-    # packed_plus[x, z] = y | psi(x, y) << 32 with y the under-out colour at
-    # a positive crossing; packed_minus[x, z] likewise with phi at a
-    # negative one.  y is found by search over G with the scalar group
+def test_crossing_reads_match_the_scalar_lookups(tag):
+    # stepping down a crossing with over-colour x and incoming under-colour
+    # z, the sweep reads the outgoing y = fminus[x, z] (positive) or
+    # fplus[x, z] (negative), and the fold reads the E-colour psi[x, y]
+    # resp. phi[x, y].  y is found by search over G with the scalar group
     # operations: the y with z = bd(psi(x,y))^-1 x y x^-1, resp.
-    # z = x^-1 bd(phi(x,y))^-1 y x, which must be unique
+    # z = x^-1 bd(phi(x,y))^-1 y x, which must be unique.  By R2 the
+    # E-colour is also phi(x, z)^-1 resp. psi(x, z)^-1.
     p = moves_set_pairs()[tag]
-    t = p.transfer()
-    g = p.g
+    _, _, _, _, psi, phi, fplus, fminus = p.transfer().sweep_tables
+    g, e = p.g, p.e
     n = g.order
-    for packed in (t.packed_plus, t.packed_minus):
-        assert packed.dtype == np.int64
-        assert packed.shape == (n, n)
+    for t in (psi, phi, fplus, fminus):
+        assert t.dtype == np.int32
+        assert t.shape == (n, n)
 
-    def decode(v):
-        v = int(v)
-        return [v & 0xFFFFFFFF, v >> 32]
-
-    def bd(e):
-        return int(p.xmod.boundary.mapping[e])
+    def bd(v):
+        return int(p.xmod.boundary.mapping[v])
 
     for x in range(n):
         plus: dict = {}
@@ -327,9 +327,11 @@ def test_packed_crossing_tables_match_the_scalar_lookups(tag):
             minus.setdefault(z, []).append(y)
         for z in range(n):
             [y] = plus[z]
-            assert decode(t.packed_plus[x, z]) == [y, p.psi[x, y]]
+            assert fminus[x, z] == y
+            assert psi[x, y] == p.psi[x, y] == e.inv(int(phi[x, z]))
             [y] = minus[z]
-            assert decode(t.packed_minus[x, z]) == [y, p.phi[x, y]]
+            assert fplus[x, z] == y
+            assert phi[x, y] == p.phi[x, y] == e.inv(int(psi[x, z]))
 
 
 def _one_pair_per_family() -> dict:
@@ -345,23 +347,43 @@ def _one_pair_per_family() -> dict:
 @pytest.mark.parametrize("tag", sorted(_one_pair_per_family()))
 def test_transfer_arrays_equal_a_2d_indexed_recomputation(tag):
     # the transfer formulas with numpy's 2-D fancy indexing t[a, b] on
-    # open grids, where the library reads raveled tables
+    # open grids, where the library reads raveled tables; the E-colours
+    # the sweep reads after a downward step, psi[X, fminus[X, Z]] and
+    # phi[X, fplus[X, Z]], are the R2 inverses phi(X, Z)^-1, psi(X, Z)^-1
     p = _one_pair_per_family()[tag]
     t, inv = p.g.table, p.g.inv_table
     bnd = p.xmod.boundary.mapping
     X, Y = np.ogrid[:p.g.order, :p.g.order]
     fplus = t[inv[bnd[p.psi]], t[t[X, Y], inv[X]]]
     fminus = t[t[inv[X], inv[bnd[p.phi]]], t[Y, X]]
-    packed_plus = (fminus.astype(np.int64)
-                   | p.psi[X, fminus].astype(np.int64) << 32)
-    packed_minus = (fplus.astype(np.int64)
-                    | p.phi[X, fplus].astype(np.int64) << 32)
     tr = p.transfer()
+    _, _, _, _, psi, phi, sw_fplus, sw_fminus = tr.sweep_tables
     for got, want in ((tr.fplus, fplus), (tr.fminus, fminus),
-                      (tr.packed_plus, packed_plus),
-                      (tr.packed_minus, packed_minus)):
+                      (sw_fplus, fplus), (sw_fminus, fminus),
+                      (psi[X, fminus], p.e.inv_table[p.phi]),
+                      (phi[X, fplus], p.e.inv_table[p.psi])):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+def test_a_transfer_reads_the_tables_of_its_pair_and_allocates_none():
+    s5 = symmetric_group(5)
+    p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
+    own = (p.g.table, p.g.inv_table, p.e.table, p.xmod.action,
+           p.psi, p.phi, p.fplus, p.fminus)
+    tracemalloc.start()
+    try:
+        tr = build_transfer(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr.sweep_tables) == len(own)
+    for got, want in zip(tr.sweep_tables, own):
+        assert got is want
+    assert tr.fplus is p.fplus and tr.fminus is p.fminus
+    assert tr.pair is p
+    assert p.transfer() is p.transfer()
+    assert peak < 10_000
 
 
 def _lift_tables(b, x):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -283,7 +285,12 @@ def test_colouring_count_size_limit():
 
 
 def conjugation_oracle(g, subset=None):
-    """(left, right) of conjugation_quandle, one cell at a time."""
+    """(left, right) of conjugation_quandle, one cell at a time.
+
+    The first pair in row-major order whose a |> b leaves the carrier is
+    named; the right table is read only once the left one closes, as a
+    left-closed carrier is right-closed.
+    """
     if subset is None:
         carrier = tuple(range(g.order))
     else:
@@ -295,14 +302,15 @@ def conjugation_oracle(g, subset=None):
     for i, a in enumerate(carrier):
         for j, b in enumerate(carrier):
             aba = g.mul(g.mul(a, b), g.inv(a))          # a |> b = a b a^-1
-            bab = g.mul(g.mul(g.inv(b), a), b)          # a <| b = b^-1 a b
-            if aba not in pos or bab not in pos:
+            if aba not in pos:
                 raise NotClosedError(
                     f"subset not closed under conjugation: "
                     f"{g.label(a)} , {g.label(b)}"
                 )
             left[i, j] = pos[aba]
-            right[i, j] = pos[bab]
+    for i, a in enumerate(carrier):
+        for j, b in enumerate(carrier):
+            right[i, j] = pos[g.mul(g.mul(g.inv(b), a), b)]  # a <| b = b^-1 a b
     return left, right
 
 
@@ -345,15 +353,33 @@ def test_conjugation_quandle_matches_scalar_oracle():
     _assert_rack_is(conjugation_quandle(s4), conjugation_oracle(s4))
 
 
-@pytest.mark.parametrize("subset", [("(1 2)", "(1 3)"), ("(1 2 3)", "(1 2)")])
-def test_conjugation_quandle_names_the_same_failing_pair(subset):
-    s3 = symmetric_group(3)
-    idx = [s3.element_by_label(l) for l in subset]
-    with pytest.raises(NotClosedError) as expected:
-        conjugation_oracle(s3, idx)
-    with pytest.raises(NotClosedError) as got:
-        conjugation_quandle(s3, idx)
-    assert str(got.value) == str(expected.value)
+def _conjugation_subsets(degree):
+    """On S3 every ordered 2- and 3-element subset; on S4 two subsets whose
+    first pair by a |> b alone is not the first by a |> b or b <| a."""
+    g = symmetric_group(degree)
+    if degree == 3:
+        return g, [sub for k in (2, 3)
+                   for sub in itertools.permutations(range(g.order), k)]
+    return g, [[g.element_by_label(l) for l in labels]
+               for labels in (("(3 4)", "(2 3 4)", "(2 4 3)"),
+                              ("(3 4)", "(1 2 3)", "(1 2 4)"))]
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_conjugation_quandle_names_the_same_failing_pair(degree):
+    g, subsets = _conjugation_subsets(degree)
+    failures = 0
+    for subset in subsets:
+        try:
+            expected = conjugation_oracle(g, subset)
+        except NotClosedError as e:
+            failures += 1
+            with pytest.raises(NotClosedError) as got:
+                conjugation_quandle(g, subset)
+            assert str(got.value) == str(e), [g.label(i) for i in subset]
+        else:
+            _assert_rack_is(conjugation_quandle(g, subset), expected)
+    assert failures > 0
 
 
 @pytest.mark.parametrize("degree", [3, 4])
