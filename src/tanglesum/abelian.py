@@ -16,9 +16,7 @@ import math
 import numpy as np
 
 from .errors import NotAGroupError, SizeLimitError
-from .groups import FiniteGroup
-
-DECOMPOSITION_LIMIT = 1000
+from .groups import TABLE_LIMIT, FiniteGroup
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -76,8 +74,9 @@ def _multiply_out(a: FiniteGroup, powers: np.ndarray,
 def _decompose(a: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarray]:
     """The cyclic basis of cyclic_decomposition and its coordinate array:
     coords[x] is the coordinate row of element x."""
-    if a.order > DECOMPOSITION_LIMIT:
-        raise SizeLimitError("cyclic_decomposition limited to small groups")
+    if a.order > TABLE_LIMIT:
+        raise SizeLimitError(f"{a.name} has order {a.order}, above "
+                             f"TABLE_LIMIT = {TABLE_LIMIT}")
     if not a.is_abelian:
         raise NotAGroupError(f"{a.name} is not abelian")
     powers = _powers(a)
@@ -129,9 +128,9 @@ def product_of_cyclics(moduli: tuple[int, ...], name: str | None = None) -> Fini
         raise SizeLimitError(f"cyclic factor modulus {bad[0]} is below 1")
     if name is None:
         name = "x".join(f"Z{m}" for m in moduli) or "Z1"
-    if math.prod(moduli) > DECOMPOSITION_LIMIT:
+    if math.prod(moduli) > TABLE_LIMIT:
         raise SizeLimitError(f"{name} has order {math.prod(moduli)}, above "
-                             f"DECOMPOSITION_LIMIT = {DECOMPOSITION_LIMIT}")
+                             f"TABLE_LIMIT = {TABLE_LIMIT}")
     digits = _digits(moduli)
     summed = (digits[:, None, :] + digits[None, :, :]) % np.array(moduli, dtype=np.int64)
     labels = tuple("(" + ",".join(str(d) for d in row) + ")" for row in digits) \

@@ -51,10 +51,6 @@ class NotClosedError(TangleSumError):
     """A subset is not closed under the relevant operation."""
 
 
-class MultiComponentError(TangleSumError):
-    """A diagram operation that needs a single strand saw several components."""
-
-
 class NonClosableError(TangleSumError):
     """A tangle cannot be closed with the requested closure."""
 

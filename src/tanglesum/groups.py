@@ -46,14 +46,6 @@ TABLE_LIMIT = 1000
 # permutation and matrix helpers
 # ---------------------------------------------------------------------------
 
-def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Left factor first: (p*q)(i) = q(p(i)).
-
-    A scalar oracle: tests check symmetric_group's table against it.
-    """
-    return tuple(q[p[i]] for i in range(len(p)))
-
-
 def cycle_label(p: tuple[int, ...]) -> str:
     """Cycle notation, 1-based; identity is "id"."""
     seen = [False] * len(p)

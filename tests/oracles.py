@@ -8,7 +8,10 @@ count of crossed-module colourings, longitudes of string knots, the framed
 abelianisation invariant summed over homomorphisms out of the knot group,
 and the boundary shadow and framed kink maps of a pair.  Every sum over
 colourings runs through colourings(), one itertools.product over the
-n^arcs colourings of a diagram's arcs under one cap.
+n^arcs colourings of a diagram's arcs under one cap.  Two scalar checks of
+structures sit beside them: perm_compose, the permutation product that
+symmetric_group's table is checked against, and rack_axioms_hold, all five
+rack laws read cell by cell.
 """
 
 from __future__ import annotations
@@ -23,15 +26,38 @@ from tanglesum.diagrams import DOWN
 from tanglesum.errors import (
     DiagramError,
     EnhancementMismatchError,
-    MultiComponentError,
     NotClosedError,
     SizeLimitError,
+    TangleSumError,
 )
 from tanglesum.groups import abelianization
 from tanglesum.racks import conjugation_quandle
 from tanglesum.validation import ValidationReport, grid_check
 
 ENUMERATION_CAP = 5_000_000
+
+
+class MultiComponentError(TangleSumError):
+    """A diagram operation that needs a single strand saw several components."""
+
+
+def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Left factor first: (p*q)(i) = q(p(i))."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def rack_axioms_hold(r) -> bool:
+    """Whether both inverse laws, both self-distributive laws and, on a
+    quandle, x <| x = x = x |> x hold in r, cell by cell."""
+    L, R = r.left.tolist(), r.right.tolist()
+    elems = range(r.size)
+    return (all(L[x][R[y][x]] == y and R[L[x][y]][x] == y
+                for x, y in itertools.product(elems, repeat=2))
+            and all(L[x][L[y][z]] == L[L[x][y]][L[x][z]]
+                    and R[R[x][y]][z] == R[R[x][z]][R[y][z]]
+                    for x, y, z in itertools.product(elems, repeat=3))
+            and (not r.is_quandle
+                 or all(R[x][x] == x == L[x][x] for x in elems)))
 
 
 def colourings(d, n: int, ok):

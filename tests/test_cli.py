@@ -77,8 +77,26 @@ def test_validate_group_names_the_associativity_failure(monkeypatch, capsys):
 def test_validate_rack(capsys):
     assert main(["validate", "--rack", "dihedral:5"]) == 0
     out = capsys.readouterr().out
-    assert "validation of rack R_5: OK" in out
-    assert "x <| x = x = x |> x" in out
+    assert "validation of quandle R_5: OK" in out
+    assert "x <| x = x = x |> x" not in out
+
+
+def test_validate_rack_sweeps_one_law(capsys):
+    assert main(["validate", "--rack", "conj:s4", "--thorough"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "validation of quandle Conj(S4): OK",
+        "  x |> (y |> z) = (x |> y) |> (x |> z): ok [exhaustive, 13824/13824]"]
+
+
+def test_validate_non_distributive_rack_csv_fails_with_witness(tmp_path,
+                                                               capsys):
+    # every translation is a bijection, so the table builds a Rack
+    path = tmp_path / "rack.csv"
+    path.write_text("1,0,2\n0,1,2\n0,1,2\n")
+    assert main(["validate", "--rack", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert "validation of rack R: FAILED" in out
+    assert "x |> (y |> z) = (x |> y) |> (x |> z) fails at (0, 0, 0)" in err
 
 
 def test_validate_good_cocycle_pair(capsys):

@@ -21,16 +21,22 @@ from tanglesum.crossed_modules import (
     xm_pair_with_module,
     xm_trivial_boundary,
 )
+from tanglesum.abelian import product_of_cyclics
 from tanglesum.errors import (
     KernelNotCentralError,
     NonComposableError,
     NotSurjectiveError,
+    XmodMismatchError,
 )
 from tanglesum.groups import (
     abelianization,
+    central_quotient,
+    commutator_subgroup,
     cyclic_group,
+    gl2,
     GroupHom,
     identity_hom,
+    pgl2,
     symmetric_group,
 )
 
@@ -64,6 +70,29 @@ def test_pair_with_module():
     xm = xm_pair_with_module(s3, z2)
     assert xm.e.order == 12
     assert validate_crossed_module(xm).ok
+
+
+def test_constructors_without_a_sweep_build_crossed_modules():
+    # the formulas guarantee every axiom once V (or E) is abelian
+    groups = [symmetric_group(3), cyclic_group(4), d4_projection().source]
+    modules = [cyclic_group(2), cyclic_group(3), product_of_cyclics((2, 2))]
+    for g in groups:
+        for v in modules:
+            for xm in (xm_pair_with_module(g, v), xm_trivial_boundary(g, v)):
+                report = validate_crossed_module(xm, thorough=True)
+                assert report.ok, report.summary()
+
+
+def test_trivial_boundary_needs_an_abelian_module():
+    s3 = symmetric_group(3)
+    with pytest.raises(XmodMismatchError, match="S3 is not abelian"):
+        xm_trivial_boundary(s3, s3)
+    # the one axiom the abelian check stands for fails on the table
+    failed = [c.axiom for c in validate_crossed_module(CrossedModule(
+        GroupHom(s3, s3, np.zeros(6, dtype=np.int32)),
+        np.broadcast_to(np.arange(6, dtype=np.int32), (6, 6)))).checks
+        if not c.ok]
+    assert failed == ["second Peiffer equation"]
 
 
 def test_validation_catches_equivariance_failure():
@@ -237,6 +266,32 @@ def test_least_index_section():
         0, -1, 1, -1]
     assert least_index_section(GroupHom(z2, z6, [0, 3])).tolist() == [
         0, -1, -1, 1, -1, -1]
+
+
+def _sl2_5_projection():
+    """SL(2,5), the commutator subgroup of GL(2,5), onto PSL(2,5)."""
+    sl, _ = commutator_subgroup(gl2(5))
+    return central_quotient(sl)[1]
+
+
+@pytest.mark.parametrize("projection", [
+    d4_projection, lambda: pgl2(3)[1], lambda: pgl2(5)[1], _sl2_5_projection,
+], ids=["D4", "GL(2,3)", "GL(2,5)", "SL(2,5)"])
+def test_lifting_does_not_depend_on_the_section(projection):
+    # any section is the least-index one twisted by kernel elements, and a
+    # central twist cancels in the commutator
+    proj = projection()
+    ext = proj.source
+    b = braided_from_central_extension(proj)
+    kernel = np.array(proj.kernel(), dtype=np.int32)
+    assert len(kernel) > 1
+    sec = least_index_section(proj)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        twisted = ext.mul_arr(sec, kernel[rng.integers(0, len(kernel),
+                                                       len(sec))])
+        assert np.array_equal(
+            ext.comm_arr(twisted[:, None], twisted[None, :]), b.lifting)
 
 
 def test_central_extension_rejects_bad_input():

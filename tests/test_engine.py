@@ -23,6 +23,7 @@ from oracles import (
     cjkls_state_sum,
     longitude_value,
     longitude_word,
+    MultiComponentError,
     rack_colouring_count,
     wirtinger_count,
 )
@@ -53,7 +54,6 @@ from tanglesum.engine import (
 )
 from tanglesum.errors import (
     EnhancementMismatchError,
-    MultiComponentError,
     NonComposableError,
     NotClosedError,
     SizeLimitError,

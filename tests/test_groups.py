@@ -8,6 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import perm_compose
 from tanglesum import groups
 from tanglesum.abelian import TensorSquare, product_of_cyclics
 from tanglesum.crossed_modules import xm_identity
@@ -30,7 +31,6 @@ from tanglesum.groups import (
     gl2,
     GroupHom,
     identity_hom,
-    perm_compose,
     pgl2,
     quotient_by_normal,
     subgroup,

@@ -257,6 +257,39 @@ def test_kink_check_agrees_with_the_kink_map_solver():
     assert not verdicts[-1]  # _psi_is_x()
 
 
+def _single_entry_perturbations():
+    """Each move family, then every pair that changing one entry of its
+    psi to another E-element builds, in the family's mode."""
+    for p in move_families().values():
+        yield p
+        for cell in itertools.product(range(p.g.order), repeat=2):
+            for v in range(p.e.order):
+                if v == p.psi[cell]:
+                    continue
+                psi = p.psi.copy()
+                psi[cell] = v
+                try:
+                    yield ReidemeisterPair(p.xmod, psi, p.mode)
+                except NotBijectiveError:
+                    pass
+
+
+def test_r2_holds_and_the_r3_forms_agree_on_every_pair_that_builds():
+    # phi is derived by R2, and given R2 the two R3 forms are equivalent
+    verdicts = []
+    for p in _single_entry_perturbations():
+        report = validate_pair(p, thorough=True)
+        checks = {c.axiom: c for c in report.checks}
+        [r2] = [c for axiom, c in checks.items() if axiom.startswith("R2")]
+        assert r2.ok and r2.mode == "exhaustive"
+        phi_form, psi_form = checks["R3 (phi form)"], checks["R3 (psi form)"]
+        assert phi_form.ok == psi_form.ok, p.name
+        verdicts.append((report.ok, psi_form.ok))
+    # 57 perturbations fail: 53 fail R3 and the other 4 fail R1 alone
+    assert len(verdicts) == 7 + 86
+    assert [sum(not v[i] for v in verdicts) for i in (0, 1)] == [57, 53]
+
+
 def test_validate_pair_refuses_an_unknown_mode():
     with pytest.raises(TangleSumError, match="mode must be 'framed' or"):
         validate_pair(move_families()["rack quandle R3"], mode="unfrmaed")

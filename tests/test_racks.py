@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from named_examples import GF4_COCYCLE, GF4_RIGHT, R3_COCYCLE, shift_rack
-from oracles import cjkls_state_sum, rack_colouring_count
+from oracles import cjkls_state_sum, rack_axioms_hold, rack_colouring_count
 from tanglesum.diagrams import load_catalog
 from tanglesum.errors import (
     EnhancementMismatchError,
@@ -99,6 +100,45 @@ def test_validate_rack_catches_broken_distributivity():
     assert not validate_rack(bad).ok
 
 
+def _rack_suite():
+    """Racks given by one table, most of them broken: 500 seeded tables of
+    random permutation rows per size 1-5, each given as left= and as
+    right=, and every swap of two entries of one translation of R3-R7 and
+    Conj(S3), in the left table and in the right one."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        for _ in range(500):
+            t = np.array([rng.permutation(n) for _ in range(n)])
+            yield Rack(left=t)
+            yield Rack(right=t.T)
+    for base in [*map(dihedral_quandle, range(3, 8)),
+                 conjugation_quandle(symmetric_group(3))]:
+        for a in range(base.size):
+            for i, j in itertools.combinations(range(base.size), 2):
+                left, right = base.left.copy(), base.right.copy()
+                left[a, [i, j]] = left[a, [j, i]]
+                right[[i, j], a] = right[[j, i], a]
+                yield Rack(left=left)
+                yield Rack(right=right)
+
+
+def test_the_left_law_alone_decides_the_five_rack_laws():
+    verdicts = []
+    for r in _rack_suite():
+        report = validate_rack(r, thorough=True)
+        assert [c.axiom for c in report.checks] == [
+            "x |> (y |> z) = (x |> y) |> (x |> z)"]
+        assert report.ok == rack_axioms_hold(r), r.left.tolist()
+        assert report.subject == (
+            f"{'quandle' if r.is_quandle else 'rack'} {r.name}")
+        verdicts.append((report.ok, r.is_quandle))
+    assert len(verdicts) == 5820
+    # racks and quandles, each both valid and broken, all occur often
+    counts = Counter(verdicts)
+    assert min(counts[ok, q] for ok in (True, False)
+               for q in (True, False)) >= 300
+
+
 def test_a_rack_is_given_by_exactly_one_table():
     r = dihedral_quandle(3)
     with pytest.raises(TangleSumError, match="exactly one operation table"):
@@ -175,6 +215,15 @@ def test_quandle_cocycle_diagonal_vanishes():
     report = validate_cocycle(c)
     assert report.subject == "rack cocycle w"
     assert [ch.axiom for ch in report.checks if not ch.ok] == [COCYCLE_IDENTITY]
+
+
+def test_a_quandle_cocycle_report_does_not_sweep_the_diagonal():
+    # w(x, x) = 0 defines a quandle cocycle, so it cannot fail on one
+    c = cocycle_from_json(dihedral_quandle(3), R3_COCYCLE)
+    assert c.is_quandle_cocycle
+    report = validate_cocycle(c, thorough=True)
+    assert report.ok and report.subject == "quandle cocycle w"
+    assert [ch.axiom for ch in report.checks] == ["V abelian", COCYCLE_IDENTITY]
 
 
 def test_rack_cocycle_on_a_quandle_validates_and_gives_a_framed_pair():
