@@ -6,7 +6,7 @@ classical formula Z_m (x) Z_n = Z_gcd(m,n).  All work is whole-array: one
 pass computes every element's powers (and so its order), the coordinate
 array comes from multiplying out the basis powers, and the pure-tensor
 table is one broadcast.  The coordinate map is checked to be a bijection by
-one np.unique, so a wrong greedy choice can never slip through silently.
+one np.bincount, so a wrong greedy choice can never slip through silently.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _decompose(a: FiniteGroup) -> tuple[list[tuple[int, int]], np.ndarray]:
             chosen.append((int(reps[(orders[reps] == q).argmax()]), q))
         basis += chosen
     digits, elems = _multiply_out(a, powers, basis)
-    if len(elems) != a.order or len(np.unique(elems)) != a.order:
+    if len(elems) != a.order or not np.bincount(elems, minlength=a.order).all():
         raise NotAGroupError(
             f"claimed cyclic basis of {a.name} is not a direct decomposition")
     coords = np.empty_like(digits)

@@ -34,7 +34,6 @@ from .abelian import TensorSquare
 from .errors import (
     KernelNotCentralError,
     NonComposableError,
-    NotAGroupError,
     NotSurjectiveError,
     XmodMismatchError,
 )
@@ -216,13 +215,16 @@ def xm_trivial_boundary(g: FiniteGroup, e: FiniteGroup) -> CrossedModule:
 def xm_pair_with_module(g: FiniteGroup, v: FiniteGroup) -> CrossedModule:
     """E = G x V with d(h, v) = h and g • (h, v) = (g h g^{-1}, v); V abelian.
 
-    The formula is a crossed module once V is abelian, which is checked:
-    d is the projection, g • acts by conjugation on the first factor and
-    trivially on the second, d(g • (h, v)) = g h g^-1, and d(h, v) • (k, w)
+    The formula is a crossed module once V is abelian, which is checked,
+    raising XmodMismatchError as xm_trivial_boundary does: d is the
+    projection, g • acts by conjugation on the first factor and trivially
+    on the second, d(g • (h, v)) = g h g^-1, and d(h, v) • (k, w)
     = (h k h^-1, w) = (h, v)(k, w)(h, v)^-1 since v w v^-1 = w.
     """
+    name = f"(proj: {g.name}x{v.name} -> {g.name})"
     if not v.is_abelian:
-        raise NotAGroupError(f"{v.name} must be abelian")
+        raise XmodMismatchError(
+            f"{name} is not a crossed module: {v.name} is not abelian")
     e = direct_product(g, v)
     m = v.order
     eidx = np.arange(e.order)
@@ -231,7 +233,7 @@ def xm_pair_with_module(g: FiniteGroup, v: FiniteGroup) -> CrossedModule:
                         name=f"proj: {e.name} -> {g.name}")
     action = g.conj_arr(np.arange(g.order)[:, None], h_part[None, :]) * m \
         + v_part[None, :]
-    return CrossedModule(boundary, action, name=f"(proj: {e.name} -> {g.name})")
+    return CrossedModule(boundary, action, name=name)
 
 
 # ---------------------------------------------------------------------------

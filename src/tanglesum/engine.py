@@ -56,8 +56,9 @@ morphism elements, bucketed by the bottom enhancement; with a fixed bottom
 enhancement it is bucketed by the top one, from one sum seeded on the
 bottom.  No normalisation is applied and values are compared as exact
 multisets.  invariant_matrix keeps its last matrix in one slot keyed on
-the program and the transfer, so a move neighbour that compiles to its
-base's program, as nearly half of them do, is not summed again.
+the program and the pair, which the slot holds weakly, so a move neighbour
+that compiles to its base's program, as nearly half of them do, is not
+summed again, and a pair its caller drops is freed at once.
 
 tqft_compose_check checks that a stack of two diagrams sums to the
 convolution of its factors; the naive oracles the sums must agree with
@@ -667,7 +668,7 @@ def _all_tops(n: int, k: int) -> np.ndarray:
     return tops
 
 
-# the last matrix summed: (program, weakref to its transfer, matrix), read
+# the last matrix summed: (program, weakref to its pair, matrix), read
 # and replaced as one tuple, so no thread sees a key with another's matrix
 _last_matrix: tuple | None = None
 
@@ -681,12 +682,14 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair) -> dict:
     raise SizeLimitError.
 
     The sum reads nothing of d but its program, so a call whose program
-    equals the last call's, under the same transfer, returns a copy of the
+    equals the last call's, under the same pair, returns a copy of the
     last matrix without summing.  Identity moves, R0 snakes and many
     interchanges compile to their base's program, so a move sweep hits
     this one slot on nearly half its calls.  One slot needs no size knob,
-    holds one matrix, and keeps no pair alive (it holds the transfer
-    weakly); every hit of a move sweep is on the call just before.
+    holds one matrix, and keeps no pair alive: it holds the pair weakly,
+    and the pair refers to no transfer, so a dropped pair is freed at once,
+    without the cycle collector.  Every hit of a move sweep is on the call
+    just before.
     """
     global _last_matrix
     k = len(d.top)
@@ -694,14 +697,13 @@ def invariant_matrix(d: SlicedTangleDiagram, pair: ReidemeisterPair) -> dict:
     if n ** k > MATRIX_TOP_CAP:
         raise SizeLimitError(f"{n}^{k} top enhancements exceed {MATRIX_TOP_CAP}")
     prog = compile_program(d)
-    transfer = pair.transfer()
     last = _last_matrix
     # equal, not identical: distinct diagrams compile to equal programs
-    if last is not None and last[1]() is transfer and last[0] == prog:
+    if last is not None and last[1]() is pair and last[0] == prog:
         matrix = last[2]
     else:
         matrix = _state_sum(prog, pair, _all_tops(n, k))
-        _last_matrix = (prog, weakref.ref(transfer), matrix)
+        _last_matrix = (prog, weakref.ref(pair), matrix)
     # the slot's matrix is never handed out, so callers may mutate theirs
     return {key: dict(terms) for key, terms in matrix.items()}
 

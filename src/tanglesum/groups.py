@@ -319,13 +319,15 @@ def gl2(p: int) -> FiniteGroup:
     a, b, c, d = np.array(mats, dtype=np.int32).T
     # a row (x, y) has code x p + y and a matrix (a b; c d) the code
     # (a p + b) p^2 + (c p + d) of its two rows.  rows[x p + y, j] is the
-    # code of the row (x, y) times matrix j, so the product of matrices i
-    # and j reads both its rows there, one flat gather each.
+    # code of the row (x, y) times matrix j, so row i of the product codes
+    # is rows[top[i]] p^2 + rows[bottom[i]]: two row gathers, combined in
+    # place, with no (n, n) index array
     x, y = np.divmod(np.arange(p * p, dtype=np.int32)[:, None], p)
-    rows = ((x * a + y * c) % p * p + (x * b + y * d) % p).ravel()
+    rows = (x * a + y * c) % p * p + (x * b + y * d) % p
     top, bottom = a * p + b, c * p + d
-    cols = np.arange(n)
-    enc = rows[top[:, None] * n + cols] * (p * p) + rows[bottom[:, None] * n + cols]
+    enc = rows[top]
+    enc *= p * p
+    enc += rows[bottom]
     code_to_idx = np.full(p ** 4, -1, dtype=np.int32)
     code_to_idx[top * (p * p) + bottom] = np.arange(n)
     table = code_to_idx[enc]
@@ -449,12 +451,17 @@ class GroupHom:
         return tuple(int(i) for i in
                      np.nonzero(self.mapping == self.target.identity)[0])
 
+    def _hits(self) -> np.ndarray:
+        """How often each target element is hit; a bincount, not np.unique,
+        which loads numpy.ma when it returns no indices."""
+        return np.bincount(self.mapping, minlength=self.target.order)
+
     def image(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unique(self.mapping))
+        return tuple(int(i) for i in np.flatnonzero(self._hits()))
 
     @property
     def is_surjective(self) -> bool:
-        return len(np.unique(self.mapping)) == self.target.order
+        return np.count_nonzero(self._hits()) == self.target.order
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
@@ -530,7 +537,7 @@ def quotient_by_normal(g: FiniteGroup, normal_indices, name: str = "") \
             f"subgroup is not normal: {g.labels[x]} conjugates "
             f"{g.labels[h]} outside")
     rep = g.table[:, narr].min(axis=1)           # rep[x] = min of coset xN
-    reps = np.unique(rep)
+    reps = np.flatnonzero(np.bincount(rep, minlength=g.order))
     relabel = -np.ones(g.order, dtype=np.int32)
     relabel[reps] = np.arange(len(reps))
     proj_map = relabel[rep]

@@ -93,6 +93,11 @@ class ReidemeisterPair:
     are read-only int32 n x n arrays, as narrow as the group tables; psi's
     entries are checked against E's range before they are narrowed, so no
     out-of-range entry can wrap into range.
+
+    transfer() builds a fresh CrossingTransfer on every call and the pair
+    keeps none: a transfer only gathers eight references, and a cached one
+    would refer back to its pair, so a dropped pair would wait for the
+    cycle collector instead of being freed at once.
     """
 
     def __init__(self, xmod: CrossedModule, psi, mode: str,
@@ -122,12 +127,9 @@ class ReidemeisterPair:
         self.mode = mode
         self.name = name
         self.meta = meta
-        self._transfer: CrossingTransfer | None = None
 
     def transfer(self) -> "CrossingTransfer":
-        if self._transfer is None:
-            self._transfer = build_transfer(self)
-        return self._transfer
+        return build_transfer(self)
 
     def __repr__(self) -> str:
         return f"<{self.mode} pair {self.name} over {self.xmod.name}>"
@@ -232,7 +234,9 @@ class CrossingTransfer:
     reads, in the order engine._run unpacks them: the multiplication and
     inversion tables of G, the multiplication table of E, the action, psi,
     phi, fplus and fminus.  Every one is an array of the pair, its groups
-    or its crossed module, so a transfer allocates no table.
+    or its crossed module, so a transfer allocates no table.  A transfer
+    holds its pair strongly and the pair holds no transfer, so the two form
+    no reference cycle.
     """
 
     def __init__(self, pair: ReidemeisterPair):
@@ -255,9 +259,9 @@ def _gather(t: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
-    """The transfer of a pair, which ReidemeisterPair.transfer caches.  It
-    only gathers references: the pair's constructor has already derived
-    fplus, fminus and phi and refused a psi whose Fplus_X is not a
+    """The transfer of a pair, built afresh on each ReidemeisterPair.transfer
+    call.  It only gathers references: the pair's constructor has already
+    derived fplus, fminus and phi and refused a psi whose Fplus_X is not a
     bijection."""
     return CrossingTransfer(p)
 

@@ -36,6 +36,8 @@ and this sum into the engine; tests/oracles.py computes both naively.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .errors import (
@@ -215,8 +217,9 @@ def dihedral_quandle(n: int) -> Rack:
 
 def rack_from_csv(path) -> Rack:
     """Read the left table a |> y (rows of comma-separated indices); a
-    table above TABLE_LIMIT is refused as it is read."""
-    return Rack(left=read_int_table(path))
+    table above TABLE_LIMIT is refused as it is read.  The rack is named
+    after its file."""
+    return Rack(left=read_int_table(path), name=Path(path).name)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ boundary: the ket sum on the top, the bra sum on the bottom.  The two
 share one compile and one sweep and differ only in the boundary they
 seed.
 
+A table is recomputed column by column: both cells of a column, each in
+both readings, read one pair, built once.  _pair keeps only the
+last pair built, and nothing else holds a pair, so a column's pair is
+freed as soon as the next column's is built, and a table holds one pair
+at a time, not seven.  The cells are still reported knot by knot, K+
+before K-.
+
 The frozen values below reproduce the recomputation in 26 of 28 cells.
 The other two carry a corrected value next to the transcribed one: the
 transcribed table2 K- cell in the last column is not the inverse of its
@@ -124,7 +131,7 @@ def _braided():
     return braided_from_central_extension(proj)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _pair(name: str, column: int):
     if name == "table1":
         g = _s5()
@@ -237,9 +244,12 @@ def diff_table(name: str) -> TableDiff:
         raise TangleSumError(f"unknown table {name!r}; "
                              f"choose from {', '.join(TABLE_NAMES)}")
     table = _EXPECTED[name]
-    diff = TableDiff(name)
-    for knot in KNOTS:
-        for col in range(len(table["x"])):
+    columns = range(len(table["x"]))
+    cells = {}
+    # column by column, so each column's pair is built once and dropped
+    # when the next column's replaces it in _pair's one slot
+    for col in columns:
+        for knot in KNOTS:
             computed = compute_cell(name, knot, col, "ket")
             agree = compute_cell(name, knot, col, "bra") == computed
             expected = expected_cell(name, knot, col)
@@ -251,7 +261,8 @@ def diff_table(name: str) -> TableDiff:
                 status, note = "erratum", ERRATA[key][1]
             else:
                 status, note = "mismatch", ""
-            diff.cells.append(CellReport(
+            cells[knot, col] = CellReport(
                 name, knot, col, table["x"][col], computed.display(),
-                expected.display(), status, note, agree))
-    return diff
+                expected.display(), status, note, agree)
+    return TableDiff(name, [cells[knot, col]
+                            for knot in KNOTS for col in columns])

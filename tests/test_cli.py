@@ -95,7 +95,7 @@ def test_validate_non_distributive_rack_csv_fails_with_witness(tmp_path,
     path.write_text("1,0,2\n0,1,2\n0,1,2\n")
     assert main(["validate", "--rack", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert "validation of rack R: FAILED" in out
+    assert "validation of rack rack.csv: FAILED" in out
     assert "x |> (y |> z) = (x |> y) |> (x |> z) fails at (0, 0, 0)" in err
 
 

@@ -83,6 +83,19 @@ def test_constructors_without_a_sweep_build_crossed_modules():
                 assert report.ok, report.summary()
 
 
+def test_both_constructors_refuse_a_non_abelian_module_alike():
+    # V and E abelian are the same crossed-module condition, one error class
+    s3 = symmetric_group(3)
+    with pytest.raises(XmodMismatchError,
+                       match=r"^\(proj: S3xS3 -> S3\) is not a crossed module: "
+                             r"S3 is not abelian$"):
+        xm_pair_with_module(s3, s3)
+    with pytest.raises(XmodMismatchError,
+                       match=r"^\(1: S3 -> S3\) is not a crossed module: "
+                             r"S3 is not abelian$"):
+        xm_trivial_boundary(s3, s3)
+
+
 def test_trivial_boundary_needs_an_abelian_module():
     s3 = symmetric_group(3)
     with pytest.raises(XmodMismatchError, match="S3 is not abelian"):

@@ -169,6 +169,7 @@ def test_rack_csv_round_trip(tmp_path):
     back = rack_from_csv(path)
     assert np.array_equal(back.left, r.left)
     assert np.array_equal(back.right, r.right)
+    assert back.name == "r4.csv"
 
 
 # ---------------------------------------------------------------------------

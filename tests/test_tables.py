@@ -3,6 +3,8 @@ documented transcription errata with their consistency evidence."""
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from tanglesum import engine
@@ -86,6 +88,33 @@ def test_table_diff_runs_one_state_sum_per_reading(monkeypatch):
     diff = diff_table("table1")
     assert diff.ok
     assert len(calls) == 14 * 2
+
+
+def test_a_table_builds_each_pair_once_and_keeps_one_alive(monkeypatch,
+                                                          no_gc):
+    # with the cycle collector off, every pair dropped from _pair's slot
+    # is freed at once, before the next column's pair is built
+    from tanglesum import tables
+
+    built, alive_before = [], []
+    real = tables.pair_eisermann
+
+    def tracking(*args, **kwargs):
+        alive_before.append(sum(ref() is not None for ref in built))
+        pair = real(*args, **kwargs)
+        built.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(tables, "pair_eisermann", tracking)
+    tables._pair.cache_clear()
+    diff = diff_table("table1")
+    assert diff.ok
+    assert len(built) == 7
+    assert alive_before == [0] + [1] * 6
+    assert sum(ref() is not None for ref in built) == 1
+    # the cells are still listed knot by knot
+    assert [(c.knot, c.column) for c in diff.cells] == [
+        (knot, col) for knot in KNOTS for col in range(7)]
 
 
 def test_mirror_cells_are_inverses_in_table2():
