@@ -1,9 +1,10 @@
 """Batch front end: validate inputs, compute invariants, diff the tables.
 
 Subcommands, each with only the flags it reads:
-  validate   axiom sweeps for groups, racks, cocycles, crossed modules and
-             Reidemeister pairs built from a descriptor (--group, --rack,
-             --pair, --diagram, --framed, --thorough)
+  validate   axiom sweeps for groups, racks, cocycles, 2-crossed modules
+             and Reidemeister pairs built from a descriptor (--group,
+             --rack, --pair, --diagram, --framed, --thorough); a pair's
+             crossed module is not swept, as its constructor proves it
   invariant  state sum of a diagram under a pair, text or JSON (--pair,
              --diagram, --top, --bottom, --direction, --json)
   tables     recompute the bundled trefoil tables and diff them (--json)
@@ -34,7 +35,8 @@ the group and the basepoint "x" included, is read from the descriptor;
 --group is validate's own group, checked whether or not --pair is given.
 
 Exit codes: 0 success, 1 validation failure or value mismatch, 2 bad usage
-or configuration.  Results go to stdout, diagnostics to stderr.
+or configuration, an unreadable or non-UTF-8 input file included.  Results
+go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .crossed_modules import (
     abelianisation_tensor_2xmod,
     braided_from_central_extension,
     validate_2xmod,
-    validate_crossed_module,
 )
 from .diagrams import (
     catalog_names,
@@ -239,9 +240,6 @@ def cmd_validate(args) -> int:
     if args.pair:
         pair = build_pair(_pair_descriptor(args))
         meta = pair.meta
-        if "source" not in meta:  # else validate_2xmod sweeps pair.xmod
-            reports.append(validate_crossed_module(pair.xmod,
-                                                   thorough=args.thorough))
         if "rack" in meta:
             reports.append(validate_rack(meta["rack"], thorough=args.thorough))
         if "cocycle" in meta:
@@ -418,7 +416,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError, TangleSumError) as exc:
+    except (UsageError, OSError, UnicodeDecodeError, TangleSumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -406,7 +406,8 @@ def from_cayley_csv(path) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 class GroupHom:
-    """A map between table-backed finite groups, stored as an index array."""
+    """A map between table-backed finite groups, stored as an index array;
+    an entry outside the target is refused."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping,
                  name: str = ""):
@@ -417,6 +418,9 @@ class GroupHom:
         self.name = name
         if len(self.mapping) != source.order:
             raise GroupMismatchError("mapping length does not match source order")
+        if self.mapping.min() < 0 or self.mapping.max() >= target.order:
+            raise GroupMismatchError(
+                f"mapping entries out of {target.name}'s range")
 
     def __call__(self, i: int) -> int:
         return int(self.mapping[i])

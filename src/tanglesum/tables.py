@@ -16,9 +16,9 @@ the fixed boundary, summed over the free one.  Both readings are computed:
 "ket" fixes the top and sums over bottoms, "bra" fixes the bottom and sums
 over tops; on all of these cells the two agree, and the diff checks both.
 Each reading is one state sum seeded with the identity on its fixed
-boundary: the ket sum on the top, the bra sum on the bottom.  The two
-share one compile and one sweep and differ only in the boundary they
-seed.
+boundary: the ket sum on the top, the bra sum on the bottom.  The two are
+separate sums: compile_program keys on the direction (from_bottom), so
+the readings compile two programs and run two sweeps.
 
 A table is recomputed column by column: both cells of a column, each in
 both readings, read one pair, built once.  _pair keeps only the

@@ -8,7 +8,9 @@ count of crossed-module colourings, longitudes of string knots, the framed
 abelianisation invariant summed over homomorphisms out of the knot group,
 and the boundary shadow and framed kink maps of a pair.  Every sum over
 colourings runs through colourings(), one itertools.product over the
-n^arcs colourings of a diagram's arcs under one cap.  Two scalar checks of
+n^arcs colourings of a diagram's arcs under one cap.  lifting_identities
+sweeps the identities of a 2-crossed module's lifting that follow from its
+axioms, which validate_2xmod proves rather than sweeps.  Two scalar checks of
 structures sit beside them: perm_compose, the permutation product that
 symmetric_group's table is checked against, and rack_axioms_hold, all five
 rack laws read cell by cell.
@@ -255,3 +257,52 @@ def framed_kink_maps(p):
     ok = -1 not in f and all(f[gmap[a]] == a and gmap[f[a]] == a
                              for a in range(n))
     return f, gmap, ok
+
+
+def lifting_identities(t, thorough: bool = False) -> ValidationReport:
+    """Sweep the lifting identities that follow from the 2-crossed-module
+    axioms: two inversion identities and a three-variable one, and when t
+    is braided (G trivial) the plain commutator d{e,f} = [e,f] and the
+    conjugation form of the derived action >'."""
+    te, tl = t.e.table, t.l.table
+    inv_e, inv_g = t.e.inv_table, t.g.inv_table
+    dm, bm, lift = t.delta.mapping, t.boundary.mapping, t.lifting
+    ae, dact = t.act_g_e, t.derived_action_table
+    ne = t.e.order
+
+    def inv_left(x, y):
+        lhs = tl[dact[x, lift[inv_e[x], y]], lift[x, ae[inv_g[bm[x]], y]]]
+        return lhs, t.l.identity
+
+    def inv_right(x, y):
+        lhs = tl[lift[x, y], dact[ae[bm[x], y], lift[x, inv_e[y]]]]
+        return lhs, t.l.identity
+
+    def three_var(x, y, z):
+        by = ae[bm[x], y]
+        bz = ae[bm[x], z]
+        lhs = tl[tl[lift[x, y], dact[by, lift[x, z]]], lift[by, bz]]
+        rhs = tl[tl[dact[x, lift[y, z]], lift[x, ae[bm[y], z]]],
+                 dact[ae[bm[te[x, y]], z], lift[x, y]]]
+        return lhs, rhs
+
+    def commutator(e, f):
+        return dm[lift[e, f]], te[te[te[e, f], inv_e[e]], inv_e[f]]
+
+    def action_form(g, e, f):
+        conj = lambda a, b: te[te[a, b], inv_e[a]]
+        return dact[g, lift[e, f]], lift[conj(g, e), conj(g, f)]
+
+    report = ValidationReport(f"lifting identities of {t.name}")
+    report.add(grid_check("lifting inversion identity (left)", (ne, ne),
+                          inv_left, thorough))
+    report.add(grid_check("lifting inversion identity (right)", (ne, ne),
+                          inv_right, thorough))
+    report.add(grid_check("three-variable lifting identity", (ne, ne, ne),
+                          three_var, thorough))
+    if t.is_braided:
+        report.add(grid_check("lifting boundary is the plain commutator",
+                              (ne, ne), commutator, thorough))
+        report.add(grid_check("derived action conjugates the lifting",
+                              (ne, ne, ne), action_form, thorough))
+    return report

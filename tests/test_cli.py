@@ -121,18 +121,30 @@ def test_validate_rack_cocycle_on_a_quandle(capsys):
     assert "validation of framed pair" in out
 
 
+# the crossed-module checks that no 2-crossed module check shares a name with
+CROSSED_MODULE_CHECKS = {
+    "identity acts trivially", "action distributes over products",
+    "action composes", "first Peiffer equation", "second Peiffer equation"}
+
+
 @pytest.mark.parametrize("pair", [
+    RACK_PAIR, GOOD_COCYCLE, EISERMANN_S3,
     '{"kind": "2xmod", "group": "s3"}',
+    '{"kind": "lift_unframed", "modulus": 3, "x": "(2 0; 0 1)"}',
     '{"kind": "lift_framed", "modulus": 3, "x": "(2 0; 0 1)"}',
-])
-def test_validate_sweeps_the_derived_crossed_module_once(capsys, pair):
+], ids=["rack", "cocycle", "eisermann", "2xmod", "lift_unframed",
+        "lift_framed"])
+def test_validate_pair_sweeps_each_check_once_and_no_crossed_module(
+        capsys, pair):
+    # every pair's crossed module is one by its constructor's formula or
+    # the derived module of the 2-crossed module swept beside it
     assert main(["validate", "--pair", pair]) == 0
     out = capsys.readouterr().out
     names = [line.strip().split(": ok [")[0] for line in out.splitlines()
              if ": ok [" in line]
-    assert "derived crossed module: second Peiffer equation" in names
-    assert "second Peiffer equation" not in names
-    assert len(names) == len(set(names))
+    assert names and len(names) == len(set(names))
+    assert not CROSSED_MODULE_CHECKS & set(names)
+    assert "derived crossed module" not in out
 
 
 def test_validate_eisermann_pair(capsys):
@@ -193,6 +205,19 @@ def test_every_size_a_user_can_type_is_refused_before_allocating(
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--group", "{}"], ["validate", "--rack", "{}"],
+    ["invariant", "--pair", "{}", "--diagram", "unknot_closed"],
+    ["validate", "--diagram", "{}"],
+], ids=["group", "rack", "pair", "diagram"])
+def test_a_non_utf8_input_file_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe")
+    assert main([a.format(path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
 
 
 def test_validate_unknown_group_spec(capsys):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from named_examples import d4_extension, d4_projection
+from oracles import lifting_identities
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
     braided_crossed_module,
     braided_from_central_extension,
-    braided_identity_checks,
     CGMorphism,
     CrossedModule,
     least_index_section,
@@ -106,6 +106,16 @@ def test_trivial_boundary_needs_an_abelian_module():
         np.broadcast_to(np.arange(6, dtype=np.int32), (6, 6)))).checks
         if not c.ok]
     assert failed == ["second Peiffer equation"]
+
+
+@pytest.mark.parametrize("entry", [6, -1])
+def test_a_crossed_module_refuses_an_action_entry_outside_e(entry):
+    s3 = symmetric_group(3)
+    action = s3.conjugation.copy()
+    action[1, 2] = entry
+    with pytest.raises(XmodMismatchError,
+                       match=r"^action table entries out of E's range$"):
+        CrossedModule(identity_hom(s3), action)
 
 
 def test_validation_catches_equivariance_failure():
@@ -213,39 +223,50 @@ def test_braided_from_central_extension():
     assert len(vals) == 2
 
 
-DERIVED_IDENTITIES = {"lifting inversion identity (left)",
-                      "lifting inversion identity (right)",
-                      "three-variable lifting identity"}
-BRAIDED_IDENTITIES = {"lifting boundary is the plain commutator",
-                      "derived action conjugates the lifting"}
+# the 2-crossed modules the package builds, by name
+SHIPPED = {
+    "D4": d4_extension,
+    "S3-tensor": lambda: abelianisation_tensor_2xmod(symmetric_group(3)),
+    "GL(2,3)": lambda: braided_from_central_extension(pgl2(3)[1]),
+    "GL(2,5)": lambda: braided_from_central_extension(pgl2(5)[1]),
+    "SL(2,5)": lambda: braided_from_central_extension(_sl2_5_projection()),
+    "Z4->Z2": lambda: braided_from_central_extension(
+        GroupHom(cyclic_group(4), cyclic_group(2), [0, 1, 0, 1])),
+}
 
 
-def test_validate_2xmod_sweeps_the_identities():
-    b = d4_extension()
-    report = validate_2xmod(b, thorough=True)
-    axioms = {c.axiom for c in report.checks}
-    assert DERIVED_IDENTITIES | BRAIDED_IDENTITIES <= axioms
-    assert report.ok
-    # the tensor square is not braided: it gets the derived identities only,
-    # and the plain-commutator identity indeed fails on it
-    t = abelianisation_tensor_2xmod(symmetric_group(3))
-    report = validate_2xmod(t, thorough=True)
-    axioms = {c.axiom for c in report.checks}
-    assert DERIVED_IDENTITIES <= axioms
-    assert not BRAIDED_IDENTITIES & axioms
-    assert report.ok
-    failed = {c.axiom for c in braided_identity_checks(t) if not c.ok}
-    assert failed == {"lifting boundary is the plain commutator"}
+AXIOMS = [
+    "delta is a homomorphism", "boundary is a homomorphism", "chain condition",
+    "identity acts trivially on E", "identity acts trivially on L",
+    "G-action on E distributes over products",
+    "G-action on L distributes over products",
+    "G-action on E composes", "G-action on L composes",
+    "delta is G-equivariant", "boundary is G-equivariant",
+    "lifting hits the Peiffer commutator",
+    "lifting of boundaries is the commutator", "mixed lifting pairs cancel",
+    "lifting splits left products", "lifting splits right products",
+    "lifting is G-equivariant",
+]
 
 
-def test_a_braided_object_built_by_hand_gets_the_braided_checks():
+def test_validate_2xmod_sweeps_exactly_the_axioms():
+    # braided or not, the report is the 17 axioms and nothing they imply
+    for name in ("D4", "S3-tensor", "GL(2,5)"):
+        report = validate_2xmod(SHIPPED[name](), thorough=True)
+        assert [c.axiom for c in report.checks] == AXIOMS
+        assert report.ok
+    assert sum(c.checked for c in report.checks) == 4_264_680
+
+
+def test_a_braided_object_built_by_hand_gets_the_same_report():
     # braided means a trivial bottom group, however the object was built
     b = d4_extension()
     plain = TwoCrossedModule(b.delta, b.boundary, b.act_g_e, b.act_g_l,
                              b.lifting)
-    checks = [c.axiom for c in validate_2xmod(plain).checks]
-    assert checks == [c.axiom for c in validate_2xmod(b).checks]
-    assert BRAIDED_IDENTITIES <= set(checks)
+    checks = [(c.axiom, c.checked, c.ok) for c in validate_2xmod(plain).checks]
+    assert checks == [(c.axiom, c.checked, c.ok)
+                      for c in validate_2xmod(b).checks]
+    assert [axiom for axiom, _, _ in checks] == AXIOMS
 
 
 def test_validate_2xmod_catches_a_perturbed_lifting_entry():
@@ -255,10 +276,65 @@ def test_validate_2xmod_catches_a_perturbed_lifting_entry():
     lifting[1, 2] = 1
     bad = braided_crossed_module(b.delta, lifting)
     report = validate_2xmod(bad, thorough=True)
-    assert not report.ok
-    failed = {c.axiom for c in report.checks if not c.ok}
-    assert "three-variable lifting identity" in failed
-    assert BRAIDED_IDENTITIES <= failed
+    failed = [c.axiom for c in report.checks if not c.ok]
+    assert failed == ["lifting hits the Peiffer commutator",
+                      "lifting of boundaries is the commutator",
+                      "mixed lifting pairs cancel",
+                      "lifting splits left products",
+                      "lifting splits right products"]
+    # the identities the axioms imply fail too, so the oracle agrees
+    assert not lifting_identities(bad, thorough=True).ok
+
+
+def _verdicts(t) -> tuple[bool, bool]:
+    """validate_2xmod's verdict, and that of the axioms, the identities
+    they imply and the derived crossed module swept together."""
+    report = validate_2xmod(t, thorough=True)
+    derived = validate_crossed_module(t.derived_xmod(), thorough=True)
+    return report.ok, (report.ok and lifting_identities(t, thorough=True).ok
+                       and derived.ok)
+
+
+TABLES = ("act_g_e", "act_g_l", "lifting")
+
+
+def _perturbations(t):
+    """Every single-entry change (table, cell, value) of t's two G-action
+    tables and its lifting."""
+    for name in TABLES:
+        table = getattr(t, name)
+        n = t.e.order if name == "act_g_e" else t.l.order
+        for cell in np.ndindex(table.shape):
+            yield from ((name, cell, v) for v in range(n) if v != table[cell])
+
+
+def _perturbed(t, name, cell, value) -> TwoCrossedModule:
+    tables = {k: getattr(t, k).copy() for k in TABLES}
+    tables[name][cell] = value
+    return TwoCrossedModule(t.delta, t.boundary, **tables)
+
+
+@pytest.mark.parametrize("name, sample", [
+    ("D4", None), ("S3-tensor", None), ("GL(2,3)", 200)])
+def test_no_perturbation_fails_only_an_implied_check(name, sample):
+    # the axioms decide: no single-entry change of a shipped 2-crossed
+    # module passes them yet breaks the derived crossed module or an
+    # identity they imply; in fact every such change fails them
+    t = SHIPPED[name]()
+    changes = list(_perturbations(t))
+    if sample:
+        rng = np.random.default_rng(33)
+        changes = [changes[i] for i in
+                   rng.choice(len(changes), size=sample, replace=False)]
+    for change in changes:
+        kept, full = _verdicts(_perturbed(t, *change))
+        assert kept == full, change
+        assert not kept, change
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_2xmods_pass_the_implied_checks_too(name):
+    assert _verdicts(SHIPPED[name]()) == (True, True)
 
 
 def test_braided_extension_abelian_case_is_trivial():
@@ -267,6 +343,21 @@ def test_braided_extension_abelian_case_is_trivial():
     b = braided_from_central_extension(proj)
     assert validate_2xmod(b).ok
     assert np.all(b.lifting == z4.identity)
+
+
+@pytest.mark.parametrize("table, cell, entry, message", [
+    ("act_g_e", (0, 1), 2, "G-on-E action table entries out of E's range"),
+    ("act_g_l", (0, 3), 4, "G-on-L action table entries out of L's range"),
+    ("lifting", (1, 1), -4, "lifting table entries out of L's range"),
+])
+def test_a_2xmod_refuses_a_table_entry_outside_its_group(table, cell, entry,
+                                                        message):
+    # a flat gather would read a negative entry as an element of L
+    b = SHIPPED["Z4->Z2"]()
+    tables = {k: getattr(b, k).copy() for k in TABLES}
+    tables[table][cell] = entry
+    with pytest.raises(XmodMismatchError, match=f"^{message}$"):
+        TwoCrossedModule(b.delta, b.boundary, **tables)
 
 
 def test_least_index_section():

@@ -424,6 +424,14 @@ def test_hom_rejects_non_homomorphism():
         bad.assert_valid()
 
 
+@pytest.mark.parametrize("mapping", [[0, 3, 0, 3], [0, -1, 0, 1]])
+def test_hom_refuses_a_mapping_outside_the_target(mapping):
+    # image() and is_surjective would count an entry outside Z2
+    with pytest.raises(GroupMismatchError,
+                       match=r"^mapping entries out of Z2's range$"):
+        GroupHom(cyclic_group(4), cyclic_group(2), mapping)
+
+
 def test_hom_composition_and_identity():
     s3 = symmetric_group(3)
     ab, proj = abelianization(s3)
