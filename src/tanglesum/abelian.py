@@ -122,7 +122,11 @@ def cyclic_decomposition(a: FiniteGroup) -> list[tuple[int, int]]:
 
 
 def product_of_cyclics(moduli: tuple[int, ...], name: str | None = None) -> FiniteGroup:
-    """Z_{m_1} + ... + Z_{m_k} with mixed-radix element encoding."""
+    """Z_{m_1} + ... + Z_{m_k} with mixed-radix element encoding.
+
+    Each element is labelled by its digit tuple, "(0,1)"; the one element
+    of the empty product is "()", never "0", which display() writes for the
+    zero of a group algebra."""
     bad = [m for m in moduli if m < 1]
     if bad:
         raise SizeLimitError(f"cyclic factor modulus {bad[0]} is below 1")
@@ -133,8 +137,7 @@ def product_of_cyclics(moduli: tuple[int, ...], name: str | None = None) -> Fini
                              f"TABLE_LIMIT = {TABLE_LIMIT}")
     digits = _digits(moduli)
     summed = (digits[:, None, :] + digits[None, :, :]) % np.array(moduli, dtype=np.int64)
-    labels = tuple("(" + ",".join(str(d) for d in row) + ")" for row in digits) \
-        if moduli else ("0",)
+    labels = tuple("(" + ",".join(str(d) for d in row) + ")" for row in digits)
     return FiniteGroup(name, labels, table=summed @ _place_values(moduli),
                        identity=0)
 

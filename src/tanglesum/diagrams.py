@@ -97,12 +97,12 @@ class Slice(_SliceFields):
         return tuple.__new__(cls, (gen, pos))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """A crossing site: its slice row and position, sign and arcs.
 
     under_in_arc is the broken strand's arc on the top edge, under_out_arc
-    its continuation on the bottom edge.
+    its continuation on the bottom edge.  A tuple, like Slice, so the
+    crossings of a diagram are built and unpacked in C.
     """
 
     row: int

@@ -21,17 +21,20 @@ planner picks a small set of seed arcs from which the two rules colour
 every arc not on the seeded boundary; each seed is a branch event, placed
 where it is first needed.  The planner returns the seeds alone, and the
 compiler replays their closure once to learn how every other arc is
-derived.  A derive event colours an arc ahead of its crossing with one
-gather from fplus or fminus.  The program runs as one numpy sweep over an
-intp frontier of partial colourings, one row each, in two passes.  The
-colour pass carries G-colours alone: a branch repeats every row once per
-colour of G; a crossing event, in top-down order, gathers its outgoing
-under-colour at (over, in) from fminus (X+) or fplus (X-) and derives it,
-or checks it against the one already there and drops the rows it
-contradicts, or, where a derive event used its relation, does nothing.
-A colouring is fixed by its G-colours, so the E-pass runs on each
-finished chunk alone: it walks the crossing events top down, reads each
-E-colour from psi (X+) or phi (X-) at (over, out), and folds the product
+derived.  The program runs as one numpy sweep over an intp frontier of
+partial colourings, one row each, in two passes, reading the pair's own
+tables by name: fplus and fminus in the colour pass; psi, phi, the
+tables of G and E and the action in the E-pass.  The colour pass carries
+G-colours alone and has two kinds of event: a branch repeats every row
+once per colour of G, and a step gathers one colour at (over, src) from
+fplus or fminus and either writes it to arc dst or drops the rows where
+dst holds another.  A step applies one crossing's relation, ahead of the
+crossing (deriving either under-colour from the other) or at it
+(deriving or checking the outgoing one), and a crossing whose relation a
+step already applied gets no step of its own.  A colouring is fixed by
+its G-colours, so the E-pass runs on each finished chunk alone: it walks
+the program's folds, one per crossing, top down, reads each E-colour
+from psi (X+) or phi (X-) at (over, under_out), and folds the product
 into the frontier's last column, so no E-element is computed for a row a
 later check drops.  The frontier is processed depth-first in slices of at
 most SWEEP_CHUNK_ROWS rows, so memory stays bounded however many branches
@@ -100,59 +103,50 @@ COMPOSE_SAMPLE = 12
 # compiled event programs
 # ----------------------------------------------------------------------
 
-# what a crossing event does with its outgoing under-colour
-DERIVE, CHECK, TRUST = 0, 1, 2
 
-
-class CrossingEvent(NamedTuple):
-    """One crossing of a compiled program, in arc indices.
-
-    In the colour pass the crossing gathers its outgoing under-colour at
-    (over, in) from fminus (X+) or fplus (X-).  out: DERIVE colours the
-    outgoing under-arc with it; CHECK drops the rows where an earlier event
-    coloured that arc otherwise; TRUST reads nothing, since a DeriveEvent
-    already used this crossing's relation.  In the E-pass, on finished
-    rows, every crossing reads its E-colour at (over, under_out) from psi
-    (X+) or phi (X-).
-    prefix: the arcs left of the crossing on the level above, each with
-    True where the strand runs upwards.
-    """
-
-    sign: int
-    over: int
-    under_in: int
-    under_out: int
-    out: int
-    prefix: tuple[tuple[int, bool], ...]
-
-
-class DeriveEvent(NamedTuple):
+class Step(NamedTuple):
     """Colour arc dst as f[over colour, src colour], f = fplus if plus else
-    fminus: a crossing's incoming under-arc from its outgoing one (fplus at
-    X+, fminus at X-), or the outgoing one, ahead of the crossing, from
-    the incoming one (the inverse table)."""
+    fminus, or, with check set, drop the rows where an earlier event
+    coloured dst otherwise.  A step applies one crossing's relation: it
+    derives a crossing's outgoing under-colour from the incoming one
+    (fminus at X+, fplus at X-), or the incoming one from the outgoing one
+    (the inverse table), or checks the outgoing one."""
 
     plus: bool
+    check: bool
     over: int
     src: int
     dst: int
 
 
+class Fold(NamedTuple):
+    """One crossing of the E-pass, in arc indices: its E-colour is read at
+    (over, under_out) from psi (X+) or phi (X-).  prefix: the arcs left of
+    the crossing on the level above, each with True where the strand runs
+    upwards."""
+
+    sign: int
+    over: int
+    under_out: int
+    prefix: tuple[tuple[int, bool], ...]
+
+
 class EventProgram(NamedTuple):
     """A diagram compiled for the sweep.
 
-    events holds an arc index for each branch event, a DeriveEvent for each
-    arc colour derived ahead of its crossing, and a CrossingEvent for each
-    crossing, the crossings in top-down order.  seed_arcs are the boundary
-    arcs that _sweep colours first, top_arcs or bottom_arcs; seed_repeats
-    is True when some arc is met twice along that boundary.  branch_arcs
-    are the planned seed arcs, in the order the program branches on them.
+    events holds an arc index for each branch event and a Step for every
+    other colour-pass action; folds holds one Fold per crossing, in
+    top-down order.  seed_arcs are the boundary arcs that _sweep colours
+    first, top_arcs or bottom_arcs; seed_repeats is True when some arc is
+    met twice along that boundary.  branch_arcs are the planned seed arcs,
+    in the order the program branches on them.
     """
 
     n_arcs: int
     top_arcs: tuple[int, ...]
     bottom_arcs: tuple[int, ...]
     events: tuple
+    folds: tuple[Fold, ...]
     branch_arcs: tuple[int, ...]
     seed_arcs: tuple[int, ...]
     seed_repeats: bool
@@ -270,7 +264,13 @@ def compile_program(d: SlicedTangleDiagram,
     return prog
 
 
-compile_program.cache_clear = _PROGRAMS.clear
+def _clear_programs() -> None:
+    # under the lock, so no clear falls between a hit's get and move_to_end
+    with _PROGRAMS_LOCK:
+        _PROGRAMS.clear()
+
+
+compile_program.cache_clear = _clear_programs
 
 
 def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
@@ -283,12 +283,13 @@ def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
     Seeds are the only branch events.  Replaying the closure of the
     seeded boundary seed by seed, in the planner's order, records the
     crossing and direction that derive every other arc, once.
-    Crossing events stay in top-down order, which the E-fold needs;
-    before each one, every arc it reads is made ready, a seed by branching
-    and any other arc by its derivation, as late as possible.  A crossing
-    then derives its outgoing under-colour if it is still uncoloured,
-    trusts its relation if a derive event used it, and checks it
-    otherwise.  Seeded on the bottom, a crossing above the bottom arcs is
+    Crossings are walked top down, and each appends its Fold, so the folds
+    keep the order the E-pass needs.  Before a crossing, every arc it
+    reads is made ready, a seed by branching and any other arc by a
+    derive step, as late as possible.  The crossing then gets a step that
+    derives its outgoing under-colour if that is still uncoloured, or
+    checks it otherwise, unless a derive step already applied its
+    relation.  Seeded on the bottom, a crossing above the bottom arcs is
     reached by the same derivations upwards, and checks its outgoing
     under-colour where the bottom fixed it.
     """
@@ -299,8 +300,8 @@ def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
     crossings = d.crossings
     rules = []
     touching: list[list] = [[] for _ in range(n_arcs)]
-    for k, c in enumerate(crossings):
-        r = (k, c.over_arc, c.under_in_arc, c.under_out_arc)
+    for k, (_, _, _, o, i, u) in enumerate(crossings):
+        r = (k, o, i, u)
         rules.append(r)
         touching[r[1]].append(r)
         touching[r[2]].append(r)
@@ -334,37 +335,33 @@ def _compile(d: SlicedTangleDiagram, from_bottom: bool) -> EventProgram:
                     stack += (src, o)
                     continue
                 plus = up == (crossings[k].sign > 0)
-                events.append(DeriveEvent(plus, o, src, a))
+                events.append(Step(plus, False, o, src, a))
                 used.add(k)
             known.add(a)
             stack.pop()
 
     levels, words = d.levels, d.words
-    for k, c in enumerate(crossings):
-        left = levels[c.row][:c.pos]
-        o, i, u = c.over_arc, c.under_in_arc, c.under_out_arc
+    folds = []
+    for k, (row, pos, sign, o, i, u) in enumerate(crossings):
+        left = levels[row][:pos]
         if not (o in known and i in known and known.issuperset(left)):
             for a in (o, *left, i):
                 need(a)
-        if k in used:
-            out = TRUST
-        elif u in known:
-            out = CHECK
-        else:
-            out = DERIVE
+        if k not in used:
+            events.append(Step(sign < 0, u in known, o, i, u))
             known.add(u)
-        events.append(CrossingEvent(
-            c.sign, o, i, u, out,
-            tuple(zip(left, map(UP.__eq__, words[c.row])))))
+        folds.append(Fold(sign, o, u,
+                          tuple(zip(left, map(UP.__eq__, words[row])))))
     if len(known) < n_arcs:
         for a in range(n_arcs):
             need(a)
     return EventProgram(n_arcs, top_arcs, bottom_arcs, tuple(events),
+                        tuple(folds),
                         tuple(ev for ev in events if type(ev) is int),
                         seed_arcs, len(set(seed_arcs)) < len(seed_arcs))
 
 
-def _sweep(prog: EventProgram, transfer: CrossingTransfer,
+def _sweep(prog: EventProgram, pair: ReidemeisterPair,
            cols: np.ndarray) -> Iterator[np.ndarray]:
     """Run prog from the colour tuples in cols, one per row, on its seeded
     boundary; return the finished chunks.
@@ -379,7 +376,6 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
     bounds the real work, every seeded row times every branch, and is
     checked last here, still before any work.
     """
-    pair = transfer.pair
     n = pair.g.order
     rows = np.zeros((len(cols), prog.n_arcs + 1), dtype=np.intp)
     rows[:, prog.seed_arcs] = cols
@@ -392,14 +388,15 @@ def _sweep(prog: EventProgram, transfer: CrossingTransfer,
             f"{len(rows)} seeded rows x {n}^{len(branches)} branches (on arcs "
             f"{list(branches)}) exceed the state-sum cap of "
             f"{STATE_SUM_BRANCH_CAP}")
-    return _run(prog.events, transfer.sweep_tables, n, rows)
+    return _run(prog, pair, rows)
 
 
-def _run(events, tables, n: int, rows):
+def _run(prog: EventProgram, pair: ReidemeisterPair, rows):
     # depth-first over tasks (event, rows, colours): colours, if set, are
     # the values that the branch event k gives each row
-    fplus, fminus = tables[6:]
-    crossings = [ev for ev in events if type(ev) is CrossingEvent]
+    events = prog.events
+    fplus, fminus = pair.fplus, pair.fminus
+    n = pair.g.order
     colours = np.arange(n, dtype=np.intp)
     step = SWEEP_CHUNK_ROWS
     width = rows.shape[1]
@@ -417,27 +414,19 @@ def _run(events, tables, n: int, rows):
             k += 1
         while k < end and len(rows):
             ev = events[k]
-            kind = type(ev)
-            if kind is int:
+            if type(ev) is int:
                 break
             k += 1
-            if kind is DeriveEvent:
-                plus, o, src, dst = ev
-                rows[:, dst] = (fplus if plus else fminus)[rows[:, o],
-                                                           rows[:, src]]
-                continue
-            sign, o, i, u, out, _ = ev
-            if out == TRUST:
-                continue
-            y = (fminus if sign > 0 else fplus)[rows[:, o], rows[:, i]]
-            if out == CHECK:
-                rows = rows[rows[:, u] == y]
+            plus, check, o, src, dst = ev
+            y = (fplus if plus else fminus)[rows[:, o], rows[:, src]]
+            if check:
+                rows = rows[rows[:, dst] == y]
             else:
-                rows[:, u] = y
+                rows[:, dst] = y
         if not len(rows):
             continue
         if k == end:
-            _fold(crossings, tables, rows)
+            _fold(prog, pair, rows)
             yield rows
             continue
         # a branch event: split the colours so no chunk exceeds step rows
@@ -446,7 +435,7 @@ def _run(events, tables, n: int, rows):
             stack.append((k, rows, colours[lo:lo + per]))
 
 
-def _fold(crossings, tables, rows) -> None:
+def _fold(prog: EventProgram, pair: ReidemeisterPair, rows) -> None:
     """Fold the E-colours of finished colourings into their last column.
 
     Top down, each crossing contributes u |> e, e = psi(over, out) at a
@@ -454,9 +443,10 @@ def _fold(crossings, tables, rows) -> None:
     of the prefix colours; the first crossing's term starts the product,
     so a diagram with no crossing keeps the identity put there.
     """
-    g_mul, g_inv, e_mul, act, psi, phi = tables[:6]
+    g_mul, g_inv = pair.g.table, pair.g.inv_table
+    e_mul, act, psi, phi = pair.e.table, pair.xmod.action, pair.psi, pair.phi
     acc = None
-    for sign, o, _, u, _, prefix in crossings:
+    for sign, o, u, prefix in prog.folds:
         e = (psi if sign > 0 else phi)[rows[:, o], rows[:, u]]
         if prefix:
             p = None
@@ -477,7 +467,7 @@ def _state_sum(prog: EventProgram, pair: ReidemeisterPair,
     k = len(prog.top_arcs)
     keys = list(prog.top_arcs + prog.bottom_arcs + (prog.n_arcs,))
     counts: Counter = Counter()
-    for rows in _sweep(prog, pair.transfer(), seeds):
+    for rows in _sweep(prog, pair, seeds):
         counts.update(map(tuple, rows.take(keys, axis=1).tolist()))
     # sorting (boundary colours, elt) sorts the keys and each key's terms
     out: dict[tuple, dict[int, int]] = {}
@@ -545,7 +535,7 @@ def enumerate_colourings(d: SlicedTangleDiagram, transfer: CrossingTransfer,
     top_cols = _normalise_enhancement(pair.g, d.top, top, "top")
     prog = compile_program(d)
     tops = np.array([top_cols], dtype=np.intp)
-    for rows in _sweep(prog, transfer, tops):
+    for rows in _sweep(prog, pair, tops):
         for *arcs, elt in rows.tolist():
             yield Colouring(d, pair, tuple(arcs), elt)
 

@@ -95,7 +95,7 @@ class ReidemeisterPair:
     out-of-range entry can wrap into range.
 
     transfer() builds a fresh CrossingTransfer on every call and the pair
-    keeps none: a transfer only gathers eight references, and a cached one
+    keeps none: a transfer only gathers three references, and a cached one
     would refer back to its pair, so a dropped pair would wait for the
     cycle collector instead of being freed at once.
     """
@@ -221,31 +221,23 @@ def validate_pair(p: ReidemeisterPair, mode: str | None = None,
 
 
 class CrossingTransfer:
-    """The tables the state-sum sweep reads, all the pair's own.
+    """A pair's transfer tables, for callers that step colours by hand.
 
     fplus[X, Y] and fminus[X, Y] (the pair's tables) map the outgoing
     under-colour Y to the incoming one at positive resp. negative crossings
-    with overstrand X, so the sweep steps down a crossing with fminus[X, Z]
+    with overstrand X, so a colour steps down a crossing with fminus[X, Z]
     (positive) or fplus[X, Z] (negative), Z the incoming under-colour.
-    Once a colouring's G-colours are all known, a crossing's E-colour is
-    psi(X, Y) at a positive crossing and phi(X, Y) at a negative one, read
-    at (over, outgoing under) after the sweep, so no table here combines
-    colours and E-colours.  sweep_tables holds the eight arrays the sweep
-    reads, in the order engine._run unpacks them: the multiplication and
-    inversion tables of G, the multiplication table of E, the action, psi,
-    phi, fplus and fminus.  Every one is an array of the pair, its groups
-    or its crossed module, so a transfer allocates no table.  A transfer
-    holds its pair strongly and the pair holds no transfer, so the two form
-    no reference cycle.
+    The state-sum sweep reads none of this: it takes the pair itself and
+    reads its tables by name, fplus and fminus for the colours, and psi,
+    phi, the group tables and the action for the E-colours.  A transfer
+    allocates no table, and holds its pair strongly while the pair holds
+    no transfer, so the two form no reference cycle.
     """
 
     def __init__(self, pair: ReidemeisterPair):
         self.pair = pair
         self.fplus = pair.fplus
         self.fminus = pair.fminus
-        self.sweep_tables = (
-            pair.g.table, pair.g.inv_table, pair.e.table, pair.xmod.action,
-            pair.psi, pair.phi, pair.fplus, pair.fminus)
 
     def __repr__(self) -> str:
         return f"<crossing transfer for {self.pair.name}>"

@@ -81,3 +81,24 @@ def test_json_shape():
     assert obj["group"] == s5.name
     assert obj["terms"][0] == {"element": "id", "count": 1}
     assert obj["terms"][1] == {"element": "(1 2 3 4 5)", "count": 5}
+
+
+def _groups_with_a_digit_label():
+    from tanglesum.abelian import TensorSquare, product_of_cyclics
+    from tanglesum.groups import abelianization, commutator_subgroup
+    a5, _ = commutator_subgroup(symmetric_group(5))
+    yield from (product_of_cyclics(m) for m in ((), (2,), (2, 3)))
+    yield TensorSquare(abelianization(a5)[0]).group
+
+
+@pytest.mark.parametrize("group", list(_groups_with_a_digit_label()),
+                         ids=lambda g: g.name)
+def test_display_round_trips_over_products_of_cyclics(group):
+    # the one element of the trivial product is "()", so display() of the
+    # identity is not read back as the zero "0"
+    values = [GroupAlgebraElement.zero(group),
+              GroupAlgebraElement.single(group, group.identity)]
+    values += [GroupAlgebraElement.single(group, e, 5)
+               for e in range(group.order)]
+    for x in values:
+        assert parse_algebra(group, x.display()) == x, x.display()

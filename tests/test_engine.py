@@ -664,8 +664,10 @@ def _plain(x):
 def test_compiled_programs_are_frozen():
     # every program of the catalog diagrams and all their neighbours in
     # both move sets, seeded on the top and on the bottom: a change to the
-    # planner or the compiler that moves, adds or drops one event shows
-    # here
+    # planner or the compiler that moves, adds or drops one step, branch or
+    # fold shows here.  The digest was frozen when steps and folds replaced
+    # crossing events, after each of these programs was checked equal to
+    # its crossing-event program re-encoded, with nothing left over
     digest = hashlib.sha256()
     count = 0
     for name in catalog_names():
@@ -678,7 +680,7 @@ def test_compiled_programs_are_frozen():
                 count += 1
     assert count == 4508
     assert digest.hexdigest() == (
-        "1ec614815aaae89eba6dab79416141e2eec8619f7506bee1a25eee2cc42d3403")
+        "92f7cb8f57e645bc0b9bf56a9eab64dfb567c6999cd3fef1c1d03a2848eea3ab")
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +734,19 @@ def test_program_cache_stays_within_its_bound():
     assert (first.top, first.slices, False) not in engine._PROGRAMS
     assert (last.top, last.slices, False) in engine._PROGRAMS
     compile_program.cache_clear()
+
+
+def test_cache_clear_waits_for_the_cache_lock():
+    # a clear between a hit's get and its move_to_end would make the
+    # move_to_end raise KeyError, so clearing takes the lock too
+    with engine._PROGRAMS_LOCK:
+        clearing = threading.Thread(target=compile_program.cache_clear)
+        clearing.start()
+        clearing.join(timeout=0.2)
+        assert clearing.is_alive()
+    clearing.join(timeout=5)
+    assert not clearing.is_alive()
+    assert not engine._PROGRAMS
 
 
 def test_a_cache_hit_builds_no_arc_table(monkeypatch):

@@ -8,9 +8,13 @@ bottom, must equal the oracle's matrix at that bottom.  A catalog sweep
 over S4 covers what those small groups cannot, and the colourings that
 enumerate_colourings streams, counted as a multiset of (top, bottom,
 element), must equal the oracle's matrix too.  The fixed diagrams of
-these tests compile to every kind of crossing event, DERIVE, CHECK and
-TRUST at either sign, and one of their CHECK crossings drops rows, so the
-E-fold after the colour pass is compared with the oracle on each kind.
+these tests compile to derive and check steps on either table, and to a
+crossing of either sign with no step of its own, and one of their check
+steps drops rows, so the E-fold after the colour pass is compared with
+the oracle on each kind.  Every compiled program of the catalog and its
+move neighbours has one fold per crossing, applies each crossing's
+relation in exactly one step, and writes each arc once before any step
+reads it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +39,8 @@ from tanglesum.diagrams import (
     move_neighbours,
     trace_closure,
 )
+from tanglesum.diagrams import UP
 from tanglesum.engine import (
-    CHECK,
-    DERIVE,
-    TRUST,
-    CrossingEvent,
     compile_program,
     enumerate_colourings,
     evaluate,
@@ -232,27 +234,84 @@ def _fixed_programs():
         yield d, compile_program(d, from_bottom=True)
 
 
-def test_the_fixed_diagrams_cover_every_crossing_kind():
-    # kinds: (out, sign) of every crossing event; a CHECK drops rows when
-    # the sweep cut just after it finishes fewer rows than the sweep cut
-    # just before it, over every top of a catalog diagram
+def test_the_fixed_diagrams_cover_every_step_kind():
+    # kinds: (check, plus) of every step; a crossing has no step of its own
+    # when a step ahead of it derives its incoming under-arc from the
+    # outgoing one; a check drops rows when the sweep cut just after it
+    # finishes fewer rows than the sweep cut just before it, over every top
+    # of a catalog diagram
     pair = move_families()["eisermann S3"]
-    transfer = pair.transfer()
     kinds = set()
+    trusted = set()
     drops = 0
     for d, prog in _fixed_programs():
+        steps = {ev for ev in prog.events if type(ev) is not int}
+        for c in d.crossings:
+            if engine.Step(c.sign > 0, False, c.over_arc, c.under_out_arc,
+                           c.under_in_arc) in steps:
+                trusted.add(c.sign)
         for k, ev in enumerate(prog.events):
-            if type(ev) is not CrossingEvent:
+            if type(ev) is int:
                 continue
-            kinds.add((ev.out, ev.sign))
-            if ev.out != CHECK or prog.seed_arcs != prog.top_arcs:
+            kinds.add((ev.check, ev.plus))
+            if not ev.check or prog.seed_arcs != prog.top_arcs:
                 continue
             tops = engine._all_tops(pair.g.order, len(d.top))
             before, after = (
-                sum(map(len, engine._sweep(prog._replace(events=prog.events[:j]),
-                                           transfer, tops)))
+                sum(map(len, engine._sweep(
+                    prog._replace(events=prog.events[:j], folds=()),
+                    pair, tops)))
                 for j in (k, k + 1))
             drops += after < before
-    assert kinds == {(out, sign) for out in (DERIVE, CHECK, TRUST)
-                     for sign in (1, -1)}
+    assert kinds == {(check, plus) for check in (False, True)
+                     for plus in (False, True)}
+    assert trusted == {1, -1}
     assert drops
+
+
+# a crossing relation b = fminus[over, a], i.e. a = fplus[over, b], keyed
+# (over, a, b) however a step or a crossing applies it
+
+
+def _step_relation(step) -> tuple:
+    plus, _, o, src, dst = step
+    return (o, dst, src) if plus else (o, src, dst)
+
+
+def _crossing_relation(c) -> tuple:
+    # X+: out = fminus[over, in]; X-: out = fplus[over, in]
+    _, _, sign, o, i, u = c
+    return (o, i, u) if sign > 0 else (o, u, i)
+
+
+@pytest.mark.parametrize("moves", ["unframed", "framed"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_programs_fold_every_crossing_and_write_each_arc_once(name, moves):
+    d = load_catalog(name)
+    for e in [d] + [mp.after for mp in move_neighbours(d, moves)]:
+        for from_bottom in (False, True):
+            prog = compile_program(e, from_bottom=from_bottom)
+            where = (name, moves, from_bottom, e.slices)
+            # one fold per crossing, top down
+            assert prog.folds == tuple(
+                (c.sign, c.over_arc, c.under_out_arc,
+                 tuple((a, w == UP) for a, w in zip(e.levels[c.row][:c.pos],
+                                                    e.words[c.row])))
+                for c in e.crossings), where
+            # each crossing's relation is applied by exactly one step, so a
+            # crossing whose relation a derive step used has no step
+            steps = [ev for ev in prog.events if type(ev) is not int]
+            assert Counter(map(_step_relation, steps)) == Counter(
+                map(_crossing_relation, e.crossings)), where
+            # every arc off the seeded boundary is written once, by a branch
+            # or a derive step, before a step reads it
+            written = set(prog.seed_arcs)
+            for ev in prog.events:
+                if type(ev) is int:
+                    assert ev not in written, where
+                    written.add(ev)
+                    continue
+                assert {ev.over, ev.src} <= written, where
+                assert (ev.dst in written) == ev.check, where
+                written.add(ev.dst)
+            assert written == set(range(e.n_arcs)), where

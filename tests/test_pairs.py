@@ -18,7 +18,8 @@ from named_examples import (
     shift_rack,
 )
 from oracles import boundary_shadow, framed_kink_maps, lifting_shadow_check
-from tanglesum import validation
+from tanglesum import engine, validation
+from tanglesum.diagrams import load_catalog
 from tanglesum.crossed_modules import (
     abelianisation_tensor_2xmod,
     braided_crossed_module,
@@ -333,14 +334,14 @@ def moves_set_pairs() -> dict:
 @pytest.mark.parametrize("tag", sorted(moves_set_pairs()))
 def test_crossing_reads_match_the_scalar_lookups(tag):
     # stepping down a crossing with over-colour x and incoming under-colour
-    # z, the sweep reads the outgoing y = fminus[x, z] (positive) or
+    # z, the sweep reads the pair's outgoing y = fminus[x, z] (positive) or
     # fplus[x, z] (negative), and the fold reads the E-colour psi[x, y]
     # resp. phi[x, y].  y is found by search over G with the scalar group
     # operations: the y with z = bd(psi(x,y))^-1 x y x^-1, resp.
     # z = x^-1 bd(phi(x,y))^-1 y x, which must be unique.  By R2 the
     # E-colour is also phi(x, z)^-1 resp. psi(x, z)^-1.
     p = moves_set_pairs()[tag]
-    _, _, _, _, psi, phi, fplus, fminus = p.transfer().sweep_tables
+    psi, phi, fplus, fminus = p.psi, p.phi, p.fplus, p.fminus
     g, e = p.g, p.e
     n = g.order
     for t in (psi, phi, fplus, fminus):
@@ -390,29 +391,59 @@ def test_transfer_arrays_equal_a_2d_indexed_recomputation(tag):
     fplus = t[inv[bnd[p.psi]], t[t[X, Y], inv[X]]]
     fminus = t[t[inv[X], inv[bnd[p.phi]]], t[Y, X]]
     tr = p.transfer()
-    _, _, _, _, psi, phi, sw_fplus, sw_fminus = tr.sweep_tables
     for got, want in ((tr.fplus, fplus), (tr.fminus, fminus),
-                      (sw_fplus, fplus), (sw_fminus, fminus),
-                      (psi[X, fminus], p.e.inv_table[p.phi]),
-                      (phi[X, fplus], p.e.inv_table[p.psi])):
+                      (p.fplus, fplus), (p.fminus, fminus),
+                      (p.psi[X, fminus], p.e.inv_table[p.phi]),
+                      (p.phi[X, fplus], p.e.inv_table[p.psi])):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
 
-def test_a_transfer_reads_the_tables_of_its_pair_and_allocates_none():
+class _Recording:
+    """A pair that records each attribute read from it."""
+
+    def __init__(self, pair):
+        self._pair = pair
+        self.read: dict = {}
+
+    def __getattr__(self, name):
+        value = self.read[name] = getattr(self._pair, name)
+        return value
+
+
+def test_the_sweep_reads_the_tables_of_its_pair_and_allocates_none():
+    # the sweep takes the pair and reads its tables by name, allocating no
+    # table: with one branch of 120 rows, its peak stays below the size of
+    # one of the pair's tables
     s5 = symmetric_group(5)
     p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
-    own = (p.g.table, p.g.inv_table, p.e.table, p.xmod.action,
-           p.psi, p.phi, p.fplus, p.fminus)
+    prog = engine.compile_program(load_catalog("trefoil_plus_string"))
+    assert len(prog.branch_arcs) == 1
+    seed = np.array([[s5.identity]], dtype=np.intp)
+    want = sum(len(rows) for rows in engine._sweep(prog, p, seed))
+    rec = _Recording(p)
+    tracemalloc.start()
+    try:
+        got = sum(len(rows) for rows in engine._sweep(prog, rec, seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want > 0
+    assert set(rec.read) == {"g", "e", "xmod", "psi", "phi", "fplus",
+                             "fminus"}
+    assert all(v is getattr(p, k) for k, v in rec.read.items())
+    assert peak < p.psi.nbytes
+
+
+def test_a_transfer_is_the_pair_and_its_tables_and_allocates_none():
+    s5 = symmetric_group(5)
+    p = pair_eisermann(s5, s5.element_by_label("(1 2 3 4 5)"), carrier="group")
     tracemalloc.start()
     try:
         tr = build_transfer(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tr.sweep_tables) == len(own)
-    for got, want in zip(tr.sweep_tables, own):
-        assert got is want
     assert tr.fplus is p.fplus and tr.fminus is p.fminus
     assert tr.pair is p
     assert p.transfer().pair is p
