@@ -86,12 +86,16 @@ class GroupAlgebraElement:
                       key=lambda ec: (ec[0] != ident, ec[0]))
 
     def display(self) -> str:
+        """"id + 5*(1 2 3 4 5)"; the zero is "0".  A term whose element is
+        labelled "0", as the identity of cyclic_group(n) is, keeps its
+        coefficient ("1*0"), so no nonzero element displays as the zero."""
         if not self.terms:
             return "0"
         parts = []
         for elt, count in self._sorted_terms():
             label = self.group.labels[elt]
-            parts.append(label if count == 1 else f"{count}*{label}")
+            parts.append(label if count == 1 and label != "0"
+                         else f"{count}*{label}")
         return " + ".join(parts)
 
     __str__ = display

@@ -263,9 +263,11 @@ def build_transfer(p: ReidemeisterPair) -> CrossingTransfer:
 # ---------------------------------------------------------------------------
 
 
-def _rack_psi(r: Rack, g: FiniteGroup) -> np.ndarray:
-    """The G-valued psi(B,A) = B A B^{-1} (B|>A)^{-1} of the rack pair."""
-    return g.mul_arr(g.table, g.mul_arr(g.inv_table[:, None], g.inv_arr(r.left)))
+def _rack_psi(left: np.ndarray, g: FiniteGroup) -> np.ndarray:
+    """The G-valued psi(B,A) = B A B^{-1} (B|>A)^{-1} of the rack pair, from
+    the rack's left table alone: one product of G's cached conjugation
+    table, which the pair's Fplus reads too, and the inverted left table."""
+    return g.mul_arr(g.conjugation, g.inv_table[left])
 
 
 def pair_from_rack(r: Rack, group: FiniteGroup) -> ReidemeisterPair:
@@ -279,7 +281,7 @@ def pair_from_rack(r: Rack, group: FiniteGroup) -> ReidemeisterPair:
         raise XmodMismatchError(
             f"group order {group.order} != rack size {r.size}")
     mode = "unframed" if r.is_quandle else "framed"
-    return ReidemeisterPair(xm_identity(group), _rack_psi(r, group), mode,
+    return ReidemeisterPair(xm_identity(group), _rack_psi(r.left, group), mode,
                             name=f"rack({r.name}; {group.name})",
                             rack=r)
 
@@ -296,7 +298,7 @@ def pair_from_rack_cocycle(c: RackCocycle,
         raise XmodMismatchError(
             f"group order {group.order} != rack size {r.size}")
     xmod = xm_pair_with_module(group, c.v)
-    psi = (_rack_psi(r, group) * c.v.order
+    psi = (_rack_psi(r.left, group) * c.v.order
            + _gather(c.w, r.left, np.arange(r.size)[:, None]))
     mode = "unframed" if c.is_quandle_cocycle else "framed"
     return ReidemeisterPair(xmod, psi, mode,
@@ -317,10 +319,12 @@ def pair_eisermann(g: FiniteGroup, x: int,
     conjugation quandle of x over its carrier, the commutator subgroup
     (where both tables land even when x does not) or the whole group; the
     crossed module is the identity with the adjoint action.  Unframed.
-    `x` is an element index of g.
+    `x` is an element index of g.  The pair reads the quandle's left table
+    from racks._eisermann and builds no Rack; ReidemeisterPair still
+    inverts its rows, as Fplus, and refuses one that is not a bijection.
     """
-    quandle, base = _eisermann(g, x, carrier)
-    return ReidemeisterPair(xm_identity(base), _rack_psi(quandle, base),
+    left, base = _eisermann(g, x, carrier)
+    return ReidemeisterPair(xm_identity(base), _rack_psi(left, base),
                             "unframed",
                             name=f"eisermann({g.name}, {g.label(x)}, "
                             f"{carrier})", x=x)

@@ -14,7 +14,8 @@ other is derived by inverting its translations.  Of the laws above only
 left self-distributivity can then fail: the inverse laws are L_a R_a = 1 =
 R_a L_a, and validate_rack proves that the rest follow.  The Eisermann pair
 (pairs.pair_eisermann) is the rack pair of the twisted-conjugation quandle
-h <| a = x^-1 h a^-1 x a over its carrier.
+h <| a = x^-1 h a^-1 x a over its carrier; it reads the quandle's left
+table and builds no Rack.
 
 Colours live on arcs of a sliced diagram; an arc runs through cups, caps and
 over-strands and breaks only where it passes under a crossing.  At a positive
@@ -170,9 +171,15 @@ def conjugation_quandle(g: FiniteGroup, subset=None) -> Rack:
 
 
 def _eisermann(g: FiniteGroup, xi: int,
-               carrier: str) -> tuple[Rack, FiniteGroup]:
-    """The twisted conjugation quandle of eisermann_quandle, together with
-    its carrier as a group (the commutator subgroup or g itself)."""
+               carrier: str) -> tuple[np.ndarray, FiniteGroup]:
+    """The left table of eisermann_quandle's twisted conjugation quandle in
+    carrier indices, together with its carrier as a group (the commutator
+    subgroup or g itself).
+
+    pairs.pair_eisermann reads this table as it is and builds no Rack.  On
+    the whole group the parent indices are the carrier indices, so the
+    carrier remap, which could not fail there, is skipped.
+    """
     if carrier == "commutator":
         base, embed = commutator_subgroup(g)
         elems = embed.mapping.astype(np.int64)
@@ -182,13 +189,11 @@ def _eisermann(g: FiniteGroup, xi: int,
     else:
         raise TangleSumError(f"carrier must be 'commutator' or 'group', got {carrier!r}")
     # a |> h = (x h) (a^-1 x^-1 a), a column factor times a row factor
-    left = _on_carrier(
-        g, elems,
-        g.mul_arr(g.mul_arr(xi, elems)[None, :],
-                  g.conj_arr(g.inv_arr(elems), g.inv(xi))[:, None]),
-        "carrier not closed")
-    quandle = Rack(left=left, name=f"Eis({g.name}, {g.label(xi)})")
-    return quandle, base
+    left = g.mul_arr(g.mul_arr(xi, elems)[None, :],
+                     g.conj_arr(g.inv_arr(elems), g.inv(xi))[:, None])
+    if base is not g:
+        left = _on_carrier(g, elems, left, "carrier not closed")
+    return left, base
 
 
 def eisermann_quandle(g: FiniteGroup, x: int,
@@ -197,9 +202,11 @@ def eisermann_quandle(g: FiniteGroup, x: int,
 
     The left action is g |> h = x h g^-1 x^-1 g.  `carrier` selects the
     commutator subgroup (closed since x^-1 h g^-1 x g = (x^-1 h x)[x, g])
-    or the whole group.  `x` is an element index of g.
+    or the whole group.  `x` is an element index of g.  The Rack wraps the
+    left table of _eisermann, which pairs.pair_eisermann reads without one.
     """
-    return _eisermann(g, x, carrier)[0]
+    left, _ = _eisermann(g, x, carrier)
+    return Rack(left=left, name=f"Eis({g.name}, {g.label(x)})")
 
 
 def dihedral_quandle(n: int) -> Rack:

@@ -6,7 +6,7 @@ import pytest
 
 from tanglesum.algebra import GroupAlgebraElement, parse_algebra
 from tanglesum.errors import GroupMismatchError
-from tanglesum.groups import cyclic_group, symmetric_group
+from tanglesum.groups import cyclic_group, gl2, symmetric_group
 
 
 def test_addition_merges_counts():
@@ -101,4 +101,23 @@ def test_display_round_trips_over_products_of_cyclics(group):
     values += [GroupAlgebraElement.single(group, e, 5)
                for e in range(group.order)]
     for x in values:
+        assert parse_algebra(group, x.display()) == x, x.display()
+
+
+@pytest.mark.parametrize(
+    "group",
+    [cyclic_group(n) for n in range(1, 6)] + [symmetric_group(3), gl2(3)],
+    ids=lambda g: g.name)
+def test_display_round_trips_and_is_zero_only_for_the_zero(group):
+    # the identity of cyclic_group(n) is labelled "0", like the zero of
+    # N[G], so the single identity displays with its coefficient, "1*0"
+    zero = GroupAlgebraElement.zero(group)
+    assert zero.display() == "0"
+    assert parse_algebra(group, "0") == zero
+    values = [GroupAlgebraElement.single(group, e, count)
+              for e in range(group.order) for count in (1, 5)]
+    values.append(GroupAlgebraElement(
+        group, {e: 1 + e % 3 for e in range(group.order)}))
+    for x in values:
+        assert x.display() != "0", x.terms
         assert parse_algebra(group, x.display()) == x, x.display()

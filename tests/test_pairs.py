@@ -51,9 +51,11 @@ from tanglesum.pairs import (
     validate_pair,
 )
 from tanglesum.racks import (
+    Rack,
     cocycle_from_json,
     conjugation_quandle,
     dihedral_quandle,
+    eisermann_quandle,
 )
 
 
@@ -75,6 +77,28 @@ def test_rack_pair_over_proper_rack_is_framed():
     assert validate_pair(p).ok
     # it genuinely fails the unframed kink axiom
     assert not validate_pair(p, mode="unframed").ok
+
+
+def _assert_transfer_is_the_rack(p, r):
+    # over the identity crossed module Fplus_B(A) = B |> A, and Fminus_B is
+    # its inverse, A <| B
+    assert np.array_equal(p.fplus, r.left), p.name
+    assert np.array_equal(p.fminus, r.right.T), p.name
+
+
+def test_rack_pair_transfer_tables_are_the_rack_tables():
+    s3 = symmetric_group(3)
+    for r, g in ((dihedral_quandle(3), cyclic_group(3)),
+                 (dihedral_quandle(5), cyclic_group(5)),
+                 (shift_rack(3), cyclic_group(3)),
+                 (conjugation_quandle(s3), s3)):
+        _assert_transfer_is_the_rack(pair_from_rack(r, g), r)
+    for g in (s3, symmetric_group(4)):
+        for carrier in ("group", "commutator"):
+            for x in range(g.order):
+                _assert_transfer_is_the_rack(
+                    pair_eisermann(g, x, carrier),
+                    eisermann_quandle(g, x, carrier))
 
 
 def test_rack_pair_transfer_reproduces_rack_propagation():
@@ -474,7 +498,8 @@ def test_pair_constructors_equal_a_2d_indexed_recomputation():
     B, A = np.ogrid[:3, :3]
     t, inv = z3.table, z3.inv_table
 
-    def rack_tables(r):
+    def rack_tables(r, t=t, inv=inv):
+        B, A = np.ogrid[:r.size, :r.size]
         return (t[t[B, A], t[inv[B], inv[r.left[B, A]]]],
                 t[t[A, B], t[inv[r.right[A, B]], inv[B]]])
 
@@ -487,6 +512,13 @@ def test_pair_constructors_equal_a_2d_indexed_recomputation():
     shift_psi, shift_phi = rack_tables(shift_rack(3))
     p = fam["rack shift3"]
     assert np.array_equal(p.psi, shift_psi) and np.array_equal(p.phi, shift_phi)
+    # over S3, where B A B^-1 is not A, so psi's conjugation factor shows
+    s3 = symmetric_group(3)
+    for r in (dihedral_quandle(6), shift_rack(6)):
+        p = pair_from_rack(r, s3)
+        psi, phi = rack_tables(r, s3.table, s3.inv_table)
+        assert np.array_equal(p.psi, psi), p.name
+        assert np.array_equal(p.phi, phi), p.name
     c = cocycle_from_json(r3, R3_COCYCLE)
     m = c.v.order
     p = fam["cocycle R3/Z3"]
@@ -894,3 +926,21 @@ def test_eisermann_tables_match_scalar_oracle_on_table_columns():
     for label in PGL_COLUMNS:
         x = int(proj.mapping[gl.element_by_label(label)])
         _assert_matches_oracle(pgl, x, "group")
+
+
+def test_pair_eisermann_builds_no_rack(monkeypatch):
+    def no_rack(*args, **kwargs):
+        raise AssertionError("a Rack was built")
+
+    with monkeypatch.context() as m:
+        m.setattr("tanglesum.racks.Rack", no_rack)
+        m.setattr("tanglesum.pairs.Rack", no_rack)
+        for g in (symmetric_group(3), symmetric_group(4)):
+            for carrier in ("group", "commutator"):
+                for x in range(g.order):
+                    _assert_matches_oracle(g, x, carrier)
+        with pytest.raises(AssertionError, match="a Rack was built"):
+            eisermann_quandle(symmetric_group(3), 1, "group")
+    s4 = symmetric_group(4)
+    assert isinstance(eisermann_quandle(s4, s4.element_by_label("(1 2 3 4)")),
+                      Rack)
